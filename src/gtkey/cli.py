@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -18,9 +19,12 @@ from . import ehrhart, kogan, lattice, polyops, verify
 from .combinat import (
     format_permutation,
     format_word,
+    is_reduced,
+    pad,
     parse_partition,
     parse_permutation,
     parse_word,
+    word_to_perm,
 )
 from .gtcore import weight as pattern_weight
 
@@ -100,8 +104,6 @@ def cmd_key(args) -> int:
     if (args.sigma is None) == (args.word is None):
         raise CliError("key needs exactly one of --sigma or --word")
     if args.word is not None:
-        from .combinat import is_reduced, word_to_perm
-
         word = parse_word(args.word)
         n = max(len(lam), max(word, default=0) + 1)
         if not is_reduced(word, n):
@@ -192,8 +194,6 @@ def cmd_faces(args) -> int:
         tau = parse_permutation(args.sigma)
         faces = list(kogan.enumerate_reduced_faces(n, tau))
     else:
-        import itertools
-
         faces = []
         for tau in itertools.permutations(range(1, n + 1)):
             faces.extend(kogan.enumerate_reduced_faces(n, tau))
@@ -241,15 +241,9 @@ def _points_spec(args):
     if args.mu is not None:
         mu = parse_partition(args.mu)
         n = args.n or len(lam)
-        return lattice.skew_spec(lam, mu, weight=None if nu is None else tuple(pad_to(nu, n)), n=n)
+        return lattice.skew_spec(lam, mu, weight=None if nu is None else pad(nu, n), n=n)
     n = args.n or len(lam)
-    lam_p = pad_to(lam, n)
-    return lattice.gt_spec(lam_p, weight=None if nu is None else tuple(pad_to(nu, n)))
-
-
-def pad_to(seq, n):
-    seq = tuple(seq)
-    return seq + (0,) * (n - len(seq)) if len(seq) < n else seq
+    return lattice.gt_spec(pad(lam, n), weight=None if nu is None else pad(nu, n))
 
 
 def cmd_points(args) -> int:
@@ -329,7 +323,7 @@ def _ehrhart_object(args) -> ehrhart.CountedObject:
             raise CliError("kogan-face needs --cells \"i,j;i,j;...\"")
         n = args.n or len(lam)
         face = kogan.KoganFace(n, _parse_cells(args.cells))
-        return ehrhart.kogan_face_object(pad_to(lam, n), face)
+        return ehrhart.kogan_face_object(lam, face)
     raise CliError(f"unknown object {args.object!r}")
 
 

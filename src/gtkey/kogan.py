@@ -125,58 +125,38 @@ def key_faces(n: int, sigma) -> tuple[KoganFace, ...]:
 def face_points(lam, face: KoganFace, k: int = 1) -> list[GTPattern]:
     """Lattice points of the k-th dilate of GT(lambda) lying on the face."""
     spec = lattice.gt_spec(pad(check_partition(lam), face.n))
-    return list(lattice.enumerate_points(spec, k, equalities=face.cells))
+    return list(lattice.enumerate_points(spec, k, faces=[face.cells]))
 
 
 def face_count(lam, face: KoganFace, k: int = 1) -> int:
     spec = lattice.gt_spec(pad(check_partition(lam), face.n))
-    return lattice.count_points(spec, k, equalities=face.cells)
+    return lattice.count_points(spec, k, faces=[face.cells])
+
+
+def _complex(lam, sigma):
+    """The polytope and the face cell sets whose union is the key complex."""
+    sigma = check_permutation(sigma)
+    n = len(sigma)
+    spec = lattice.gt_spec(pad(check_partition(lam), n))
+    return spec, [face.cells for face in key_faces(n, sigma)]
 
 
 def complex_points(lam, sigma, k: int = 1) -> list[GTPattern]:
-    """De-duplicated union of the face lattice points, canonical order."""
-    sigma = check_permutation(sigma)
-    n = len(sigma)
-    lam = pad(check_partition(lam), n)
-    spec = lattice.gt_spec(lam)
-    seen: set[GTPattern] = set()
-    for face in key_faces(n, sigma):
-        seen.update(lattice.enumerate_points(spec, k, equalities=face.cells))
-    return sorted(seen, key=GTPattern.flat)
-
-
-def _union_terms(faces: tuple[KoganFace, ...]) -> list[tuple[frozenset, int]]:
-    """Inclusion-exclusion terms over the faces, collapsed by equal cell
-    unions: list of (cells, net sign) with zero-sign terms dropped."""
-    signs: dict[frozenset, int] = {}
-    for r in range(1, len(faces) + 1):
-        sign = 1 if r % 2 else -1
-        for combo in itertools.combinations(faces, r):
-            cells = frozenset().union(*(f.cells for f in combo))
-            signs[cells] = signs.get(cells, 0) + sign
-    return [(cells, s) for cells, s in signs.items() if s != 0]
+    """Lattice points of the key complex at dilation k, each once, in
+    canonical order."""
+    spec, faces = _complex(lam, sigma)
+    return list(lattice.enumerate_points(spec, k, faces=faces))
 
 
 def complex_count(lam, sigma, k: int = 1) -> int:
     """Number of lattice points of the key complex at dilation k.
 
-    Single-face complexes count directly; unions go through inclusion-
-    exclusion over intersections (which are again equality sets), so no
-    point set is ever materialized.
+    One row-by-row count over the union of the faces: each state carries
+    the mask of faces whose equalities still hold, so no point set is ever
+    materialized and no intersection is counted twice.
     """
-    sigma = check_permutation(sigma)
-    n = len(sigma)
-    lam = pad(check_partition(lam), n)
-    faces = key_faces(n, sigma)
-    spec = lattice.gt_spec(lam)
-    if len(faces) == 1:
-        return lattice.count_points(spec, k, equalities=faces[0].cells)
-    if 2 ** len(faces) > 4096:
-        return len(complex_points(lam, sigma, k))
-    total = 0
-    for cells, sign in _union_terms(faces):
-        total += sign * lattice.count_points(spec, k, equalities=cells)
-    return total
+    spec, faces = _complex(lam, sigma)
+    return lattice.count_points(spec, k, faces=faces)
 
 
 def key_via_faces(lam, sigma) -> MultiPoly:

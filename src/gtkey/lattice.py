@@ -1,27 +1,40 @@
 """Lattice points of Gelfand-Tsetlin polytopes and their dilations.
 
-Patterns are generated row by row from the fixed top row downwards; each
-entry of the next row ranges over an interval determined by the row above
-(and, for skew patterns, by the fixed bottom row).  A weight filter fixes
-every intermediate row sum, so infeasible branches are cut by running
-partial-sum bounds instead of post-filtering.
+Levels number a pattern's rows bottom-up from 0, as gtcore stores them.
+One kernel step, `children(level, upper, mask)`, lists the admissible rows
+at `level` directly below the row `upper`, in ascending lexicographic
+order.  Entry j of the row ranges over [upper[j+1], upper[j]].  A skew
+pattern ends at its fixed bottom row mu, which bounds every free row too:
+x_{l,j} >= mu_j and x_{l,j} <= mu_{j-l}, so the bottom row itself is just
+the one row the kernel admits at level 0.  A weight filter fixes every row
+sum, so the sum of a row's other entries fixes its last one.
 
-Enumeration order is lexicographic on the entries read top row first - the
-canonical order used everywhere downstream.  Counting shares the same
-recursion but memoizes on (level, row), which collapses the search tree to
-its distinct consecutive-row transitions.
+A triangular polytope may be restricted to a union of faces, each given as
+a set of cells (i, j), 1 <= j <= i <= n-1, that imposes x_{i,j} = x_{i+1,j}
+(rows numbered bottom-up as in gtcore).  A point belongs to the union when
+it satisfies every cell of at least one face.  The mask carried with a row
+has one bit per face whose cells hold on all rows chosen so far; rows that
+leave no bit set are not listed.  `faces=None` means the whole polytope
+and `faces=[]` the empty set.
+
+Enumeration drives the kernel as a depth-first search from the top row
+down, which yields each point once in canonical order (entries read top
+row first).  Counting drives the same kernel with a memo on
+(level, upper, mask), which collapses the search tree to its distinct
+consecutive-row transitions.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .combinat import check_partition, contains, pad
 from .gtcore import GTPattern, Pattern, SkewGTPattern
 
-# Forced equalities are given as cells (i, j), 1 <= j <= i, meaning
-# x_{i,j} = x_{i+1,j} (rows numbered bottom-up as in gtcore).
+# A face: cells (i, j) forcing x_{i,j} = x_{i+1,j}.
 Cells = frozenset
 
 
@@ -102,216 +115,122 @@ def skew_spec(lam, mu=(), weight=None, n: int | None = None) -> PolytopeSpec:
     )
 
 
-# --- row generation kernel ---------------------------------------------------
+# --- the row-transfer kernel ---------------------------------------------------
 
-def _iter_rows(ranges: list[tuple[int, int]], target: Optional[int]) -> Iterator[tuple[int, ...]]:
-    """All tuples with entry j in ranges[j], optionally of prescribed sum,
-    in ascending lexicographic order."""
-    k = len(ranges)
-    if target is None:
-        def rec(j: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if j == k:
-                yield acc
-                return
-            lo, hi = ranges[j]
-            for v in range(lo, hi + 1):
-                yield from rec(j + 1, acc + (v,))
+def _kernel(
+    spec: PolytopeSpec, k: int, faces: Optional[Iterable[Cells]]
+) -> tuple[list[tuple[int, ...]], int, Callable]:
+    """The k-th dilate set up for the kernel step.
 
-        yield from rec(0, ())
-        return
-
-    lo_suffix = [0] * (k + 1)
-    hi_suffix = [0] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        lo_suffix[j] = lo_suffix[j + 1] + ranges[j][0]
-        hi_suffix[j] = hi_suffix[j + 1] + ranges[j][1]
-
-    def rec_sum(j: int, acc: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
-        if j == k:
-            if remaining == 0:
-                yield acc
-            return
-        lo, hi = ranges[j]
-        lo = max(lo, remaining - hi_suffix[j + 1])
-        hi = min(hi, remaining - lo_suffix[j + 1])
-        for v in range(lo, hi + 1):
-            yield from rec_sum(j + 1, acc + (v,), remaining - v)
-
-    yield from rec_sum(0, (), target)
-
-
-def _triangular_ranges(
-    upper: tuple[int, ...], level: int, equalities: Optional[Mapping[int, set[int]]]
-) -> list[tuple[int, int]]:
-    """Entry ranges for the row of length `level` below `upper`."""
-    ranges = []
-    forced = equalities.get(level) if equalities else None
-    for j in range(level):
-        lo, hi = upper[j + 1], upper[j]
-        if forced and (j + 1) in forced:
-            lo = hi
-        ranges.append((lo, hi))
-    return ranges
-
-
-def _skew_ranges(
-    upper: tuple[int, ...], bottom: tuple[int, ...], level: int
-) -> list[tuple[int, int]]:
-    """Entry ranges for skew row `level` (1-based) below `upper`; row 1 is
-    additionally pinched by the fixed bottom row."""
-    m = len(upper)
-    ranges = []
-    for j in range(m):
-        lo = upper[j + 1] if j + 1 < m else 0
-        hi = upper[j]
-        if level == 1:
-            lo = max(lo, bottom[j])
-            if j >= 1:
-                hi = min(hi, bottom[j - 1])
-        ranges.append((lo, hi))
-    return ranges
-
-
-def _row_targets(spec: PolytopeSpec) -> Optional[dict[int, int]]:
-    """Prescribed row sums per level implied by a weight filter, or None."""
-    if spec.weight is None:
-        return None
-    if spec.kind == "triangular":
-        base = 0
+    Returns the pattern's rows with only the top row filled in, the face
+    mask to start from (0 when the set is empty) and `children`, which
+    lists (row, mask) pairs.
+    """
+    d = spec.dilate(k)
+    if faces is not None and d.kind != "triangular":
+        raise ValueError("faces only apply to triangular polytopes")
+    faces = [frozenset()] if faces is None else [frozenset(f) for f in faces]
+    skew = d.kind == "skew"
+    depth = d.n if skew else d.n - 1  # level of the top row
+    width = [d.m if skew else level + 1 for level in range(depth)]
+    # bounds from the bottom row; a triangular pattern has none
+    cap = max(d.top, default=0)
+    if skew:
+        floors = [d.bottom] * depth
+        ceils = [tuple(d.bottom[j - level] if j >= level else cap for j in range(d.m))
+                 for level in range(depth)]
     else:
-        base = sum(spec.bottom)
-    targets = {}
-    acc = base
-    for i, w in enumerate(spec.weight, start=1):
-        acc += w
-        targets[i] = acc
-    return targets
+        floors = [(0,) * w for w in width]
+        ceils = [(cap,) * w for w in width]
+    tail = (0,) if skew else ()  # the entry right of a skew row's last one
+
+    need = [[0] * w for w in width]  # need[level][j]: faces forcing entry j = upper[j]
+    for f, cells in enumerate(faces):
+        for i, j in cells:
+            if not 1 <= j <= i <= d.n - 1:
+                raise ValueError(f"cell {(i, j)} out of range for n={d.n}")
+            need[i - 1][j - 1] |= 1 << f
+
+    mask = (1 << len(faces)) - 1
+    targets: list[Optional[int]] = [None] * depth
+    if d.weight is not None:
+        sums = list(itertools.accumulate(d.weight, initial=sum(d.bottom) if skew else 0))
+        if sums[-1] != sum(d.top):
+            mask = 0  # weight incompatible with the top row
+        targets = sums[:-1] if skew else sums[1:-1]
+
+    def children(level: int, upper: tuple[int, ...], mask: int) -> list[tuple[tuple[int, ...], int]]:
+        spans = [
+            range(max(a, b), min(c, e) + 1)
+            for a, b, c, e in zip(upper[1:] + tail, floors[level], upper, ceils[level])
+        ]
+        target, drops = targets[level], need[level]
+        if not any(drops):
+            if target is None or not spans:  # an empty row's target is 0
+                return [(row, mask) for row in itertools.product(*spans)]
+            # the row sum fixes the last entry
+            last = spans[-1]
+            return [
+                (row + (v,), mask)
+                for row in itertools.product(*spans[:-1])
+                if (v := target - sum(row)) in last
+            ]
+        partial = [((), mask)]
+        for span, up, drop in zip(spans, upper, drops):
+            grown = []
+            for prefix, m in partial:
+                off = m & ~drop
+                for v in span:
+                    keep = m if v == up else off
+                    if keep:
+                        grown.append((prefix + (v,), keep))
+            partial = grown
+        if target is not None:
+            partial = [(row, m) for row, m in partial if sum(row) == target]
+        return partial
+
+    rows: list[tuple[int, ...]] = [()] * (depth + 1)
+    rows[depth] = d.top
+    return rows, mask, children
 
 
 def enumerate_points(
     spec: PolytopeSpec,
     k: int = 1,
-    equalities: Cells | None = None,
+    faces: Optional[Iterable[Cells]] = None,
 ) -> Iterator[Pattern]:
     """Yield each integral pattern of the k-th dilate exactly once, in
-    canonical order.  `equalities` restricts to a face of a triangular
-    polytope (cells as in the kogan module)."""
-    dspec = spec.dilate(k)
-    if equalities and spec.kind != "triangular":
-        raise ValueError("equalities only apply to triangular polytopes")
-    eq_by_level: Optional[dict[int, set[int]]] = None
-    if equalities:
-        eq_by_level = {}
-        for (i, j) in equalities:
-            eq_by_level.setdefault(i, set()).add(j)
+    canonical order.  `faces` restricts a triangular polytope to the union
+    of those faces."""
+    rows, mask, children = _kernel(spec, k, faces)
+    make = GTPattern if spec.kind == "triangular" else SkewGTPattern
 
-    targets = _row_targets(dspec)
-    if targets is not None and targets[dspec.n] != sum(dspec.top):
-        return  # weight incompatible with the top row: empty
-
-    if dspec.kind == "triangular":
-        n = dspec.n
-        rows: list[tuple[int, ...]] = [()] * n
-        rows[n - 1] = dspec.top
-
-        def rec(level: int) -> Iterator[GTPattern]:
-            if level == 0:
-                yield GTPattern(tuple(rows))
-                return
-            ranges = _triangular_ranges(rows[level], level, eq_by_level)
-            target = targets.get(level) if targets else None
-            for row in _iter_rows(ranges, target):
-                rows[level - 1] = row
-                yield from rec(level - 1)
-
-        yield from rec(n - 1)
-    else:
-        n = dspec.n
-        rows = [()] * (n + 1)
-        rows[n] = dspec.top
-        rows[0] = dspec.bottom
-
-        def rec_skew(level: int) -> Iterator[SkewGTPattern]:
-            if level == 0:
-                yield SkewGTPattern(tuple(rows))
-                return
-            ranges = _skew_ranges(rows[level + 1], dspec.bottom, level)
-            target = targets.get(level) if targets else None
-            for row in _iter_rows(ranges, target):
-                rows[level] = row
-                yield from rec_skew(level - 1)
-
-        if n == 1:
-            # single free-less case: top must interlace directly with bottom
-            ranges = _skew_ranges(dspec.top, dspec.bottom, 1)
-            ok = all(lo <= b <= hi for (lo, hi), b in zip(ranges, dspec.bottom))
-            if ok and (targets is None or targets[1] == sum(dspec.top)):
-                yield SkewGTPattern((dspec.bottom, dspec.top))
+    def walk(level: int, mask: int) -> Iterator[Pattern]:
+        if level < 0:
+            yield make(tuple(rows))
             return
-        yield from rec_skew(n - 1)
+        for row, m in children(level, rows[level + 1], mask):
+            rows[level] = row
+            yield from walk(level - 1, m)
+
+    if mask:
+        yield from walk(len(rows) - 2, mask)
 
 
 def count_points(
     spec: PolytopeSpec,
     k: int = 1,
-    equalities: Cells | None = None,
+    faces: Optional[Iterable[Cells]] = None,
 ) -> int:
-    """|k.P intersect Z^d|, by dynamic programming over consecutive rows."""
-    dspec = spec.dilate(k)
-    if equalities and spec.kind != "triangular":
-        raise ValueError("equalities only apply to triangular polytopes")
-    eq_by_level: Optional[dict[int, set[int]]] = None
-    if equalities:
-        eq_by_level = {}
-        for (i, j) in equalities:
-            eq_by_level.setdefault(i, set()).add(j)
+    """|k.P intersect Z^d|, or of the union of `faces` in it, by dynamic
+    programming over consecutive rows."""
+    rows, mask, children = _kernel(spec, k, faces)
 
-    targets = _row_targets(dspec)
-    if targets is not None and targets[dspec.n] != sum(dspec.top):
-        return 0
-
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    if dspec.kind == "triangular":
-        def count_below(level: int, upper: tuple[int, ...]) -> int:
-            # completions of rows `level`..1 given row level+1 = upper
-            if level == 0:
-                return 1
-            key = (level, upper)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            ranges = _triangular_ranges(upper, level, eq_by_level)
-            target = targets.get(level) if targets else None
-            total = 0
-            for row in _iter_rows(ranges, target):
-                total += count_below(level - 1, row)
-            memo[key] = total
-            return total
-
-        return count_below(dspec.n - 1, dspec.top)
-
-    def count_below_skew(level: int, upper: tuple[int, ...]) -> int:
-        if level == 0:
+    @functools.cache
+    def below(level: int, upper: tuple[int, ...], mask: int) -> int:
+        # completions of rows level..0 given the row above and live faces
+        if level < 0:
             return 1
-        key = (level, upper)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        ranges = _skew_ranges(upper, dspec.bottom, level)
-        target = targets.get(level) if targets else None
-        total = 0
-        for row in _iter_rows(ranges, target):
-            total += count_below_skew(level - 1, row)
-        memo[key] = total
-        return total
+        return sum(below(level - 1, row, m) for row, m in children(level, upper, mask))
 
-    if dspec.n == 1:
-        ranges = _skew_ranges(dspec.top, dspec.bottom, 1)
-        ok = all(lo <= b <= hi for (lo, hi), b in zip(ranges, dspec.bottom))
-        if not ok:
-            return 0
-        if targets is not None and targets[1] != sum(dspec.top):
-            return 0
-        return 1
-    return count_below_skew(dspec.n - 1, dspec.top)
+    return below(len(rows) - 2, rows[-1], mask) if mask else 0

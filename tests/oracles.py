@@ -104,3 +104,14 @@ def grid_filter_patterns(lam):
             )
             points.append(rows)
     return sorted(points)
+
+
+def on_some_face(patterns, faces):
+    """The patterns (rows bottom-up, as grid_filter_patterns returns them)
+    that satisfy every cell of at least one face.  A cell (i, j) asks entry
+    j of row i to equal entry j of row i+1, rows counted from 1."""
+
+    def on_face(rows, cells):
+        return all(rows[i - 1][j - 1] == rows[i][j - 1] for i, j in cells)
+
+    return [rows for rows in patterns if any(on_face(rows, cells) for cells in faces)]

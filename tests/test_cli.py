@@ -165,3 +165,14 @@ def test_skew_kostka_cli(capsys):
     payload = json.loads(out)
     assert int(payload["count"]) >= 0
     assert payload["spec"]["nu"] == [2, 1, 1]
+
+
+def test_points_n_pads_or_rejects(capsys):
+    assert cli.main(["points", "--lambda", "3,2,1", "--n", "2", "--count-only"]) == 1
+    assert "partition (3, 2, 1) has more than 2 nonzero parts" in capsys.readouterr().err
+    code, out = run_cli(capsys, "points", "--lambda", "2,1,0", "--n", "2", "--count-only")
+    assert code == 0
+    assert out.strip() == "2"  # GT(2,1)
+    code, out = run_cli(capsys, "points", "--lambda", "2,1", "--nu", "2,1,0", "--count-only")
+    assert code == 0
+    assert out.strip() == "1"

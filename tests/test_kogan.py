@@ -20,6 +20,7 @@ from gtkey.kogan import (
     pattern_on_face,
 )
 from gtkey.polyops import key_via_operators
+from oracles import grid_filter_patterns, on_some_face
 
 
 def test_face_word_examples():
@@ -133,12 +134,26 @@ def test_complex_dilation_consistency():
             assert complex_count(lam, sigma, k) == len(a)
 
 
+def _assert_complex_matches_oracle(lam, sigmas, ks):
+    for k in ks:
+        grid = grid_filter_patterns(tuple(k * x for x in lam))
+        for sigma in sigmas:
+            expected = on_some_face(grid, [f.cells for f in key_faces(len(sigma), sigma)])
+            pts = complex_points(lam, sigma, k)
+            assert sorted(p.rows for p in pts) == expected, (sigma, k)
+            assert complex_count(lam, sigma, k) == len(expected), (sigma, k)
+
+
 def test_complex_count_matches_enumeration_s4():
-    for sigma in itertools.permutations((1, 2, 3, 4)):
-        for k in (1, 2):
-            assert complex_count((2, 1, 1, 0), sigma, k) == len(
-                complex_points((2, 1, 1, 0), sigma, k)
-            )
+    _assert_complex_matches_oracle((2, 1, 1, 0), list(itertools.permutations((1, 2, 3, 4))), (1, 2))
+
+
+def test_complex_count_matches_oracle_on_14_face_s5_types():
+    sigmas = [(3, 4, 5, 2, 1), (3, 4, 5, 1, 2), (2, 3, 4, 5, 1)]
+    assert all(len(key_faces(5, sigma)) == 14 for sigma in sigmas)
+    _assert_complex_matches_oracle((1, 1, 0, 0, 0), sigmas, (1, 2))
+    # here the first union is the whole polytope, the other two are not
+    _assert_complex_matches_oracle((2, 1, 0, 0, 0), sigmas, (1,))
 
 
 def test_pattern_on_face():

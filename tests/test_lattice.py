@@ -117,6 +117,8 @@ def test_n1_cases():
     assert count_points(gt_spec((5,))) == 1
     assert count_points(skew_spec((3, 2), (3, 1), n=1)) == 1
     assert count_points(skew_spec((3, 2), (1, 0), n=1)) == 0  # needs mu_1 >= lambda_2
+    assert [p.rows for p in enumerate_points(skew_spec((3, 2), (3, 1), n=1))] == [((3, 1), (3, 2))]
+    assert list(enumerate_points(skew_spec((3, 2), (1, 0), n=1))) == []
 
 
 def test_skew_with_more_values_than_columns():
@@ -128,10 +130,43 @@ def test_skew_with_more_values_than_columns():
 def test_equalities_restrict_enumeration():
     spec = gt_spec((4, 3, 3, 2))
     cells = frozenset({(2, 2), (3, 1), (3, 2), (3, 3)})
-    pts = list(enumerate_points(spec, equalities=cells))
+    pts = list(enumerate_points(spec, faces=[cells]))
     assert [p.rows for p in pts] == [
         ((3,), (3, 3), (4, 3, 3), (4, 3, 3, 2)),
         ((3,), (4, 3), (4, 3, 3), (4, 3, 3, 2)),
         ((4,), (4, 3), (4, 3, 3), (4, 3, 3, 2)),
     ]
-    assert count_points(spec, equalities=cells) == 3
+    assert count_points(spec, faces=[cells]) == 3
+
+
+def test_out_of_range_face_cells_rejected():
+    for cell in [(5, 1), (1, 2)]:
+        with pytest.raises(ValueError):
+            count_points(gt_spec((2, 1, 0)), faces=[{cell}])
+        with pytest.raises(ValueError):
+            list(enumerate_points(gt_spec((2, 1, 0)), faces=[{cell}]))
+
+
+def test_empty_face_union():
+    assert count_points(gt_spec((2, 1, 0)), faces=[]) == 0
+    assert list(enumerate_points(gt_spec((2, 1, 0)), faces=[])) == []
+
+
+def test_faces_rejected_on_skew():
+    with pytest.raises(ValueError):
+        count_points(skew_spec((2, 1, 0), (1,)), faces=[{(1, 1)}])
+    with pytest.raises(ValueError):
+        list(enumerate_points(skew_spec((2, 1, 0), (1,)), faces=[{(1, 1)}]))
+
+
+def test_weight_filter_on_face_union():
+    lam = (3, 2, 1, 0)
+    faces = [{(2, 2), (3, 2)}, {(1, 1), (2, 1)}, {(1, 1), (3, 2)}]
+    union = list(enumerate_points(gt_spec(lam), faces=faces))
+    for w in itertools.product(range(4), repeat=4):
+        if sum(w) != sum(lam):
+            continue
+        spec = gt_spec(lam, weight=w)
+        expected = [p for p in union if weight(p) == w]
+        assert list(enumerate_points(spec, faces=faces)) == expected
+        assert count_points(spec, faces=faces) == len(expected)
