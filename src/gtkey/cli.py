@@ -249,21 +249,17 @@ def _points_spec(args):
 def cmd_points(args) -> int:
     k = args.k
     if args.sigma:
-        lam = parse_partition(args.lam)
-        sigma = parse_permutation(args.sigma)
-        points = kogan.complex_points(lam, sigma, k)
+        lam, sigma = parse_partition(args.lam), parse_permutation(args.sigma)
         desc = {"family": "key_complex", "lambda": list(lam), "sigma": list(sigma)}
-        count = kogan.complex_count(lam, sigma, k)
+        count_points = lambda: kogan.complex_count(lam, sigma, k)
+        list_points = lambda: kogan.complex_points(lam, sigma, k)
     else:
         spec = _points_spec(args)
         desc = spec.describe()
-        if args.count_only:
-            points = []
-            count = lattice.count_points(spec, k)
-        else:
-            points = list(lattice.enumerate_points(spec, k))
-            count = len(points)
+        count_points = lambda: lattice.count_points(spec, k)
+        list_points = lambda: list(lattice.enumerate_points(spec, k))
     if args.count_only:
+        count = count_points()
         payload = {"spec": desc, "k": k, "count": str(count)}
         if args.format == "json":
             _emit(args, json.dumps(payload, indent=2))
@@ -272,6 +268,8 @@ def cmd_points(args) -> int:
         else:
             _emit(args, str(count))
         return 0
+    points = list_points()
+    count = len(points)
     records = [
         {"rows": [list(r) for r in p.rows], "weight": list(pattern_weight(p))}
         for p in points
@@ -517,9 +515,10 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, AssertionError) as exc:
+        # a failed internal consistency check is a mathematical violation
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return VIOLATION if isinstance(exc, AssertionError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -389,30 +389,18 @@ def ehrhart_of(
         if hit is not None:
             return hit
     samples = [(k, obj.count(k)) for k in range(D + 1)]
-    verify_ks = (D + 1, D + 2)
-    verify_counts = [obj.count(k) for k in verify_ks]
-    if all(v == 0 for _, v in samples[1:]) and all(v == 0 for v in verify_counts):
-        poly = UniPoly()
-        result = EhrhartResult(
-            object=obj.desc,
-            degree_bound=D,
-            samples=samples,
-            poly=poly,
-            verify_points=[(k, v, True) for k, v in zip(verify_ks, verify_counts)],
-            nonneg=True,
-            empty=True,
-        )
-    else:
-        poly = interpolate(samples)
-        verify = [(k, v, poly(k) == v) for k, v in zip(verify_ks, verify_counts)]
-        result = EhrhartResult(
-            object=obj.desc,
-            degree_bound=D,
-            samples=samples,
-            poly=poly,
-            verify_points=verify,
-            nonneg=poly.nonneg(),
-        )
+    checks = [(k, obj.count(k)) for k in (D + 1, D + 2)]
+    empty = all(v == 0 for _, v in samples[1:] + checks)
+    poly = UniPoly() if empty else interpolate(samples)
+    result = EhrhartResult(
+        object=obj.desc,
+        degree_bound=D,
+        samples=samples,
+        poly=poly,
+        verify_points=[(k, v, poly(k) == v) for k, v in checks],
+        nonneg=poly.nonneg(),
+        empty=empty,
+    )
     if cache is not None:
         cache.put(result)
     return result

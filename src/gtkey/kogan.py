@@ -31,7 +31,6 @@ from .combinat import (
     word_to_perm,
 )
 from .gtcore import GTPattern
-from .gtcore import weight as pattern_weight
 from .polyops import MultiPoly
 
 
@@ -160,11 +159,6 @@ def complex_count(lam, sigma, k: int = 1) -> int:
 
 
 def key_via_faces(lam, sigma) -> MultiPoly:
-    """Key polynomial as the weight generating sum over the key complex."""
-    sigma = check_permutation(sigma)
-    n = len(sigma)
-    terms: dict[tuple[int, ...], int] = {}
-    for p in complex_points(lam, sigma, 1):
-        exp = pattern_weight(p)
-        terms[exp] = terms.get(exp, 0) + 1
-    return MultiPoly(n, terms)
+    """Key polynomial: the key complex's lattice points tallied by weight."""
+    spec, faces = _complex(lam, sigma)
+    return MultiPoly(spec.n, lattice.weight_counts(spec, 1, faces))

@@ -17,11 +17,14 @@ has one bit per face whose cells hold on all rows chosen so far; rows that
 leave no bit set are not listed.  `faces=None` means the whole polytope
 and `faces=[]` the empty set.
 
-Enumeration drives the kernel as a depth-first search from the top row
-down, which yields each point once in canonical order (entries read top
-row first).  Counting drives the same kernel with a memo on
-(level, upper, mask), which collapses the search tree to its distinct
-consecutive-row transitions.
+Three drivers share the kernel.  Enumeration is a depth-first search from
+the top row down, yielding each point once in canonical order (entries read
+top row first).  Counting memoizes (level, upper, mask), which collapses
+the search to its distinct consecutive-row transitions.  Weight counting
+sweeps down one level at a time, each (row, mask) state carrying a tally of
+the weight components fixed above it, so a Schur or key polynomial needs no
+point list.  It keeps only the current level's states: no later level
+returns to them, whereas a memo would hold every level's tallies.
 """
 
 from __future__ import annotations
@@ -234,3 +237,33 @@ def count_points(
         return sum(below(level - 1, row, m) for row, m in children(level, upper, mask))
 
     return below(len(rows) - 2, rows[-1], mask) if mask else 0
+
+
+def weight_counts(
+    spec: PolytopeSpec,
+    k: int = 1,
+    faces: Optional[Iterable[Cells]] = None,
+) -> dict[tuple[int, ...], int]:
+    """The number of integral patterns of the k-th dilate, or of the union
+    of `faces` in it, of each weight that occurs."""
+    rows, mask, children = _kernel(spec, k, faces)
+    if not mask:
+        return {}
+    # (row, mask) -> {weight components fixed by the rows above: count}
+    states = {(rows[-1], mask): {(): 1}}
+    for level in range(len(rows) - 2, -1, -1):
+        swept: dict = {}
+        for (upper, live), tally in states.items():
+            for row, m in children(level, upper, live):
+                c = sum(upper) - sum(row)
+                dest = swept.setdefault((row, m), {})
+                for w, count in tally.items():
+                    dest[(c,) + w] = dest.get((c,) + w, 0) + count
+        states = swept
+    # a triangular pattern's first component is its bottom row's sum
+    out: dict[tuple[int, ...], int] = {}
+    for (row, _), tally in states.items():
+        head = (sum(row),) if spec.kind == "triangular" else ()
+        for w, count in tally.items():
+            out[head + w] = out.get(head + w, 0) + count
+    return out

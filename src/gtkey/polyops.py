@@ -13,7 +13,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import lattice
 from .combinat import canonical_reduced_word, check_partition, check_permutation, pad
-from .gtcore import weight as pattern_weight
 
 Scalar = Union[int, Fraction]
 
@@ -259,27 +258,14 @@ def key_via_operators(lam: Sequence[int], sigma: Sequence[int]) -> MultiPoly:
 
 # --- tableau generating polynomials ------------------------------------------
 
-def _weight_sum(points, n: int) -> MultiPoly:
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for p in points:
-        exp = pattern_weight(p)
-        terms[exp] = terms.get(exp, 0) + 1
-    poly = MultiPoly(n, terms)
-    if any(c < 0 or c.denominator != 1 for c in poly.terms.values()):
-        raise AssertionError("generating sum produced a non-natural coefficient")
-    return poly
-
-
 def schur(lam: Sequence[int], n: int) -> MultiPoly:
     """Schur polynomial as the weight generating sum over GT(lambda)."""
-    spec = lattice.gt_spec(pad(check_partition(lam), n))
-    return _weight_sum(lattice.enumerate_points(spec), n)
+    return MultiPoly(n, lattice.weight_counts(lattice.gt_spec(pad(check_partition(lam), n))))
 
 
 def skew_schur(lam: Sequence[int], mu: Sequence[int], n: int) -> MultiPoly:
     """Skew Schur polynomial over the parallelogram patterns of GT(lambda/mu)."""
-    spec = lattice.skew_spec(lam, mu, n=n)
-    return _weight_sum(lattice.enumerate_points(spec), n)
+    return MultiPoly(n, lattice.weight_counts(lattice.skew_spec(lam, mu, n=n)))
 
 
 def eval_ones(f: MultiPoly) -> int | Fraction:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gtkey import cli
+from gtkey import cli, kogan, lattice, polyops
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -176,3 +176,37 @@ def test_points_n_pads_or_rejects(capsys):
     code, out = run_cli(capsys, "points", "--lambda", "2,1", "--nu", "2,1,0", "--count-only")
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_points_sigma_count_only_does_not_enumerate(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("count-only must not list the points")
+
+    monkeypatch.setattr(kogan, "complex_points", refuse)
+    # sigma = w_0 gives the identity type, whose only face is the empty one
+    code, out = run_cli(
+        capsys, "points", "--lambda", "3,2,1,0,0", "--sigma", "[5,4,3,2,1]", "--k", "3", "--count-only"
+    )
+    assert code == 0
+    assert out.strip() == str(lattice.count_points(lattice.gt_spec((3, 2, 1, 0, 0)), 3))
+
+
+def test_points_sigma_count_is_the_listed_length(capsys):
+    code, out = run_cli(
+        capsys, "points", "--lambda", "2,1,0,0", "--sigma", "[2,4,3,1]", "--k", "2", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert int(payload["count"]) == len(payload["points"]) == kogan.complex_count((2, 1, 0, 0), (2, 4, 3, 1), 2)
+
+
+def test_assertion_failure_exits_two_without_traceback(capsys, monkeypatch):
+    def broken(lam, sigma):
+        raise AssertionError("key polynomial produced a non-natural coefficient")
+
+    monkeypatch.setattr(polyops, "key_via_operators", broken)
+    code = cli.main(["key", "--lambda", "2,1,0", "--sigma", "[3,1,2]", "--method", "operators"])
+    err = capsys.readouterr().err
+    assert code == cli.VIOLATION == 2
+    assert err == "error: key polynomial produced a non-natural coefficient\n"
+    assert "Traceback" not in err

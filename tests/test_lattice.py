@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from gtkey.gtcore import validate_pattern, weight
-from gtkey.lattice import count_points, enumerate_points, gt_spec, skew_spec
+from gtkey.kogan import key_faces
+from gtkey.lattice import count_points, enumerate_points, gt_spec, skew_spec, weight_counts
 from oracles import grid_filter_patterns, ssyt_fillings
 
 
@@ -80,11 +81,49 @@ def test_weight_counts_partition_the_polytope():
     for lam in [(2, 1, 0), (3, 2, 1), (2, 2, 1, 0)]:
         n = len(lam)
         total = count_points(gt_spec(lam))
+        swept = weight_counts(gt_spec(lam))
         by_weight = 0
         for w in itertools.product(range(sum(lam) + 1), repeat=n):
             if sum(w) == sum(lam):
-                by_weight += count_points(gt_spec(lam, weight=w))
-        assert by_weight == total
+                filtered = count_points(gt_spec(lam, weight=w))
+                assert filtered == swept.get(w, 0), (lam, w)
+                by_weight += filtered
+        assert by_weight == total == sum(swept.values())
+
+
+def _tally_weights(spec, k=1, faces=None):
+    tally = {}
+    for p in enumerate_points(spec, k, faces=faces):
+        w = weight(p)
+        tally[w] = tally.get(w, 0) + 1
+    return tally
+
+
+def test_weight_counts_match_enumerated_tally():
+    specs = [
+        gt_spec((3, 2, 0)),
+        gt_spec((2, 1, 1, 0)),
+        gt_spec((4,)),  # n = 1
+        skew_spec((3, 2, 1), (1,)),
+        skew_spec((2, 2), (1,), n=3),
+        skew_spec((2,), (1,), n=1),
+        gt_spec((2, 1, 0), weight=(1, 1, 1)),
+        skew_spec((3, 2, 1), (1,), weight=(2, 1, 2)),
+    ]
+    for spec in specs:
+        for k in (0, 1, 2):
+            assert weight_counts(spec, k) == _tally_weights(spec, k), (spec, k)
+    assert weight_counts(gt_spec((4,))) == {(4,): 1}
+    assert weight_counts(gt_spec((3, 1, 0)), 0) == {(0, 0, 0): 1}
+    assert weight_counts(gt_spec((2, 1, 0)), faces=[]) == {}
+    # the 14-face key-complex unions in S5
+    sigmas = [(3, 4, 5, 2, 1), (3, 4, 5, 1, 2), (2, 3, 4, 5, 1)]
+    for lam, ks in [((1, 1, 0, 0, 0), (1, 2)), ((2, 1, 0, 0, 0), (1,))]:
+        spec = gt_spec(lam)
+        for sigma in sigmas:
+            faces = [f.cells for f in key_faces(5, sigma)]
+            for k in ks:
+                assert weight_counts(spec, k, faces) == _tally_weights(spec, k, faces), (lam, sigma, k)
 
 
 def test_empty_weight_filter():
