@@ -94,7 +94,13 @@ def _emit(args, text: str) -> None:
 
 def _open_cache(args) -> ehrhart.ResultCache | None:
     path = os.environ.get("GTKEY_CACHE") or args.cache
-    return ehrhart.ResultCache(path) if path else None
+    if not path:
+        return None
+    cache = ehrhart.ResultCache(path)
+    if cache.bad_lines:
+        lines = ", ".join(str(n) for n in cache.bad_lines)
+        print(f"warning: cache {path}: skipped unreadable line(s) {lines}", file=sys.stderr)
+    return cache
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -249,6 +255,8 @@ def _points_spec(args):
 def cmd_points(args) -> int:
     k = args.k
     if args.sigma:
+        if args.nu is not None or args.mu is not None:
+            raise CliError("points --sigma counts the whole key complex; it takes neither --nu nor --mu")
         lam, sigma = parse_partition(args.lam), parse_permutation(args.sigma)
         desc = {"family": "key_complex", "lambda": list(lam), "sigma": list(sigma)}
         count_points = lambda: kogan.complex_count(lam, sigma, k)

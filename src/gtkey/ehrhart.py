@@ -328,20 +328,55 @@ class EhrhartResult:
         )
 
 
+def _fit(desc: dict, D: int, count: Callable[[int], int]) -> EhrhartResult:
+    """Interpolate the counts at k = 0..D and check them at D+1 and D+2.
+
+    The k = 0 sample of a dilated specification is always the single zero
+    pattern, so an empty polytope (possible only for weight-filtered
+    families) would poison the fit; if every sample and verification count
+    at k >= 1 vanishes the honest answer is the zero polynomial and the
+    object is marked empty.
+    """
+    samples = [(k, count(k)) for k in range(D + 1)]
+    checks = [(k, count(k)) for k in (D + 1, D + 2)]
+    empty = all(v == 0 for _, v in samples[1:] + checks)
+    poly = UniPoly() if empty else interpolate(samples)
+    return EhrhartResult(
+        object=desc,
+        degree_bound=D,
+        samples=samples,
+        poly=poly,
+        verify_points=[(k, v, poly(k) == v) for k, v in checks],
+        nonneg=poly.nonneg(),
+        empty=empty,
+    )
+
+
 class ResultCache:
-    """Append-only JSON-lines store keyed by the canonical object descriptor."""
+    """Append-only JSON-lines store keyed by the canonical object descriptor.
+
+    A line that is not a readable entry is skipped and its number kept in
+    `bad_lines`.  A stored entry is returned only when fitting its own
+    stored counts gives back exactly that entry (polynomial, verification
+    points and flags); otherwise it is a miss, the result is recomputed and
+    appended, and on the next load the later line wins.
+    """
 
     def __init__(self, path):
         self.path = path
         self.entries: dict[str, dict] = {}
+        self.bad_lines: list[int] = []
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
+            with open(path, "r", encoding="utf-8", errors="replace") as fh:
+                for number, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
-                    obj = json.loads(line)
-                    self.entries[self._key(obj)] = obj
+                    try:
+                        obj = json.loads(line)
+                        self.entries[self._key(obj)] = obj
+                    except (ValueError, KeyError, TypeError):
+                        self.bad_lines.append(number)
         except FileNotFoundError:
             pass
 
@@ -356,7 +391,18 @@ class ResultCache:
     def get(self, desc: dict, degree_bound: int) -> Optional[EhrhartResult]:
         key = self._key({"object": desc, "degree_bound": degree_bound})
         hit = self.entries.get(key)
-        return EhrhartResult.from_json(hit) if hit else None
+        if hit is None:
+            return None
+        try:
+            stored = EhrhartResult.from_json(hit)
+            counts = dict(stored.samples + [(k, v) for k, v, _ in stored.verify_points])
+            result = _fit(stored.object, degree_bound, counts.__getitem__)
+        except (ValueError, KeyError, TypeError, ZeroDivisionError):
+            result = None
+        if result is None or result.to_json() != hit:
+            del self.entries[key]
+            return None
+        return result
 
     def put(self, result: EhrhartResult) -> None:
         obj = result.to_json()
@@ -373,14 +419,9 @@ def ehrhart_of(
     degree_bound: int | None = None,
     cache: ResultCache | None = None,
 ) -> EhrhartResult:
-    """Sample, interpolate and verify the Ehrhart polynomial of a family.
-
-    The k = 0 sample of a dilated specification is always the single zero
-    pattern, so an empty polytope (possible only for weight-filtered
-    families) would poison the fit; if every sample and verification count
-    at k >= 1 vanishes the honest answer is the zero polynomial and the
-    object is marked empty.
-    """
+    """Sample, interpolate and verify the Ehrhart polynomial of a family
+    (see _fit); a cache entry is used only when it passes the cache's
+    check."""
     D = obj.degree_bound() if degree_bound is None else degree_bound
     if D < 0:
         raise ValueError("degree bound must be >= 0")
@@ -388,19 +429,7 @@ def ehrhart_of(
         hit = cache.get(obj.desc, D)
         if hit is not None:
             return hit
-    samples = [(k, obj.count(k)) for k in range(D + 1)]
-    checks = [(k, obj.count(k)) for k in (D + 1, D + 2)]
-    empty = all(v == 0 for _, v in samples[1:] + checks)
-    poly = UniPoly() if empty else interpolate(samples)
-    result = EhrhartResult(
-        object=obj.desc,
-        degree_bound=D,
-        samples=samples,
-        poly=poly,
-        verify_points=[(k, v, poly(k) == v) for k, v in checks],
-        nonneg=poly.nonneg(),
-        empty=empty,
-    )
+    result = _fit(obj.desc, D, obj.count)
     if cache is not None:
         cache.put(result)
     return result

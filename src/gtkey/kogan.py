@@ -15,7 +15,6 @@ construction in polyops and the two are cross-checked in the test suite.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,25 +91,52 @@ def pattern_on_face(p: GTPattern, face: KoganFace) -> bool:
 
 
 def enumerate_reduced_faces(n: int, tau) -> tuple[KoganFace, ...]:
-    """All reduced Kogan faces of the given type, in deterministic order.
-
-    A reduced face of type tau uses exactly length(tau) cells, so the scan
-    only visits subsets of that size.
-    """
+    """All reduced Kogan faces of the given type, in the order that
+    itertools.combinations lists cell subsets of all_cells(n)."""
     return _reduced_faces(n, check_permutation(tau))
 
 
 @lru_cache(maxsize=None)
 def _reduced_faces(n: int, tau: tuple[int, ...]) -> tuple[KoganFace, ...]:
+    """Depth-first search over cell subsets, cells taken in reading order.
+
+    The prefix word's permutation is kept as pos[v], the position of value
+    v.  Appending letter a swaps the values a and a+1 (word_to_perm acts
+    left factor first); the word stays reduced iff a stands left of a+1,
+    and the one new inversion is the position pair (pos[a], pos[a+1]).  A
+    cell is kept only when tau inverts that pair too, so the prefix's
+    inversion set stays inside Inv(tau).  After length(tau) letters it is a
+    subset of Inv(tau) of the same size, hence Inv(tau), and the word's
+    permutation is tau.  Every prefix of a reduced word of tau passes these
+    tests, so no face is missed.  Each next cell comes after the last one
+    and a branch stops when fewer cells remain than letters are needed, so
+    faces come out in itertools.combinations order.
+    """
     if len(tau) != n:
         raise ValueError("type size must equal n")
     length = perm_length(tau)
     grid = all_cells(n)
+    letters = [cell_letter(n, i, j) for i, j in grid]
+    pos = list(range(n + 1))  # pos[v] for v = 1..n; pos[0] unused
+    chosen: list[tuple[int, int]] = []
     found = []
-    for combo in itertools.combinations(grid, length):
-        face = KoganFace(n, frozenset(combo))
-        if face_type(face) == tau:
-            found.append(face)
+
+    def extend(start: int) -> None:
+        need = length - len(chosen)
+        if need == 0:
+            found.append(KoganFace(n, frozenset(chosen)))
+            return
+        for idx in range(start, len(grid) - need + 1):
+            a = letters[idx]
+            p, q = pos[a], pos[a + 1]
+            if p < q and tau[p - 1] > tau[q - 1]:
+                pos[a], pos[a + 1] = q, p
+                chosen.append(grid[idx])
+                extend(idx + 1)
+                chosen.pop()
+                pos[a], pos[a + 1] = p, q
+
+    extend(0)
     return tuple(found)
 
 

@@ -115,3 +115,22 @@ def on_some_face(patterns, faces):
         return all(rows[i - 1][j - 1] == rows[i][j - 1] for i, j in cells)
 
     return [rows for rows in patterns if any(on_face(rows, cells) for cells in faces)]
+
+
+def reduced_cell_subsets(n):
+    """Every subset of the Kogan cells (i, j), 1 <= j <= i <= n-1, whose
+    word is reduced, grouped by the word's permutation.
+
+    One pass over all subsets, by size and then in itertools.combinations
+    order, so each group lists its subsets (tuples of cells in reading
+    order) in that order.  Cell (i, j) carries the letter n - i + j - 1 and
+    the word reads the cells in order; it is reduced when its length equals
+    the inversion count of its product."""
+    cells = [(i, j) for i in range(1, n) for j in range(1, i + 1)]
+    groups = {}
+    for r in range(len(cells) + 1):
+        for combo in itertools.combinations(cells, r):
+            perm = compose_word([n - i + j - 1 for i, j in combo], n)
+            if inversions(perm) == r:
+                groups.setdefault(perm, []).append(combo)
+    return groups

@@ -124,6 +124,18 @@ def test_cache_env_override(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1
 
 
+def test_corrupt_cache_line_is_skipped_with_a_warning(tmp_path, capsys):
+    cache_path = tmp_path / "cache.jsonl"
+    argv = ["ehrhart", "--object", "gt", "--lambda", "2,1,0", "--format", "json", "--cache", str(cache_path)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    cache_path.write_text('{"object": \n' + cache_path.read_text() + "[1, 2]\n")
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == json.loads(out)
+    assert captured.err == f"warning: cache {cache_path}: skipped unreadable line(s) 1, 3\n"
+
+
 def test_csv_output(capsys):
     code, out = run_cli(capsys, "points", "--lambda", "1,0", "--k", "2", "--format", "csv")
     assert code == 0
@@ -210,3 +222,13 @@ def test_assertion_failure_exits_two_without_traceback(capsys, monkeypatch):
     assert code == cli.VIOLATION == 2
     assert err == "error: key polynomial produced a non-natural coefficient\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", [["--nu", "1,1,1"], ["--mu", "1"]])
+def test_points_sigma_rejects_nu_and_mu(capsys, option):
+    argv = ["points", "--lambda", "2,1,0", "--sigma", "[3,2,1]", *option, "--count-only"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: points --sigma")
+    assert "Traceback" not in captured.err

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,50 @@ def test_cache_round_trip(tmp_path):
     hit = ehrhart_of(counting, cache=cache2)
     assert not calls
     assert hit.poly == first.poly
+
+
+def _edit_poly(entry):
+    entry["poly"][0] = "7"  # P(0) = 7 while the stored sample at k = 0 is 1
+
+
+def _edit_verify_flag(entry):
+    entry["poly"][0] = "7"
+    entry["verify_points"] = [[k, str(int(v) + 6), True] for k, v, _ in entry["verify_points"]]
+
+
+def _edit_nonneg(entry):
+    entry["nonneg"] = not entry["nonneg"]
+
+
+def _drop_sample(entry):
+    entry["samples"].pop()
+
+
+@pytest.mark.parametrize("edit", [_edit_poly, _edit_verify_flag, _edit_nonneg, _drop_sample])
+def test_cache_entry_that_does_not_fit_its_counts_is_recomputed(tmp_path, edit):
+    path = tmp_path / "cache.jsonl"
+    obj = gt_object((2, 1, 0))
+    right = ehrhart_of(obj, cache=ResultCache(path))
+    entry = json.loads(path.read_text())
+    assert entry["samples"][0] == [0, "1"]
+    edit(entry)
+    path.write_text(json.dumps(entry) + "\n")
+    again = ehrhart_of(obj, cache=ResultCache(path))
+    assert again.poly == right.poly
+    assert again.to_json() == right.to_json()
+    # the recomputed entry is appended, and the later line wins on load
+    assert len(path.read_text().splitlines()) == 2
+    assert ResultCache(path).get(obj.desc, right.degree_bound).to_json() == right.to_json()
+
+
+def test_cache_skips_unreadable_lines(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    obj = gt_object((2, 1, 0))
+    right = ehrhart_of(obj, cache=ResultCache(path))
+    path.write_text('{"object": \n' + path.read_text() + '[1, 2]\n{"poly": []}\n\n"x"\n')
+    cache = ResultCache(path)
+    assert cache.bad_lines == [1, 3, 4, 6]
+    assert cache.get(obj.desc, right.degree_bound).to_json() == right.to_json()
 
 
 def test_degree_bound_override():

@@ -1,8 +1,11 @@
+import functools
 import itertools
+import json
+import math
 
 import pytest
 
-from gtkey import verify
+from gtkey import cli, kogan, verify
 from gtkey.combinat import avoids_pattern, longest_element, multiply, perm_length
 from gtkey.kogan import (
     KoganFace,
@@ -20,7 +23,9 @@ from gtkey.kogan import (
     pattern_on_face,
 )
 from gtkey.polyops import key_via_operators
-from oracles import grid_filter_patterns, on_some_face
+from oracles import grid_filter_patterns, on_some_face, reduced_cell_subsets
+
+subsets_by_type = functools.lru_cache(maxsize=None)(reduced_cell_subsets)
 
 
 def test_face_word_examples():
@@ -69,6 +74,39 @@ def test_enumerate_faces_identity_and_exhaustive_s4():
     for tau in itertools.permutations((1, 2, 3, 4)):
         got = {f.cells for f in enumerate_reduced_faces(4, tau)}
         assert got == set(by_type.get(tau, []))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_enumerate_faces_match_subset_oracle(n):
+    # one pass over all 2^(n(n-1)/2) cell subsets, grouped by type
+    groups = subsets_by_type(n)
+    assert len(groups) == math.factorial(n)
+    for tau in itertools.permutations(range(1, n + 1)):
+        faces = enumerate_reduced_faces(n, tau)
+        cells = [tuple(f.sorted_cells()) for f in faces]
+        assert set(cells) == set(groups[tau]), tau
+        assert cells == groups[tau], tau  # itertools.combinations order
+        assert all(face_type(f) == tau for f in faces)
+
+
+def test_faces_cli_lists_every_reduced_subset_n6(capsys):
+    assert cli.main(["faces", "--n", "6", "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert all(r["reduced"] for r in records)
+    assert len(records) == sum(len(g) for g in subsets_by_type(6).values())
+
+
+def test_reduced_faces_cache_hook():
+    # the benchmark reads cache_info() and its tests call cache_clear()
+    cached = kogan._reduced_faces
+    enumerate_reduced_faces(4, (2, 4, 1, 3))
+    before = cached.cache_info()
+    assert before.currsize >= 1
+    enumerate_reduced_faces(4, (2, 4, 1, 3))
+    after = cached.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    cached.cache_clear()
+    assert cached.cache_info().currsize == 0
 
 
 def test_every_type_has_a_face():
