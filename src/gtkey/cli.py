@@ -197,24 +197,21 @@ def cmd_kostka(args) -> int:
 def cmd_faces(args) -> int:
     n = args.n
     if args.sigma:
-        tau = parse_permutation(args.sigma)
-        faces = list(kogan.enumerate_reduced_faces(n, tau))
+        taus = [parse_permutation(args.sigma)]
     else:
-        faces = []
-        for tau in itertools.permutations(range(1, n + 1)):
-            faces.extend(kogan.enumerate_reduced_faces(n, tau))
-    records = []
-    for f in faces:
-        t = kogan.face_type(f)
-        records.append(
-            {
-                "n": f.n,
-                "cells": [list(c) for c in f.sorted_cells()],
-                "word": list(kogan.face_word(f)),
-                "reduced": t is not None,
-                "type": list(t) if t else None,
-            }
-        )
+        taus = itertools.permutations(range(1, n + 1))
+    # every face the search yields is reduced, of the type it was searched for
+    records = [
+        {
+            "n": f.n,
+            "cells": [list(c) for c in f.sorted_cells()],
+            "word": list(kogan.face_word(f)),
+            "reduced": True,
+            "type": list(tau),
+        }
+        for tau in taus
+        for f in kogan.enumerate_reduced_faces(n, tau)
+    ]
     if args.format == "json":
         _emit(args, json.dumps(records, indent=2))
     elif args.format == "csv":
@@ -224,7 +221,7 @@ def cmd_faces(args) -> int:
                 ";".join(f"{i},{j}" for i, j in r["cells"]),
                 format_word(r["word"]),
                 r["reduced"],
-                format_permutation(r["type"]) if r["type"] else "not reduced",
+                format_permutation(r["type"]),
             ]
             for r in records
         ]
@@ -233,9 +230,9 @@ def cmd_faces(args) -> int:
         lines = [f"{len(records)} reduced Kogan faces"]
         for r in records:
             cells = ";".join(f"{i},{j}" for i, j in r["cells"])
-            type_str = format_permutation(r["type"]) if r["type"] else "not reduced"
             lines.append(
-                f"cells [{cells or '-'}] word ({format_word(r['word']) or '-'}) type {type_str}"
+                f"cells [{cells or '-'}] word ({format_word(r['word']) or '-'}) "
+                f"type {format_permutation(r['type'])}"
             )
         _emit(args, "\n".join(lines))
     return 0
@@ -258,6 +255,8 @@ def cmd_points(args) -> int:
         if args.nu is not None or args.mu is not None:
             raise CliError("points --sigma counts the whole key complex; it takes neither --nu nor --mu")
         lam, sigma = parse_partition(args.lam), parse_permutation(args.sigma)
+        if args.n is not None and args.n != len(sigma):
+            raise CliError(f"points --sigma: --n {args.n} differs from the size {len(sigma)} of sigma")
         desc = {"family": "key_complex", "lambda": list(lam), "sigma": list(sigma)}
         count_points = lambda: kogan.complex_count(lam, sigma, k)
         list_points = lambda: kogan.complex_points(lam, sigma, k)

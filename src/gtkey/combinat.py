@@ -149,10 +149,6 @@ def avoids_pattern(perm: Sequence[int], pattern: Sequence[int]) -> bool:
     return True
 
 
-def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    return itertools.permutations(range(1, n + 1))
-
-
 def catalan(n: int) -> int:
     import math
 
@@ -248,10 +244,6 @@ def parse_word(text: str) -> tuple[int, ...]:
     if not body:
         return ()
     return tuple(int(v) for v in body.split(","))
-
-
-def format_partition(part: Sequence[int]) -> str:
-    return ",".join(str(v) for v in part)
 
 
 def parse_partition(text: str) -> tuple[int, ...]:

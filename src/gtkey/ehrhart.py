@@ -359,7 +359,8 @@ class ResultCache:
     `bad_lines`.  A stored entry is returned only when fitting its own
     stored counts gives back exactly that entry (polynomial, verification
     points and flags); otherwise it is a miss, the result is recomputed and
-    appended, and on the next load the later line wins.
+    appended, and on the next load the later line wins.  A path that cannot
+    be read or appended to raises ValueError naming it.
     """
 
     def __init__(self, path):
@@ -379,6 +380,8 @@ class ResultCache:
                         self.bad_lines.append(number)
         except FileNotFoundError:
             pass
+        except OSError as exc:
+            raise _unusable_cache(path, exc) from exc
 
     @staticmethod
     def _key(obj: dict) -> str:
@@ -410,8 +413,16 @@ class ResultCache:
         if key in self.entries:
             return
         self.entries[key] = obj
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        try:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise _unusable_cache(self.path, exc) from exc
+
+
+def _unusable_cache(path, exc: OSError) -> ValueError:
+    """A cache file that cannot be read or appended to is a usage error."""
+    return ValueError(f"cache {path}: {exc.strerror or exc}")
 
 
 def ehrhart_of(
@@ -553,8 +564,25 @@ class ScanReport:
         }
 
 
+_SCAN_RANGE_KEYS = {
+    "skew_gt": ("max_shape", "n"),
+    "skew_kostka": ("max_shape", "n"),
+    "stretched_kostka": ("max_size", "max_rows"),
+    "key_complex": ("n", "max_part"),
+}
+
+
 def scan_objects(family: str, ranges: dict) -> Iterator[CountedObject]:
-    """Enumerate the counted objects of a scan family over bounded ranges."""
+    """Enumerate the counted objects of a scan family over bounded ranges;
+    a range key the family does not read raises ValueError."""
+    keys = _SCAN_RANGE_KEYS.get(family)
+    if keys is None:
+        raise ValueError(f"unknown scan family {family!r}")
+    unknown = sorted(set(ranges) - set(keys))
+    if unknown:
+        raise ValueError(
+            f"scan {family}: unknown range key(s) {', '.join(unknown)}; it reads {', '.join(keys)}"
+        )
     if family == "skew_gt":
         shape = tuple(ranges.get("max_shape", (3, 2, 1)))
         n = int(ranges.get("n", len(shape)))
@@ -587,8 +615,6 @@ def scan_objects(family: str, ranges: dict) -> Iterator[CountedObject]:
         for lam in partitions_in_box((max_part,) * n):
             for sigma in itertools.permutations(range(1, n + 1)):
                 yield key_complex_object(lam, sigma)
-    else:
-        raise ValueError(f"unknown scan family {family!r}")
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -13,6 +13,8 @@ all entries non-negative.
 
 The weight of a pattern lists consecutive row-sum differences bottom-up, so
 weight(p)[i-1] counts the entries equal to i in the corresponding tableau.
+The bijection with tableaux is written once, for skew patterns; a triangular
+pattern and a straight tableau are the skew ones over the empty shape.
 """
 
 from __future__ import annotations
@@ -24,23 +26,15 @@ from .combinat import check_partition, pad
 
 
 @dataclass(frozen=True)
-class GTPattern:
-    """Triangular integer array, rows bottom-to-top."""
+class _Pattern:
+    """Integer rows, bottom-to-top; each subclass checks its own shape."""
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
-        if not rows:
-            raise ValueError("pattern needs at least one row")
-        for i, row in enumerate(rows):
-            if len(row) != i + 1:
-                raise ValueError(f"row {i + 1} (bottom-up) must have {i + 1} entries")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+        self._check_shape(rows)
 
     @property
     def top(self) -> tuple[int, ...]:
@@ -62,23 +56,34 @@ class GTPattern:
         return {"rows": [list(r) for r in self.rows]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "GTPattern":
+    def from_json(cls, obj: dict):
         return cls(tuple(tuple(r) for r in obj["rows"]))
 
 
-@dataclass(frozen=True)
-class SkewGTPattern:
+class GTPattern(_Pattern):
+    """Triangular integer array, rows bottom-to-top."""
+
+    @staticmethod
+    def _check_shape(rows) -> None:
+        if not rows:
+            raise ValueError("pattern needs at least one row")
+        for i, row in enumerate(rows):
+            if len(row) != i + 1:
+                raise ValueError(f"row {i + 1} (bottom-up) must have {i + 1} entries")
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+
+class SkewGTPattern(_Pattern):
     """Parallelogram integer array: n+1 rows of equal length, bottom-to-top."""
 
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    @staticmethod
+    def _check_shape(rows) -> None:
         if len(rows) < 2:
             raise ValueError("skew pattern needs at least two rows")
-        m = len(rows[0])
-        if any(len(r) != m for r in rows):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("all rows of a skew pattern must have equal length")
 
     @property
@@ -90,30 +95,8 @@ class SkewGTPattern:
         return len(self.rows[0])
 
     @property
-    def top(self) -> tuple[int, ...]:
-        return self.rows[-1]
-
-    @property
     def bottom(self) -> tuple[int, ...]:
         return self.rows[0]
-
-    def flat(self) -> tuple[int, ...]:
-        return tuple(x for row in reversed(self.rows) for x in row)
-
-    def __str__(self) -> str:
-        width = max(len(str(x)) for row in self.rows for x in row)
-        lines = []
-        for depth, row in enumerate(reversed(self.rows)):
-            pad_ = " " * (depth * (width + 1) // 2)
-            lines.append(pad_ + " ".join(str(x).rjust(width) for x in row))
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        return {"rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SkewGTPattern":
-        return cls(tuple(tuple(r) for r in obj["rows"]))
 
 
 Pattern = Union[GTPattern, SkewGTPattern]
@@ -153,8 +136,40 @@ def weight(p: Pattern) -> tuple[int, ...]:
 
 # --- semistandard tableaux --------------------------------------------------
 
+def _check_filling(outer, inner, rows) -> None:
+    """Raise ValueError unless rows fill the skew diagram outer/inner (inner
+    padded to len(outer)) semistandardly with positive entries: row r holds
+    columns inner[r]+1..outer[r], rows weakly increase, columns strictly."""
+    if any(i > o for i, o in zip(inner, outer)):
+        raise ValueError("inner shape must fit inside outer shape")
+    if len(rows) != len(outer) or any(
+        len(r) != o - i for r, o, i in zip(rows, outer, inner)
+    ):
+        raise ValueError("tableau rows do not match shape")
+    for r in rows:
+        if any(r[j] > r[j + 1] for j in range(len(r) - 1)):
+            raise ValueError("tableau rows must weakly increase")
+    # column strictness where two consecutive rows overlap
+    for i in range(len(rows) - 1):
+        for col in range(max(inner[i], inner[i + 1]), outer[i + 1]):
+            if rows[i][col - inner[i]] >= rows[i + 1][col - inner[i + 1]]:
+                raise ValueError("tableau columns must strictly increase")
+    if any(x < 1 for r in rows for x in r):
+        raise ValueError("tableau entries must be positive")
+
+
+class _Filling:
+    def content(self, n: int) -> tuple[int, ...]:
+        """Multiplicity of each value 1..n among the entries."""
+        counts = [0] * n
+        for r in self.rows:
+            for x in r:
+                counts[x - 1] += 1
+        return tuple(counts)
+
+
 @dataclass(frozen=True)
-class SSYT:
+class SSYT(_Filling):
     """Semistandard Young tableau: rows weakly increase, columns strictly."""
 
     shape: tuple[int, ...]
@@ -165,26 +180,7 @@ class SSYT:
         rows = tuple(tuple(r) for r in self.rows)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "rows", rows)
-        if len(rows) != len(shape) or any(
-            len(r) != s for r, s in zip(rows, shape)
-        ):
-            raise ValueError("tableau rows do not match shape")
-        for r in rows:
-            if any(r[j] > r[j + 1] for j in range(len(r) - 1)):
-                raise ValueError("tableau rows must weakly increase")
-        for i in range(len(rows) - 1):
-            for j in range(len(rows[i + 1])):
-                if rows[i][j] >= rows[i + 1][j]:
-                    raise ValueError("tableau columns must strictly increase")
-        if any(x < 1 for r in rows for x in r):
-            raise ValueError("tableau entries must be positive")
-
-    def content(self, n: int) -> tuple[int, ...]:
-        counts = [0] * n
-        for r in self.rows:
-            for x in r:
-                counts[x - 1] += 1
-        return tuple(counts)
+        _check_filling(shape, (0,) * len(shape), rows)
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
@@ -195,7 +191,7 @@ class SSYT:
 
 
 @dataclass(frozen=True)
-class SkewSSYT:
+class SkewSSYT(_Filling):
     """Semistandard filling of a skew diagram outer/inner."""
 
     outer: tuple[int, ...]
@@ -209,30 +205,7 @@ class SkewSSYT:
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "rows", rows)
-        if any(i > o for i, o in zip(inner, outer)):
-            raise ValueError("inner shape must fit inside outer shape")
-        if len(rows) != len(outer) or any(
-            len(r) != o - i for r, o, i in zip(rows, outer, inner)
-        ):
-            raise ValueError("tableau rows do not match skew shape")
-        for r in rows:
-            if any(r[j] > r[j + 1] for j in range(len(r) - 1)):
-                raise ValueError("tableau rows must weakly increase")
-        # column strictness, accounting for the row offsets
-        for i in range(len(rows) - 1):
-            for col in range(inner[i + 1], outer[i + 1]):
-                if col >= inner[i]:
-                    if rows[i][col - inner[i]] >= rows[i + 1][col - inner[i + 1]]:
-                        raise ValueError("tableau columns must strictly increase")
-        if any(x < 1 for r in rows for x in r):
-            raise ValueError("tableau entries must be positive")
-
-    def content(self, n: int) -> tuple[int, ...]:
-        counts = [0] * n
-        for r in self.rows:
-            for x in r:
-                counts[x - 1] += 1
-        return tuple(counts)
+        _check_filling(outer, inner, rows)
 
     def to_json(self) -> dict:
         return {
@@ -249,37 +222,23 @@ class SkewSSYT:
 
 
 # --- bijection --------------------------------------------------------------
+#
+# A triangular pattern becomes a skew one by padding each row with zeros to
+# length n and putting a zero row below it.  The way back trims row r of the
+# skew pattern to its first r entries; the rest are 0, since every entry of
+# tableau row j is at least j.
 
 def pattern_to_tableau(p: GTPattern) -> SSYT:
     """Row r of the pattern is the shape of the entries <= r in the tableau."""
-    if not validate_pattern(p):
-        raise ValueError("invalid pattern")
     n = p.n
-    shape = p.top
-    rows: list[list[int]] = [[] for _ in shape]
-    prev = (0,) * n
-    for value in range(1, n + 1):
-        cur = pad(p.rows[value - 1], n)
-        for r in range(n):
-            rows[r].extend([value] * (cur[r] - prev[r]))
-        prev = cur
-    return SSYT(shape, tuple(tuple(r) for r in rows))
+    skew = SkewGTPattern(((0,) * n,) + tuple(pad(r, n) for r in p.rows))
+    return SSYT(p.top, skew_pattern_to_tableau(skew).rows)
 
 
 def tableau_to_pattern(t: SSYT, n: int) -> GTPattern:
     """Inverse of pattern_to_tableau; entries of t must lie in 1..n."""
-    if any(x > n for row in t.rows for x in row):
-        raise ValueError(f"tableau entries exceed {n}")
-    if len([s for s in t.shape if s > 0]) > n:
-        raise ValueError("tableau has more rows than the pattern admits")
-    rows = []
-    for value in range(1, n + 1):
-        row = tuple(
-            sum(1 for x in t.rows[r] if x <= value) if r < len(t.rows) else 0
-            for r in range(value)
-        )
-        rows.append(row)
-    return GTPattern(tuple(rows))
+    skew = skew_tableau_to_pattern(SkewSSYT(t.shape, (), t.rows), n)
+    return GTPattern(tuple(pad(row, r) for r, row in enumerate(skew.rows[1:], 1)))
 
 
 def skew_pattern_to_tableau(p: SkewGTPattern) -> SkewSSYT:

@@ -232,3 +232,75 @@ def test_points_sigma_rejects_nu_and_mu(capsys, option):
     assert captured.out == ""
     assert captured.err.startswith("error: points --sigma")
     assert "Traceback" not in captured.err
+
+
+FACES_N3_CSV = (
+    "n,cells,word,reduced,type\r\n"
+    '3,,,True,"[1,2,3]"\r\n'
+    '3,"1,1",2,True,"[1,3,2]"\r\n'
+    '3,"2,2",2,True,"[1,3,2]"\r\n'
+    '3,"2,1",1,True,"[2,1,3]"\r\n'
+    '3,"1,1;2,1","2,1",True,"[2,3,1]"\r\n'
+    '3,"2,1;2,2","1,2",True,"[3,1,2]"\r\n'
+    '3,"1,1;2,1;2,2","2,1,2",True,"[3,2,1]"\r\n'
+)
+
+FACES_N3_TEXT = """7 reduced Kogan faces
+cells [-] word (-) type [1,2,3]
+cells [1,1] word (2) type [1,3,2]
+cells [2,2] word (2) type [1,3,2]
+cells [2,1] word (1) type [2,1,3]
+cells [1,1;2,1] word (2,1) type [2,3,1]
+cells [2,1;2,2] word (1,2) type [3,1,2]
+cells [1,1;2,1;2,2] word (2,1,2) type [3,2,1]
+"""
+
+
+def test_faces_csv_and_text_output(capsys):
+    assert run_cli(capsys, "faces", "--n", "3", "--format", "csv") == (0, FACES_N3_CSV)
+    assert run_cli(capsys, "faces", "--n", "3") == (0, FACES_N3_TEXT)
+    assert run_cli(capsys, "faces", "--n", "3", "--sigma", "[2,3,1]", "--format", "csv") == (
+        0, 'n,cells,word,reduced,type\r\n3,"1,1;2,1","2,1",True,"[2,3,1]"\r\n'
+    )
+
+
+def test_faces_n0_lists_the_empty_face_of_the_empty_type(capsys):
+    code, out = run_cli(capsys, "faces", "--n", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [{"n": 0, "cells": [], "word": [], "reduced": True, "type": []}]
+
+
+@pytest.mark.parametrize("command", [
+    ["ehrhart", "--object", "gt", "--lambda", "2,1,0"],
+    ["scan", "--family", "stretched_kostka", "--ranges", "max_size=1;max_rows=1"],
+])
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unusable_cache_path_exits_one(tmp_path, capsys, command, where):
+    # a directory fails on reading; a file in a missing directory reads as
+    # empty and fails on the first append
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "cache.jsonl"
+    assert cli.main([*command, "--cache", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cache {path}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_points_sigma_rejects_a_different_n(capsys):
+    argv = ["points", "--lambda", "2,1,0", "--sigma", "[3,2,1]", "--count-only"]
+    assert run_cli(capsys, *argv, "--n", "3") == (0, "8\n")
+    assert cli.main([*argv, "--n", "4"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: points --sigma: --n 4 differs from the size 3 of sigma\n"
+
+
+def test_scan_rejects_range_keys_its_family_does_not_read(capsys):
+    argv = ["scan", "--family", "key_complex", "--ranges", "n=2;max_prt=1"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scan key_complex: unknown range key(s) max_prt; it reads n, max_part\n"
+    code, out = run_cli(capsys, "scan", "--family", "key_complex", "--ranges", "n=2;max_part=1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["checked"] == 6

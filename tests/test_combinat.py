@@ -1,3 +1,4 @@
+import doctest
 import itertools
 
 import pytest
@@ -158,3 +159,9 @@ def test_partitions_of():
     parts = list(combinat.partitions_of(6, 4))
     assert len(parts) == 9
     assert all(sum(p) == 6 and len(p) <= 4 for p in parts)
+
+
+def test_docstring_examples():
+    failed, attempted = doctest.testmod(combinat)
+    assert failed == 0
+    assert attempted >= 7

@@ -328,3 +328,22 @@ def test_key_ehrhart_positive_in_shape_variables():
             )
             poly = poly * factor
         assert all(c > 0 for c in poly.terms.values()), row["sigma"]
+
+
+@pytest.mark.parametrize("family, keys", [
+    ("skew_gt", "max_shape, n"),
+    ("skew_kostka", "max_shape, n"),
+    ("stretched_kostka", "max_size, max_rows"),
+    ("key_complex", "n, max_part"),
+])
+def test_scan_objects_rejects_keys_the_family_does_not_read(family, keys):
+    with pytest.raises(ValueError, match=f"unknown range key\\(s\\) max_prt, size; it reads {keys}$"):
+        next(ehrhart.scan_objects(family, {"max_prt": 1, "size": 2}))
+
+
+def test_unusable_cache_path_raises_value_error(tmp_path):
+    with pytest.raises(ValueError, match="^cache .*: Is a directory$"):
+        ResultCache(tmp_path)
+    cache = ResultCache(tmp_path / "missing" / "cache.jsonl")
+    with pytest.raises(ValueError, match="^cache .*: No such file or directory$"):
+        ehrhart.ehrhart_of(ehrhart.gt_object((1, 0)), cache=cache)

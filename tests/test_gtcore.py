@@ -15,6 +15,7 @@ from gtkey.gtcore import (
     validate_pattern,
     weight,
 )
+from oracles import ssyt_fillings
 
 # the six-row pattern/tableau pair used as the master bijection fixture
 FIG_PATTERN = GTPattern(
@@ -138,3 +139,36 @@ def test_pattern_str_top_row_first():
     text = str(FIG_PATTERN)
     first_line = text.splitlines()[0].split()
     assert first_line == ["5", "4", "2", "1", "1", "0"]
+
+
+@pytest.mark.parametrize("shape", [(1,), (2, 1), (2, 1, 0), (2, 2), (3, 1), (1, 1, 1), (2, 1, 1), (1, 1, 1, 1)])
+def test_ssyt_accepts_exactly_the_oracle_fillings(shape):
+    # every filling by 0..3: the 1..3 ones plus some that break positivity
+    accepted = set()
+    for values in itertools.product(range(4), repeat=sum(shape)):
+        rows, start = [], 0
+        for length in shape:
+            rows.append(values[start:start + length])
+            start += length
+        try:
+            SSYT(shape, tuple(rows))
+        except ValueError:
+            continue
+        accepted.add(tuple(r for r, length in zip(rows, shape) if length))
+    assert accepted == set(ssyt_fillings(shape, 3))
+
+
+def test_triangular_bijection_is_the_skew_one_over_the_empty_shape():
+    for p in lattice.enumerate_points(lattice.gt_spec((3, 2, 0))):
+        padded = SkewGTPattern(((0, 0, 0),) + tuple(row + (0,) * (3 - len(row)) for row in p.rows))
+        skew = skew_pattern_to_tableau(padded)
+        assert skew.inner == (0, 0, 0)
+        assert pattern_to_tableau(p).rows == skew.rows
+
+
+def test_patterns_keep_their_class_in_repr_and_equality():
+    p, sp = GTPattern([[1]]), SkewGTPattern([[0], [1]])
+    assert repr(p) == "GTPattern(rows=((1,),))"
+    assert repr(sp) == "SkewGTPattern(rows=((0,), (1,)))"
+    assert p == GTPattern(((1,),)) and hash(p) == hash(GTPattern(((1,),)))
+    assert p.__eq__(sp) is NotImplemented and sp.__eq__(p) is NotImplemented
