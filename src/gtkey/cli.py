@@ -86,8 +86,11 @@ def _csv_text(header, rows) -> str:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise CliError(f"--out {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

@@ -176,7 +176,7 @@ def complex_points(lam, sigma, k: int = 1) -> list[GTPattern]:
 def complex_count(lam, sigma, k: int = 1) -> int:
     """Number of lattice points of the key complex at dilation k.
 
-    One row-by-row count over the union of the faces: each state carries
+    One entry-by-entry count over the union of the faces: each state carries
     the mask of faces whose equalities still hold, so no point set is ever
     materialized and no intersection is counted twice.
     """

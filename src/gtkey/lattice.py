@@ -1,37 +1,33 @@
 """Lattice points of Gelfand-Tsetlin polytopes and their dilations.
 
 Levels number a pattern's rows bottom-up from 0, as gtcore stores them.
-One kernel step, `children(level, upper, mask)`, lists the admissible rows
-at `level` directly below the row `upper`, in ascending lexicographic
-order.  Entry j of the row ranges over [upper[j+1], upper[j]].  A skew
-pattern ends at its fixed bottom row mu, which bounds every free row too:
-x_{l,j} >= mu_j and x_{l,j} <= mu_{j-l}, so the bottom row itself is just
-the one row the kernel admits at level 0.  A weight filter fixes every row
-sum, so the sum of a row's other entries fixes its last one.
+Points are built from the top row down one entry at a time, by the
+transfer-matrix method with a broken profile (Stanley, EC1 4.7).  A state
+is a face mask and a profile s: the row above with its first j entries
+replaced by the row being chosen, so entry j ranges over [s[j+1], s[j]].
+A skew pattern ends at its fixed bottom row mu, which bounds every free row
+too: x_{l,j} >= mu_j and x_{l,j} <= mu_{j-l}; its profile keeps a trailing
+0.  A weight filter fixes every row sum, which bounds each entry by what
+the rest of its row can add.
 
-A triangular polytope may be restricted to a union of faces, each given as
-a set of cells (i, j), 1 <= j <= i <= n-1, that imposes x_{i,j} = x_{i+1,j}
-(rows numbered bottom-up as in gtcore).  A point belongs to the union when
-it satisfies every cell of at least one face.  The mask carried with a row
-has one bit per face whose cells hold on all rows chosen so far; rows that
-leave no bit set are not listed.  `faces=None` means the whole polytope
-and `faces=[]` the empty set.
+A triangular polytope may be restricted to a union of faces, each a set of
+cells (i, j), 1 <= j <= i <= n-1, imposing x_{i,j} = x_{i+1,j} (rows
+bottom-up as in gtcore); a point lies in the union when it satisfies every
+cell of some face.  The mask has a bit per face whose cells hold so far.
+`faces=None` is the whole polytope and `faces=[]` the empty set.
 
-Three drivers share the kernel.  Enumeration is a depth-first search from
-the top row down, yielding each point once in canonical order (entries read
-top row first).  Counting memoizes (level, upper, mask), which collapses
-the search to its distinct consecutive-row transitions.  Weight counting
-sweeps down one level at a time, each (row, mask) state carrying a tally of
-the weight components fixed above it, so a Schur or key polynomial needs no
-point list.  It keeps only the current level's states: no later level
-returns to them, whereas a memo would hold every level's tallies.
+Counting sweeps the steps with an integer tally per state of the current
+step.  Weight counting is the same sweep with weight tallies: a row's
+pending component, the row above's sum less its own, is added at its end.
+Enumeration chains the steps lazily, a depth-first walk yielding each point
+once in canonical order (entries read top row first).
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional
 
 from .combinat import check_partition, contains, pad
@@ -118,83 +114,81 @@ def skew_spec(lam, mu=(), weight=None, n: int | None = None) -> PolytopeSpec:
     )
 
 
-# --- the row-transfer kernel ---------------------------------------------------
+# --- the per-entry step --------------------------------------------------------
 
 def _kernel(
     spec: PolytopeSpec, k: int, faces: Optional[Iterable[Cells]]
-) -> tuple[list[tuple[int, ...]], int, Callable]:
-    """The k-th dilate set up for the kernel step.
-
-    Returns the pattern's rows with only the top row filled in, the face
-    mask to start from (0 when the set is empty) and `children`, which
-    lists (row, mask) pairs.
-    """
+) -> tuple[tuple[int, ...], int, list[list[Callable]]]:
+    """The k-th dilate set up for the sweep: the top row as the starting
+    profile, the face mask to start from (0 when the set is empty) and, for
+    each row below the top, top-down, the steps choosing its entries left to
+    right.  Each step is `_step` with that entry's constants bound."""
     d = spec.dilate(k)
     if faces is not None and d.kind != "triangular":
         raise ValueError("faces only apply to triangular polytopes")
     faces = [frozenset()] if faces is None else [frozenset(f) for f in faces]
     skew = d.kind == "skew"
     depth = d.n if skew else d.n - 1  # level of the top row
-    width = [d.m if skew else level + 1 for level in range(depth)]
-    # bounds from the bottom row; a triangular pattern has none
-    cap = max(d.top, default=0)
-    if skew:
-        floors = [d.bottom] * depth
-        ceils = [tuple(d.bottom[j - level] if j >= level else cap for j in range(d.m))
-                 for level in range(depth)]
-    else:
-        floors = [(0,) * w for w in width]
-        ceils = [(cap,) * w for w in width]
-    tail = (0,) if skew else ()  # the entry right of a skew row's last one
+    widths = [d.m if skew else level + 1 for level in range(depth)]
+    first = [sum(widths[level + 1 :]) for level in range(depth)]  # sweep place of entry 0
 
-    need = [[0] * w for w in width]  # need[level][j]: faces forcing entry j = upper[j]
+    need = [[0] * w for w in widths]  # need[level][j]: faces forcing entry j = upper[j]
+    ends: dict[int, int] = {}  # sweep place -> the faces whose last cell is there
     for f, cells in enumerate(faces):
         for i, j in cells:
             if not 1 <= j <= i <= d.n - 1:
                 raise ValueError(f"cell {(i, j)} out of range for n={d.n}")
             need[i - 1][j - 1] |= 1 << f
+        last = max((first[i - 1] + j - 1 for i, j in cells), default=-1)
+        ends[last] = ends.get(last, 0) | 1 << f
 
     mask = (1 << len(faces)) - 1
-    targets: list[Optional[int]] = [None] * depth
+    targets: list[Optional[int]] = [None] * depth  # row sums fixed by the weight
     if d.weight is not None:
-        sums = list(itertools.accumulate(d.weight, initial=sum(d.bottom) if skew else 0))
+        sums = list(accumulate(d.weight, initial=sum(d.bottom) if skew else 0))
         if sums[-1] != sum(d.top):
             mask = 0  # weight incompatible with the top row
         targets = sums[:-1] if skew else sums[1:-1]
 
-    def children(level: int, upper: tuple[int, ...], mask: int) -> list[tuple[tuple[int, ...], int]]:
-        spans = [
-            range(max(a, b), min(c, e) + 1)
-            for a, b, c, e in zip(upper[1:] + tail, floors[level], upper, ceils[level])
-        ]
-        target, drops = targets[level], need[level]
-        if not any(drops):
-            if target is None or not spans:  # an empty row's target is 0
-                return [(row, mask) for row in itertools.product(*spans)]
-            # the row sum fixes the last entry
-            last = spans[-1]
-            return [
-                (row + (v,), mask)
-                for row in itertools.product(*spans[:-1])
-                if (v := target - sum(row)) in last
-            ]
-        partial = [((), mask)]
-        for span, up, drop in zip(spans, upper, drops):
-            grown = []
-            for prefix, m in partial:
-                off = m & ~drop
-                for v in span:
-                    keep = m if v == up else off
-                    if keep:
-                        grown.append((prefix + (v,), keep))
-            partial = grown
-        if target is not None:
-            partial = [(row, m) for row, m in partial if sum(row) == target]
-        return partial
+    cap = max(d.top, default=0)
+    levels, free = [], ends.get(-1, 0)
+    for level, width in reversed(list(enumerate(widths))):
+        # skew: x_{l,j} >= mu_j and x_{l,j} <= mu_{j-l}, so level 0 is mu itself
+        bounds = [(d.bottom[j], d.bottom[j - level] if j >= level else cap) if skew else (0, cap)
+                  for j in range(width)]
+        steps = []
+        for j, (lo, hi) in enumerate(bounds):
+            ceil = None if not skew else bounds[j + 1][1] if j + 1 < width else 0
+            free |= ends.get(first[level] + j, 0)
+            cut = width + (skew or j < width - 1)
+            steps.append(partial(_step, j, lo, hi, cut, ceil, need[level][j], free, targets[level]))
+        levels.append(steps)
+    return d.top + ((0,) if skew else ()), mask, levels
 
-    rows: list[tuple[int, ...]] = [()] * (depth + 1)
-    rows[depth] = d.top
-    return rows, mask, children
+
+def _step(j, lo, hi, cut, ceil, drop, free, target, states):
+    """Map ((profile s, mask), value) pairs to the pairs that choosing entry
+    j leads to, in order, each keeping its value.  v in [s[j+1], s[j]] cut
+    to [lo, hi] goes into s[j] and s[j+1:cut] is kept, so a triangular row's
+    last entry drops the row above's.  s[j+1] now only caps entry j+1, so a
+    skew profile keeps at most that entry's ceiling there.  A face in `drop`
+    keeps its bit only if v == s[j]; a live face with no cells left puts
+    every completion in the union, so the mask becomes `free`, those faces."""
+
+    def summed(s):  # the entries after j add at most sum(s[j+1:-1]), at least sum(s[j+2:])
+        room = target - sum(s) + s[j]
+        return range(max(s[j + 1], lo, room + s[-1]), min(s[j], hi, room + s[j + 1]) + 1)
+
+    return (
+        ((head + (v,) + rest, eq if v == up else off), value)
+        for (s, m), value in states
+        for head, up, rest, eq, off in ((
+            s[:j], s[j], s[j + 1 : cut] if ceil is None else (min(s[j + 1], ceil),) + s[j + 2 :],
+            free if m & free else m, free if m & ~drop & free else m & ~drop,
+        ),)
+        for v in (range(max(s[j + 1], lo), min(up, hi) + 1) if target is None else summed(s))
+        if off or v == up
+    )
 
 
 def enumerate_points(
@@ -205,19 +199,19 @@ def enumerate_points(
     """Yield each integral pattern of the k-th dilate exactly once, in
     canonical order.  `faces` restricts a triangular polytope to the union
     of those faces."""
-    rows, mask, children = _kernel(spec, k, faces)
+    start, mask, levels = _kernel(spec, k, faces)
+
+    def complete(states, width):  # each profile is a whole row: record it
+        return (((s, m), rows + (s[:width],)) for (s, m), rows in states)
+
+    # the steps chained lazily walk depth-first; values are the rows so far
+    states: Iterable = [((start, mask), (start[: spec.m],))] if mask else []
+    for steps in levels:
+        for step in steps:
+            states = step(states)
+        states = complete(states, len(steps))
     make = GTPattern if spec.kind == "triangular" else SkewGTPattern
-
-    def walk(level: int, mask: int) -> Iterator[Pattern]:
-        if level < 0:
-            yield make(tuple(rows))
-            return
-        for row, m in children(level, rows[level + 1], mask):
-            rows[level] = row
-            yield from walk(level - 1, m)
-
-    if mask:
-        yield from walk(len(rows) - 2, mask)
+    yield from (make(rows[::-1]) for _, rows in states)
 
 
 def count_points(
@@ -225,18 +219,16 @@ def count_points(
     k: int = 1,
     faces: Optional[Iterable[Cells]] = None,
 ) -> int:
-    """|k.P intersect Z^d|, or of the union of `faces` in it, by dynamic
-    programming over consecutive rows."""
-    rows, mask, children = _kernel(spec, k, faces)
-
-    @functools.cache
-    def below(level: int, upper: tuple[int, ...], mask: int) -> int:
-        # completions of rows level..0 given the row above and live faces
-        if level < 0:
-            return 1
-        return sum(below(level - 1, row, m) for row, m in children(level, upper, mask))
-
-    return below(len(rows) - 2, rows[-1], mask) if mask else 0
+    """|k.P intersect Z^d|, or of the union of `faces` in it."""
+    start, mask, levels = _kernel(spec, k, faces)
+    states = {(start, mask): 1} if mask else {}
+    for steps in levels:
+        for step in steps:
+            swept: dict = {}
+            for state, count in step(states.items()):
+                swept[state] = swept.get(state, 0) + count
+            states = swept
+    return sum(states.values())
 
 
 def weight_counts(
@@ -246,24 +238,30 @@ def weight_counts(
 ) -> dict[tuple[int, ...], int]:
     """The number of integral patterns of the k-th dilate, or of the union
     of `faces` in it, of each weight that occurs."""
-    rows, mask, children = _kernel(spec, k, faces)
-    if not mask:
-        return {}
-    # (row, mask) -> {weight components fixed by the rows above: count}
-    states = {(rows[-1], mask): {(): 1}}
-    for level in range(len(rows) - 2, -1, -1):
-        swept: dict = {}
-        for (upper, live), tally in states.items():
-            for row, m in children(level, upper, live):
-                c = sum(upper) - sum(row)
-                dest = swept.setdefault((row, m), {})
-                for w, count in tally.items():
-                    dest[(c,) + w] = dest.get((c,) + w, 0) + count
-        states = swept
+    start, mask, levels = _kernel(spec, k, faces)
+    # tally keys: (u, the weight components of the rows above the last row
+    # chosen), u that row's sum, so a row ending at sum t adds u - t
+    states = {(start, mask): {(sum(start),): 1}} if mask else {}
+    for steps in levels:
+        for step in steps:
+            swept = {}
+            for state, tally in step(states.items()):
+                swept.setdefault(state, []).append(tally)
+            states = {state: _merged(tallies) for state, tallies in swept.items()}
+        for (s, m), tally in states.items():  # each profile is a whole row
+            t = sum(s)
+            states[s, m] = {(t, w[0] - t) + w[1:]: count for w, count in tally.items()}
+    weights = _merged(list(states.values()))
     # a triangular pattern's first component is its bottom row's sum
-    out: dict[tuple[int, ...], int] = {}
-    for (row, _), tally in states.items():
-        head = (sum(row),) if spec.kind == "triangular" else ()
+    return weights if spec.kind == "triangular" else {w[1:]: count for w, count in weights.items()}
+
+
+def _merged(tallies: list[dict]) -> dict:
+    """The sum of the tallies, sharing the one tally when there is only one."""
+    if len(tallies) == 1:
+        return tallies[0]
+    out: dict = {}
+    for tally in tallies:
         for w, count in tally.items():
-            out[head + w] = out.get(head + w, 0) + count
+            out[w] = out.get(w, 0) + count
     return out

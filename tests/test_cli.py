@@ -286,6 +286,17 @@ def test_unusable_cache_path_exits_one(tmp_path, capsys, command, where):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_out_path_exits_one(tmp_path, capsys, where):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    assert cli.main(["kostka", "--lambda", "2,1", "--mu", "1,1,1", "--out", str(path)]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {path}: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_points_sigma_rejects_a_different_n(capsys):
     argv = ["points", "--lambda", "2,1,0", "--sigma", "[3,2,1]", "--count-only"]
     assert run_cli(capsys, *argv, "--n", "3") == (0, "8\n")

@@ -71,6 +71,14 @@ def test_product_formula_matches_interpolation():
         assert result.poly == ehrhart_gt_product(lam)
 
 
+@pytest.mark.parametrize("lam, ks", [((4, 3, 2, 1, 0), range(13)), ((5, 4, 3, 2, 1, 0), range(6))])
+def test_counts_match_product_formula_at_sampled_dilations(lam, ks):
+    # ehrhart samples GT(4,3,2,1,0) up to k = 12, its degree bound 10 plus two
+    poly = ehrhart_gt_product(lam)
+    for k in ks:
+        assert lattice.count_points(lattice.gt_spec(lam), k) == poly(k), k
+
+
 def test_skew_fixture_row():
     result = ehrhart_of(skew_object((3, 2, 1), (2, 1)))
     eighth = Fraction(1, 8)

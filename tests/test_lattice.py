@@ -42,12 +42,17 @@ def test_enumeration_matches_grid_filter_oracle():
 
 
 def test_enumeration_canonical_order():
-    pts = list(enumerate_points(gt_spec((2, 1, 0, 0))))
-    keys = [p.flat() for p in pts]
-    assert keys == sorted(keys)
-    pts = list(enumerate_points(skew_spec((2, 2, 1), (1,))))
-    keys = [p.flat() for p in pts]
-    assert keys == sorted(keys)
+    cases = [
+        (gt_spec((2, 1, 0, 0)), 1, None),
+        (skew_spec((2, 2, 1), (1,)), 1, None),
+        (skew_spec((3, 1, 0), (1, 0, 0), n=4), 2, None),
+        (gt_spec((2, 1, 0, 0, 0)), 2, [f.cells for f in key_faces(5, (3, 4, 5, 2, 1))]),
+        (gt_spec((3, 2, 1, 0)), 1, [{(2, 2), (3, 2)}, {(1, 1), (2, 1)}, {(1, 1), (3, 2)}]),
+    ]
+    for spec, k, faces in cases:
+        keys = [p.flat() for p in enumerate_points(spec, k, faces=faces)]
+        assert len(keys) > 1
+        assert keys == sorted(set(keys)), (spec, k)
 
 
 def test_enumeration_is_deterministic():
@@ -92,10 +97,15 @@ def test_weight_counts_partition_the_polytope():
 
 
 def _tally_weights(spec, k=1, faces=None):
+    """The weight tally of the enumerated points; checks that counting and
+    weight counting agree with it, so all three drivers are compared."""
     tally = {}
+    points = 0
     for p in enumerate_points(spec, k, faces=faces):
         w = weight(p)
         tally[w] = tally.get(w, 0) + 1
+        points += 1
+    assert count_points(spec, k, faces) == sum(weight_counts(spec, k, faces).values()) == points
     return tally
 
 
@@ -103,26 +113,34 @@ def test_weight_counts_match_enumerated_tally():
     specs = [
         gt_spec((3, 2, 0)),
         gt_spec((2, 1, 1, 0)),
+        gt_spec((3, 1, 0, 0)),
         gt_spec((4,)),  # n = 1
-        skew_spec((3, 2, 1), (1,)),
-        skew_spec((2, 2), (1,), n=3),
+        skew_spec((3, 2, 1), (1,)),  # bottom row (1, 0, 0)
+        skew_spec((2, 2), (1,), n=3),  # n > m
+        skew_spec((3, 1, 0), (1, 0, 0), n=4),  # both
         skew_spec((2,), (1,), n=1),
         gt_spec((2, 1, 0), weight=(1, 1, 1)),
+        gt_spec((3, 1, 0), weight=(1, 2, 1)),
         skew_spec((3, 2, 1), (1,), weight=(2, 1, 2)),
+        skew_spec((2, 2), (1,), weight=(1, 0, 2), n=3),
+        gt_spec((2, 1, 0), weight=(1, 1, 2)),  # wrong total
+        gt_spec((2, 2), weight=(1, 3)),  # right total, infeasible
     ]
     for spec in specs:
-        for k in (0, 1, 2):
+        for k in range(4):
             assert weight_counts(spec, k) == _tally_weights(spec, k), (spec, k)
     assert weight_counts(gt_spec((4,))) == {(4,): 1}
     assert weight_counts(gt_spec((3, 1, 0)), 0) == {(0, 0, 0): 1}
-    assert weight_counts(gt_spec((2, 1, 0)), faces=[]) == {}
+    assert weight_counts(gt_spec((2, 1, 0), weight=(1, 1, 2))) == {}
+    for k in range(4):
+        assert weight_counts(gt_spec((2, 1, 0)), k, faces=[]) == _tally_weights(gt_spec((2, 1, 0)), k, []) == {}
     # the 14-face key-complex unions in S5
     sigmas = [(3, 4, 5, 2, 1), (3, 4, 5, 1, 2), (2, 3, 4, 5, 1)]
-    for lam, ks in [((1, 1, 0, 0, 0), (1, 2)), ((2, 1, 0, 0, 0), (1,))]:
+    for lam in [(1, 1, 0, 0, 0), (2, 1, 0, 0, 0)]:
         spec = gt_spec(lam)
         for sigma in sigmas:
             faces = [f.cells for f in key_faces(5, sigma)]
-            for k in ks:
+            for k in range(4):
                 assert weight_counts(spec, k, faces) == _tally_weights(spec, k, faces), (lam, sigma, k)
 
 
