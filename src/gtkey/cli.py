@@ -49,6 +49,17 @@ def _parse_cells(text: str) -> frozenset:
     return frozenset(cells)
 
 
+def _at_least_one(text: str) -> int:
+    """An --n: a pattern needs at least one row above its bottom."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _parse_ranges(text: str | None) -> dict:
     ranges: dict = {}
     if not text:
@@ -367,6 +378,8 @@ def cmd_scan(args) -> int:
     cache = _open_cache(args)
     ranges = _parse_ranges(args.ranges)
     report = ehrhart.scan(args.family, ranges, cache=cache)
+    if not report.entries:
+        raise CliError(f"scan {args.family}: ranges {json.dumps(ranges)} give no objects")
     payload = report.to_json()
     if args.format == "json":
         _emit(args, json.dumps(payload, indent=2))
@@ -450,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schur", help="Schur or skew Schur polynomial")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", help="inner shape for a skew Schur polynomial")
-    p.add_argument("--n", type=int, help="number of variables (default: parts of lambda)")
+    p.add_argument("--n", type=_at_least_one, help="number of variables (default: parts of lambda)")
     common(p)
     p.set_defaults(func=cmd_schur)
 
@@ -472,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", help="bottom row: selects the skew polytope")
     p.add_argument("--nu", help="weight filter")
     p.add_argument("--sigma", help="key-complex points for this permutation")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_at_least_one)
     p.add_argument("--k", type=int, default=1, help="dilation factor")
     p.add_argument("--count-only", action="store_true")
     common(p)
@@ -489,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu")
     p.add_argument("--sigma")
     p.add_argument("--cells", help='face cells as "i,j;i,j;..."')
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_at_least_one)
     p.add_argument("--degree-bound", type=int)
     common(p)
     p.set_defaults(func=cmd_ehrhart)

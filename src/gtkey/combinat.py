@@ -172,7 +172,10 @@ def check_partition(seq: Sequence[int]) -> tuple[int, ...]:
 
 
 def pad(part: Sequence[int], n: int) -> tuple[int, ...]:
-    """Pad with trailing zeros to length n (error if that truncates)."""
+    """Pad with trailing zeros to length n (error if n < 0 or if that drops a
+    nonzero part)."""
+    if n < 0:
+        raise ValueError(f"cannot pad to negative length {n}")
     part = tuple(part)
     if len(part) > n:
         if any(part[n:]):

@@ -572,6 +572,12 @@ _SCAN_RANGE_KEYS = {
 }
 
 
+def _max_shape(ranges: dict) -> tuple[int, ...]:
+    """The range's max_shape; a single number is a one-part shape."""
+    shape = ranges.get("max_shape", (3, 2, 1))
+    return (shape,) if isinstance(shape, int) else tuple(shape)
+
+
 def scan_objects(family: str, ranges: dict) -> Iterator[CountedObject]:
     """Enumerate the counted objects of a scan family over bounded ranges;
     a range key the family does not read raises ValueError."""
@@ -584,7 +590,7 @@ def scan_objects(family: str, ranges: dict) -> Iterator[CountedObject]:
             f"scan {family}: unknown range key(s) {', '.join(unknown)}; it reads {', '.join(keys)}"
         )
     if family == "skew_gt":
-        shape = tuple(ranges.get("max_shape", (3, 2, 1)))
+        shape = _max_shape(ranges)
         n = int(ranges.get("n", len(shape)))
         for lam in partitions_in_box(shape):
             if not any(lam):
@@ -592,7 +598,7 @@ def scan_objects(family: str, ranges: dict) -> Iterator[CountedObject]:
             for mu in partitions_in_box(lam):
                 yield skew_object(pad(lam, n), pad(mu, n), n=n)
     elif family == "skew_kostka":
-        shape = tuple(ranges.get("max_shape", (3, 2, 1)))
+        shape = _max_shape(ranges)
         n = int(ranges.get("n", len(shape)))
         for lam in partitions_in_box(shape):
             if not any(lam):

@@ -1,14 +1,17 @@
 """Lattice points of Gelfand-Tsetlin polytopes and their dilations.
 
 Levels number a pattern's rows bottom-up from 0, as gtcore stores them.
+Every polytope is swept as the skew GT(lambda/mu) with n rows above mu;
+GT(lambda) is the one over mu = 0...0 with n = len(lambda).
 Points are built from the top row down one entry at a time, by the
 transfer-matrix method with a broken profile (Stanley, EC1 4.7).  A state
 is a face mask and a profile s: the row above with its first j entries
 replaced by the row being chosen, so entry j ranges over [s[j+1], s[j]].
-A skew pattern ends at its fixed bottom row mu, which bounds every free row
-too: x_{l,j} >= mu_j and x_{l,j} <= mu_{j-l}; its profile keeps a trailing
-0.  A weight filter fixes every row sum, which bounds each entry by what
-the rest of its row can add.
+Every row obeys x_{l,j} >= mu_j and x_{l,j} <= mu_{j-l}, so row l is 0
+from entry l + l(mu) on (l(mu) nonzero parts) and only the entries before
+are swept; on row 1 they are the interlacing with mu, never swept.  The
+top row is checked once: no column of lambda/mu is longer than n.  A
+weight filter fixes each row sum, bounding an entry by what its row can add.
 
 A triangular polytope may be restricted to a union of faces, each a set of
 cells (i, j), 1 <= j <= i <= n-1, imposing x_{i,j} = x_{i+1,j} (rows
@@ -46,12 +49,14 @@ class PolytopeSpec:
     top: tuple[int, ...]
     bottom: Optional[tuple[int, ...]] = None
     weight: Optional[tuple[int, ...]] = None
-    n: int = 0
+    n: Optional[int] = None  # rows above the bottom; len(top) when left out
 
     def __post_init__(self):
         if self.kind not in ("triangular", "skew"):
             raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "top", check_partition(self.top))
+        if not self.top:
+            raise ValueError("a GT polytope needs a top row with at least one entry")
         if self.kind == "triangular":
             if self.bottom is not None:
                 raise ValueError("triangular specs take no bottom row")
@@ -63,8 +68,10 @@ class PolytopeSpec:
             object.__setattr__(self, "bottom", bottom)
             if not contains(self.top, bottom):
                 raise ValueError("bottom row must fit inside the top row")
-            if self.n <= 0:
+            if self.n is None:
                 object.__setattr__(self, "n", len(self.top))
+            elif self.n < 1:
+                raise ValueError(f"a skew GT polytope needs n >= 1, not n={self.n}")
         if self.weight is not None:
             w = tuple(self.weight)
             if len(w) != self.n or any(x < 0 for x in w):
@@ -110,7 +117,7 @@ def skew_spec(lam, mu=(), weight=None, n: int | None = None) -> PolytopeSpec:
         lam,
         bottom=mu,
         weight=None if weight is None else tuple(weight),
-        n=n if n is not None else len(lam),
+        n=n,
     )
 
 
@@ -118,19 +125,18 @@ def skew_spec(lam, mu=(), weight=None, n: int | None = None) -> PolytopeSpec:
 
 def _kernel(
     spec: PolytopeSpec, k: int, faces: Optional[Iterable[Cells]]
-) -> tuple[tuple[int, ...], int, list[list[Callable]]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], int, list[list[Callable]]]:
     """The k-th dilate set up for the sweep: the top row as the starting
-    profile, the face mask to start from (0 when the set is empty) and, for
-    each row below the top, top-down, the steps choosing its entries left to
-    right.  Each step is `_step` with that entry's constants bound."""
+    profile, the bottom row mu, the face mask to start from (0 when the set
+    is empty) and, for each row between them, top-down, the steps choosing
+    its entries left to right: `_step` with each entry's constants bound."""
     d = spec.dilate(k)
     if faces is not None and d.kind != "triangular":
         raise ValueError("faces only apply to triangular polytopes")
     faces = [frozenset()] if faces is None else [frozenset(f) for f in faces]
-    skew = d.kind == "skew"
-    depth = d.n if skew else d.n - 1  # level of the top row
-    widths = [d.m if skew else level + 1 for level in range(depth)]
-    first = [sum(widths[level + 1 :]) for level in range(depth)]  # sweep place of entry 0
+    mu = d.bottom or (0,) * d.m  # GT(lambda) is the skew polytope over 0...0
+    widths = [min(level + d.m - mu.count(0), d.m) for level in range(d.n)]  # before the zero tail
+    first = [sum(widths[level + 1 :]) for level in range(d.n)]  # sweep place of entry 0
 
     need = [[0] * w for w in widths]  # need[level][j]: faces forcing entry j = upper[j]
     ends: dict[int, int] = {}  # sweep place -> the faces whose last cell is there
@@ -138,42 +144,43 @@ def _kernel(
         for i, j in cells:
             if not 1 <= j <= i <= d.n - 1:
                 raise ValueError(f"cell {(i, j)} out of range for n={d.n}")
-            need[i - 1][j - 1] |= 1 << f
-        last = max((first[i - 1] + j - 1 for i, j in cells), default=-1)
+            need[i][j - 1] |= 1 << f
+        last = max((first[i] + j - 1 for i, j in cells), default=-1)
         ends[last] = ends.get(last, 0) | 1 << f
 
     mask = (1 << len(faces)) - 1
-    targets: list[Optional[int]] = [None] * depth  # row sums fixed by the weight
+    if any(d.top[i] > mu[i - d.n] for i in range(d.n, d.m)):
+        mask = 0  # lambda_i > mu_{i-n}: a column of lambda/mu longer than n
+    targets: list[Optional[int]] = [None] * d.n  # row sums fixed by the weight
     if d.weight is not None:
-        sums = list(accumulate(d.weight, initial=sum(d.bottom) if skew else 0))
-        if sums[-1] != sum(d.top):
+        targets = list(accumulate(d.weight, initial=sum(mu)))
+        if targets.pop() != sum(d.top):
             mask = 0  # weight incompatible with the top row
-        targets = sums[:-1] if skew else sums[1:-1]
 
-    cap = max(d.top, default=0)
-    levels, free = [], ends.get(-1, 0)
-    for level, width in reversed(list(enumerate(widths))):
-        # skew: x_{l,j} >= mu_j and x_{l,j} <= mu_{j-l}, so level 0 is mu itself
-        bounds = [(d.bottom[j], d.bottom[j - level] if j >= level else cap) if skew else (0, cap)
-                  for j in range(width)]
+    cap = max(d.top)
+    levels, free, above = [], ends.get(-1, 0), None
+    for level in range(d.n - 1, 0, -1):
+        width = widths[level]
+        his = [mu[j - level] if j >= level else cap for j in range(width)]  # x_{l,j} <= mu_{j-l}
         steps = []
-        for j, (lo, hi) in enumerate(bounds):
-            ceil = None if not skew else bounds[j + 1][1] if j + 1 < width else 0
+        for j in range(width):
             free |= ends.get(first[level] + j, 0)
-            cut = width + (skew or j < width - 1)
-            steps.append(partial(_step, j, lo, hi, cut, ceil, need[level][j], free, targets[level]))
+            ceil = his[j + 1] if j + 1 < width and above and his[j + 1] < above[j + 1] else None
+            cut = (width if j + 1 < width else widths[level - 1]) + 1
+            steps.append(partial(_step, j, mu[j], his[j], cut, ceil, need[level][j], free, targets[level]))
         levels.append(steps)
-    return d.top + ((0,) if skew else ()), mask, levels
+        above = his
+    return (d.top + (0,))[: widths[-1] + 1], mu, mask, levels
 
 
 def _step(j, lo, hi, cut, ceil, drop, free, target, states):
     """Map ((profile s, mask), value) pairs to the pairs that choosing entry
     j leads to, in order, each keeping its value.  v in [s[j+1], s[j]] cut
-    to [lo, hi] goes into s[j] and s[j+1:cut] is kept, so a triangular row's
-    last entry drops the row above's.  s[j+1] now only caps entry j+1, so a
-    skew profile keeps at most that entry's ceiling there.  A face in `drop`
-    keeps its bit only if v == s[j]; a live face with no cells left puts
-    every completion in the union, so the mask becomes `free`, those faces."""
+    to [lo, hi] goes into s[j] and s[j+1:cut] is kept: a row's last entry
+    keeps a trailing 0 only for a row below as long, and `ceil`, if given,
+    caps s[j+1], which now only bounds entry j+1, to merge states.  A face
+    in `drop` keeps its bit only if v == s[j]; a live face with no cells
+    left puts every completion in the union, so the mask becomes `free`."""
 
     def summed(s):  # the entries after j add at most sum(s[j+1:-1]), at least sum(s[j+2:])
         room = target - sum(s) + s[j]
@@ -199,19 +206,21 @@ def enumerate_points(
     """Yield each integral pattern of the k-th dilate exactly once, in
     canonical order.  `faces` restricts a triangular polytope to the union
     of those faces."""
-    start, mask, levels = _kernel(spec, k, faces)
+    start, mu, mask, levels = _kernel(spec, k, faces)
 
     def complete(states, width):  # each profile is a whole row: record it
         return (((s, m), rows + (s[:width],)) for (s, m), rows in states)
 
     # the steps chained lazily walk depth-first; values are the rows so far
-    states: Iterable = [((start, mask), (start[: spec.m],))] if mask else []
+    states: Iterable = [((start, mask), (pad(start, spec.m),))] if mask else []
     for steps in levels:
         for step in steps:
             states = step(states)
         states = complete(states, len(steps))
-    make = GTPattern if spec.kind == "triangular" else SkewGTPattern
-    yield from (make(rows[::-1]) for _, rows in states)
+    if spec.kind == "triangular":
+        yield from (GTPattern(rows[::-1]) for _, rows in states)
+    else:  # a skew pattern's rows also hold their zero tails, and mu
+        yield from (SkewGTPattern((mu,) + tuple(pad(r, spec.m) for r in rows[::-1])) for _, rows in states)
 
 
 def count_points(
@@ -220,7 +229,7 @@ def count_points(
     faces: Optional[Iterable[Cells]] = None,
 ) -> int:
     """|k.P intersect Z^d|, or of the union of `faces` in it."""
-    start, mask, levels = _kernel(spec, k, faces)
+    start, _, mask, levels = _kernel(spec, k, faces)
     states = {(start, mask): 1} if mask else {}
     for steps in levels:
         for step in steps:
@@ -238,10 +247,11 @@ def weight_counts(
 ) -> dict[tuple[int, ...], int]:
     """The number of integral patterns of the k-th dilate, or of the union
     of `faces` in it, of each weight that occurs."""
-    start, mask, levels = _kernel(spec, k, faces)
+    start, mu, mask, levels = _kernel(spec, k, faces)
     # tally keys: (u, the weight components of the rows above the last row
-    # chosen), u that row's sum, so a row ending at sum t adds u - t
-    states = {(start, mask): {(sum(start),): 1}} if mask else {}
+    # chosen), u that row's sum less |mu|: a row ending at t adds u - t
+    base = sum(mu)
+    states = {(start, mask): {(sum(start) - base,): 1}} if mask else {}
     for steps in levels:
         for step in steps:
             swept = {}
@@ -249,11 +259,9 @@ def weight_counts(
                 swept.setdefault(state, []).append(tally)
             states = {state: _merged(tallies) for state, tallies in swept.items()}
         for (s, m), tally in states.items():  # each profile is a whole row
-            t = sum(s)
+            t = sum(s) - base
             states[s, m] = {(t, w[0] - t) + w[1:]: count for w, count in tally.items()}
-    weights = _merged(list(states.values()))
-    # a triangular pattern's first component is its bottom row's sum
-    return weights if spec.kind == "triangular" else {w[1:]: count for w, count in weights.items()}
+    return _merged(list(states.values()))
 
 
 def _merged(tallies: list[dict]) -> dict:

@@ -81,6 +81,34 @@ def ssyt_fillings(shape, n, content=None):
     return results
 
 
+def skew_ssyt_fillings(outer, inner, n):
+    """All semistandard fillings of the skew shape outer/inner with entries
+    1..n, built cell by cell: rows weakly increase to the right, columns
+    strictly increase downwards.  A filling is a tuple of its rows' entries,
+    one tuple per row of outer (empty where inner covers the row)."""
+    outer = tuple(outer)
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    cells = [(r, c) for r in range(len(outer)) for c in range(inner[r], outer[r])]
+    results = []
+    grid = {}
+
+    def rec(idx):
+        if idx == len(cells):
+            results.append(
+                tuple(tuple(grid[(r, c)] for c in range(inner[r], outer[r])) for r in range(len(outer)))
+            )
+            return
+        r, c = cells[idx]
+        low = max(grid.get((r, c - 1), 1), grid.get((r - 1, c), 0) + 1)
+        for v in range(low, n + 1):
+            grid[(r, c)] = v
+            rec(idx + 1)
+        grid.pop((r, c), None)
+
+    rec(0)
+    return results
+
+
 def grid_filter_patterns(lam):
     """Integral triangular patterns below lam by filtering the full box."""
     n = len(lam)

@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -315,3 +316,71 @@ def test_scan_rejects_range_keys_its_family_does_not_read(capsys):
     code, out = run_cli(capsys, "scan", "--family", "key_complex", "--ranges", "n=2;max_part=1", "--format", "json")
     assert code == 0
     assert json.loads(out)["checked"] == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["points", "--lambda", "2,1,0", "--n", "-1", "--count-only"],
+    ["points", "--lambda", "2,1,0", "--n", "0", "--count-only"],
+    ["points", "--lambda", "2,1", "--mu", "1", "--n", "0", "--count-only"],
+    ["ehrhart", "--object", "skew", "--lambda", "2,1", "--n", "0"],
+    ["ehrhart", "--object", "gt", "--lambda", "2,1", "--n", "-2"],
+    ["schur", "--lambda", "2,1", "--n", "0"],
+])
+def test_n_below_one_exits_one(capsys, argv):
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --n: must be at least 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["points", "--lambda", "", "--count-only"],
+    ["points", "--lambda", ""],
+    ["schur", "--lambda", ""],
+    ["ehrhart", "--object", "gt", "--lambda", ""],
+])
+def test_empty_partition_exits_one(capsys, argv):
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a GT polytope needs a top row with at least one entry\n"
+
+
+def test_scan_takes_a_one_part_max_shape(capsys):
+    code, out = run_cli(capsys, "scan", "--family", "skew_gt", "--ranges", "max_shape=3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["checked"] == 9  # lambda = (1), (2), (3) over each mu inside it, n = 1
+    assert {tuple(r["object"]["lambda"]) for r in payload["results"]} == {(1,), (2,), (3,)}
+
+
+@pytest.mark.parametrize("family, ranges", [
+    ("skew_gt", "max_shape=0,0"),
+    ("skew_gt", "max_shape=0"),
+    ("skew_kostka", "max_shape=0,0"),
+    ("stretched_kostka", "max_size=0"),
+    ("stretched_kostka", "max_rows=0"),
+])
+def test_scan_without_objects_exits_one(capsys, family, ranges):
+    assert cli.main(["scan", "--family", family, "--ranges", ranges]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: scan {family}: ranges ")
+    assert captured.err.endswith(" give no objects\n")
+
+
+README_COMMANDS = [
+    line for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("gtkey ")
+]
+
+
+def test_readme_lists_commands():
+    assert len(README_COMMANDS) >= 19
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_exits_zero(capsys, line):
+    assert cli.main(shlex.split(line)[1:]) == 0, line
+    assert capsys.readouterr().out

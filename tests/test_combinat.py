@@ -165,3 +165,12 @@ def test_docstring_examples():
     failed, attempted = doctest.testmod(combinat)
     assert failed == 0
     assert attempted >= 7
+
+
+def test_pad_rejects_a_negative_length():
+    assert combinat.pad((2, 1), 3) == (2, 1, 0)
+    assert combinat.pad((2, 1, 0), 2) == (2, 1)
+    assert combinat.pad((), 0) == ()
+    for n in [-1, -3]:
+        with pytest.raises(ValueError):
+            combinat.pad((2, 1, 0), n)

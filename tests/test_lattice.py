@@ -5,7 +5,7 @@ import pytest
 from gtkey.gtcore import validate_pattern, weight
 from gtkey.kogan import key_faces
 from gtkey.lattice import count_points, enumerate_points, gt_spec, skew_spec, weight_counts
-from oracles import grid_filter_patterns, ssyt_fillings
+from oracles import grid_filter_patterns, skew_ssyt_fillings, ssyt_fillings
 
 
 def test_full_polytope_counts():
@@ -227,3 +227,57 @@ def test_weight_filter_on_face_union():
         expected = [p for p in union if weight(p) == w]
         assert list(enumerate_points(spec, faces=faces)) == expected
         assert count_points(spec, faces=faces) == len(expected)
+
+
+def _box(shape):
+    """Partitions inside shape, as tuples of len(shape) parts."""
+    return [p for p in itertools.product(*(range(s + 1) for s in shape)) if list(p) == sorted(p, reverse=True)]
+
+
+def _skew_oracle(lam, mu, n):
+    """The patterns (rows bottom-up) and the weight tally of the fillings of
+    lam/mu with entries <= n: row l holds mu_i plus the entries <= l of row i."""
+    mu = tuple(mu) + (0,) * (len(lam) - len(mu))
+    rows, tally = [], {}
+    for filling in skew_ssyt_fillings(lam, mu, n):
+        rows.append(tuple(
+            tuple(mu[i] + sum(v <= level for v in filling[i]) for i in range(len(lam)))
+            for level in range(n + 1)
+        ))
+        w = tuple(sum(v == value for row in filling for v in row) for value in range(1, n + 1))
+        tally[w] = tally.get(w, 0) + 1
+    return sorted(rows), tally
+
+
+def test_skew_specs_match_skew_tableaux_oracle():
+    # every lam/mu inside (3,3,2) with n = 1..4, including columns longer than n
+    for lam in _box((3, 3, 2)):
+        for mu in _box(lam):
+            for n in range(1, 5):
+                spec = skew_spec(lam, mu, n=n)
+                rows, tally = _skew_oracle(lam, mu, n)
+                assert count_points(spec) == len(rows), (lam, mu, n)
+                assert weight_counts(spec) == tally, (lam, mu, n)
+                assert sorted(p.rows for p in enumerate_points(spec)) == rows, (lam, mu, n)
+    assert count_points(skew_spec((1, 1, 1), (), n=2)) == 0
+    # the second dilate is the doubled shape
+    for lam, mu, n in [((3, 3, 2), (1,), 3), ((2, 2, 1), (1, 1), 2), ((3, 1, 1), (), 2), ((2, 1, 0), (1,), 4)]:
+        doubled = tuple(2 * x for x in lam), tuple(2 * x for x in mu)
+        rows, tally = _skew_oracle(*doubled, n)
+        spec = skew_spec(lam, mu, n=n)
+        assert count_points(spec, 2) == len(rows), (lam, mu, n)
+        assert weight_counts(spec, 2) == tally, (lam, mu, n)
+        assert sorted(p.rows for p in enumerate_points(spec, 2)) == rows, (lam, mu, n)
+
+
+def test_specs_without_rows_are_rejected():
+    with pytest.raises(ValueError):
+        gt_spec(())
+    with pytest.raises(ValueError):
+        skew_spec((), ())
+    for n in [0, -1]:
+        with pytest.raises(ValueError):
+            skew_spec((2, 1), (1,), n=n)
+        with pytest.raises(ValueError):
+            gt_spec((2, 1), n=n)
+    assert skew_spec((2, 1), (1,)).n == 2  # n left out: one row per part
