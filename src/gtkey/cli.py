@@ -20,7 +20,6 @@ from .combinat import (
     format_permutation,
     format_word,
     is_reduced,
-    pad,
     parse_partition,
     parse_permutation,
     parse_word,
@@ -78,13 +77,6 @@ def _parse_ranges(text: str | None) -> dict:
         else:
             ranges[key] = int(value)
     return ranges
-
-
-def _monomial_str(exp) -> str:
-    factors = [
-        f"z{i + 1}" if e == 1 else f"z{i + 1}^{e}" for i, e in enumerate(exp) if e
-    ]
-    return "*".join(factors) if factors else "1"
 
 
 def _csv_text(header, rows) -> str:
@@ -189,13 +181,13 @@ def cmd_kostka(args) -> int:
     lam = parse_partition(args.lam)
     if args.nu is not None:
         mu = parse_partition(args.mu) if args.mu else ()
-        nu = parse_partition(args.nu)
+        nu = parse_word(args.nu)
         value = polyops.skew_kostka(lam, mu, nu)
         desc = {"lambda": list(lam), "mu": list(mu), "nu": list(nu)}
     else:
         if args.mu is None:
             raise CliError("kostka needs --mu (content), optionally --nu for skew shapes")
-        mu = parse_partition(args.mu)
+        mu = parse_word(args.mu)
         value = polyops.kostka(lam, mu)
         desc = {"lambda": list(lam), "mu": list(mu)}
     payload = {"spec": desc, "count": str(value)}
@@ -254,13 +246,10 @@ def cmd_faces(args) -> int:
 
 def _points_spec(args):
     lam = parse_partition(args.lam)
-    nu = parse_partition(args.nu) if args.nu else None
+    nu = parse_word(args.nu) if args.nu else None
     if args.mu is not None:
-        mu = parse_partition(args.mu)
-        n = args.n or len(lam)
-        return lattice.skew_spec(lam, mu, weight=None if nu is None else pad(nu, n), n=n)
-    n = args.n or len(lam)
-    return lattice.gt_spec(pad(lam, n), weight=None if nu is None else pad(nu, n))
+        return lattice.skew_spec(lam, parse_partition(args.mu), weight=nu, n=args.n)
+    return lattice.gt_spec(lam, weight=nu, n=args.n)
 
 
 def cmd_points(args) -> int:
@@ -291,10 +280,8 @@ def cmd_points(args) -> int:
         return 0
     points = list_points()
     count = len(points)
-    records = [
-        {"rows": [list(r) for r in p.rows], "weight": list(pattern_weight(p))}
-        for p in points
-    ]
+    weights = [pattern_weight(p) for p in points]
+    records = [{"rows": [list(r) for r in p.rows], "weight": list(w)} for p, w in zip(points, weights)]
     if args.format == "json":
         _emit(args, json.dumps({"spec": desc, "k": k, "count": str(count), "points": records}, indent=2))
     elif args.format == "csv":
@@ -302,16 +289,16 @@ def cmd_points(args) -> int:
             [
                 " ".join(str(x) for r in reversed(p["rows"]) for x in r),
                 " ".join(str(w) for w in p["weight"]),
-                _monomial_str(p["weight"]),
+                str(polyops.MultiPoly.monomial(p["weight"])),
             ]
             for p in records
         ]
         _emit(args, _csv_text(["entries_top_down", "weight", "monomial"], rows))
     else:
         lines = [f"{count} lattice points"]
-        for p in points:
+        for p, w in zip(points, weights):
             lines.append(str(p))
-            lines.append(f"weight {tuple(pattern_weight(p))} monomial {_monomial_str(pattern_weight(p))}")
+            lines.append(f"weight {w} monomial {polyops.MultiPoly.monomial(w)}")
         _emit(args, "\n".join(lines))
     return 0
 
@@ -322,17 +309,16 @@ def _ehrhart_object(args) -> ehrhart.CountedObject:
         return ehrhart.gt_object(lam)
     if args.object == "skew":
         mu = parse_partition(args.mu) if args.mu else ()
-        return ehrhart.skew_object(lam, mu, n=args.n or len(lam))
+        return ehrhart.skew_object(lam, mu, n=args.n)
     if args.object == "gt-weight":
         if args.mu is None:
             raise CliError("gt-weight needs --mu")
-        return ehrhart.gt_weight_object(lam, parse_partition(args.mu))
+        return ehrhart.gt_weight_object(lam, parse_word(args.mu))
     if args.object == "skew-weight":
         mu = parse_partition(args.mu) if args.mu else ()
         if args.nu is None:
             raise CliError("skew-weight needs --nu")
-        nu = parse_partition(args.nu)
-        return ehrhart.skew_weight_object(lam, mu, nu, n=args.n or len(lam))
+        return ehrhart.skew_weight_object(lam, mu, parse_word(args.nu), n=args.n)
     if args.object == "key-complex":
         if args.sigma is None:
             raise CliError("key-complex needs --sigma")

@@ -217,13 +217,11 @@ class CountedObject:
 
 
 def gt_object(lam) -> CountedObject:
-    lam = check_partition(lam)
     spec = lattice.gt_spec(lam)
-    n = len(lam)
     return CountedObject(
-        {"family": "gt", "lambda": list(lam)},
+        {"family": "gt", "lambda": list(spec.top)},
         lambda k: lattice.count_points(spec, k),
-        n * (n - 1) // 2,
+        spec.n * (spec.n - 1) // 2,
     )
 
 
@@ -237,27 +235,23 @@ def skew_object(lam, mu=(), n: int | None = None) -> CountedObject:
 
 
 def gt_weight_object(lam, mu) -> CountedObject:
-    n = max(len(lam), len(mu), 1)
-    lam, mu = pad(check_partition(lam), n), pad(tuple(mu), n)
     spec = lattice.gt_spec(lam, weight=mu)
     return CountedObject(
-        {"family": "gt_weight", "lambda": list(lam), "mu": list(mu)},
+        {"family": "gt_weight", "lambda": list(spec.top), "mu": list(spec.weight)},
         lambda k: lattice.count_points(spec, k),
-        n * (n - 1) // 2 - (n - 1),
+        spec.n * (spec.n - 1) // 2 - (spec.n - 1),
     )
 
 
 def skew_weight_object(lam, mu, nu, n: int | None = None) -> CountedObject:
-    if n is None:
-        n = len(nu) if nu else len(lam)
-    spec = lattice.skew_spec(lam, mu, weight=pad(tuple(nu), n), n=n)
+    spec = lattice.skew_spec(lam, mu, weight=nu, n=n)
     return CountedObject(
         {
             "family": "skew_weight",
             "lambda": list(spec.top),
             "mu": list(spec.bottom),
             "nu": list(spec.weight),
-            "n": n,
+            "n": spec.n,
         },
         lambda k: lattice.count_points(spec, k),
         spec.n * spec.m - spec.n,
@@ -530,10 +524,6 @@ def faulhaber_face(ell: int) -> UniPoly:
 class ScanEntry:
     result: EhrhartResult
 
-    @property
-    def ok(self) -> bool:
-        return self.result.valid and (self.result.nonneg or self.result.empty)
-
 
 @dataclass
 class ScanReport:
@@ -579,8 +569,11 @@ def _max_shape(ranges: dict) -> tuple[int, ...]:
 
 
 def scan_objects(family: str, ranges: dict) -> Iterator[CountedObject]:
-    """Enumerate the counted objects of a scan family over bounded ranges;
-    a range key the family does not read raises ValueError."""
+    """Enumerate the counted objects of a scan family over bounded ranges.
+
+    A range key the family does not read raises ValueError, and so does an
+    integer key that is not one integer at or above its floor: n >= 1,
+    max_size, max_rows and max_part >= 0."""
     keys = _SCAN_RANGE_KEYS.get(family)
     if keys is None:
         raise ValueError(f"unknown scan family {family!r}")
@@ -589,9 +582,17 @@ def scan_objects(family: str, ranges: dict) -> Iterator[CountedObject]:
         raise ValueError(
             f"scan {family}: unknown range key(s) {', '.join(unknown)}; it reads {', '.join(keys)}"
         )
+
+    def integer(key: str, default: int) -> int:
+        value = ranges.get(key, default)
+        floor = 1 if key == "n" else 0
+        if not isinstance(value, int) or value < floor:
+            raise ValueError(f"scan {family}: {key} must be one integer >= {floor}, not {value!r}")
+        return value
+
     if family == "skew_gt":
         shape = _max_shape(ranges)
-        n = int(ranges.get("n", len(shape)))
+        n = integer("n", len(shape))
         for lam in partitions_in_box(shape):
             if not any(lam):
                 continue
@@ -599,7 +600,7 @@ def scan_objects(family: str, ranges: dict) -> Iterator[CountedObject]:
                 yield skew_object(pad(lam, n), pad(mu, n), n=n)
     elif family == "skew_kostka":
         shape = _max_shape(ranges)
-        n = int(ranges.get("n", len(shape)))
+        n = integer("n", len(shape))
         for lam in partitions_in_box(shape):
             if not any(lam):
                 continue
@@ -608,16 +609,14 @@ def scan_objects(family: str, ranges: dict) -> Iterator[CountedObject]:
                 for nu in compositions(size, n):
                     yield skew_weight_object(pad(lam, n), pad(mu, n), nu, n=n)
     elif family == "stretched_kostka":
-        max_size = int(ranges.get("max_size", 6))
-        max_rows = int(ranges.get("max_rows", 4))
+        max_size, max_rows = integer("max_size", 6), integer("max_rows", 4)
         for m in range(1, max_size + 1):
             parts = list(partitions_of(m, max_rows))
             for lam in parts:
                 for mu in parts:
                     yield gt_weight_object(lam, mu)
     elif family == "key_complex":
-        n = int(ranges.get("n", 4))
-        max_part = int(ranges.get("max_part", 3))
+        n, max_part = integer("n", 4), integer("max_part", 3)
         for lam in partitions_in_box((max_part,) * n):
             for sigma in itertools.permutations(range(1, n + 1)):
                 yield key_complex_object(lam, sigma)

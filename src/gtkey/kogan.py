@@ -20,12 +20,10 @@ from functools import lru_cache
 
 from . import lattice
 from .combinat import (
-    check_partition,
     check_permutation,
     is_reduced,
     longest_element,
     multiply,
-    pad,
     perm_length,
     word_to_perm,
 )
@@ -149,21 +147,18 @@ def key_faces(n: int, sigma) -> tuple[KoganFace, ...]:
 
 def face_points(lam, face: KoganFace, k: int = 1) -> list[GTPattern]:
     """Lattice points of the k-th dilate of GT(lambda) lying on the face."""
-    spec = lattice.gt_spec(pad(check_partition(lam), face.n))
-    return list(lattice.enumerate_points(spec, k, faces=[face.cells]))
+    return list(lattice.enumerate_points(lattice.gt_spec(lam, n=face.n), k, faces=[face.cells]))
 
 
 def face_count(lam, face: KoganFace, k: int = 1) -> int:
-    spec = lattice.gt_spec(pad(check_partition(lam), face.n))
-    return lattice.count_points(spec, k, faces=[face.cells])
+    return lattice.count_points(lattice.gt_spec(lam, n=face.n), k, faces=[face.cells])
 
 
 def _complex(lam, sigma):
     """The polytope and the face cell sets whose union is the key complex."""
     sigma = check_permutation(sigma)
     n = len(sigma)
-    spec = lattice.gt_spec(pad(check_partition(lam), n))
-    return spec, [face.cells for face in key_faces(n, sigma)]
+    return lattice.gt_spec(lam, n=n), [face.cells for face in key_faces(n, sigma)]
 
 
 def complex_points(lam, sigma, k: int = 1) -> list[GTPattern]:

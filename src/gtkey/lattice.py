@@ -42,41 +42,41 @@ Cells = frozenset
 
 @dataclass(frozen=True)
 class PolytopeSpec:
-    """A GT polytope: triangular GT(lambda) or skew GT(lambda/mu), with an
-    optional weight filter selecting patterns of fixed weight."""
+    """A GT polytope: triangular GT(lambda) when `bottom` is None, else skew
+    GT(lambda/mu) with `bottom` mu and n rows above it, optionally cut to
+    the patterns of weight `weight`.
 
-    kind: str  # "triangular" | "skew"
+    gt_spec and skew_spec pick n and pad lambda and the weight; this only
+    checks them.  A triangular spec's n is len(top); a skew spec needs
+    n >= 1; a weight needs n non-negative entries."""
+
     top: tuple[int, ...]
     bottom: Optional[tuple[int, ...]] = None
     weight: Optional[tuple[int, ...]] = None
-    n: Optional[int] = None  # rows above the bottom; len(top) when left out
+    n: Optional[int] = None  # rows above the bottom
 
     def __post_init__(self):
-        if self.kind not in ("triangular", "skew"):
-            raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "top", check_partition(self.top))
         if not self.top:
             raise ValueError("a GT polytope needs a top row with at least one entry")
-        if self.kind == "triangular":
-            if self.bottom is not None:
-                raise ValueError("triangular specs take no bottom row")
+        if self.bottom is None:
             object.__setattr__(self, "n", len(self.top))
         else:
-            if self.bottom is None:
-                raise ValueError("skew specs need a bottom row")
             bottom = pad(check_partition(self.bottom), len(self.top))
             object.__setattr__(self, "bottom", bottom)
             if not contains(self.top, bottom):
                 raise ValueError("bottom row must fit inside the top row")
-            if self.n is None:
-                object.__setattr__(self, "n", len(self.top))
-            elif self.n < 1:
+            if self.n is None or self.n < 1:
                 raise ValueError(f"a skew GT polytope needs n >= 1, not n={self.n}")
         if self.weight is not None:
             w = tuple(self.weight)
             if len(w) != self.n or any(x < 0 for x in w):
                 raise ValueError(f"weight must be {self.n} non-negative integers")
             object.__setattr__(self, "weight", w)
+
+    @property
+    def kind(self) -> str:
+        return "triangular" if self.bottom is None else "skew"
 
     @property
     def m(self) -> int:
@@ -103,22 +103,27 @@ class PolytopeSpec:
 
 
 def gt_spec(lam, weight=None, n: int | None = None) -> PolytopeSpec:
+    """GT(lambda), cut to the patterns of weight `weight` when one is given.
+
+    It has n rows: `n` when given, else the longer of lambda and the
+    weight.  Both are padded with zeros to n; dropping a nonzero part
+    raises ValueError."""
     lam = check_partition(lam)
-    if n is not None:
-        lam = pad(lam, n)
-    return PolytopeSpec("triangular", lam, weight=None if weight is None else tuple(weight))
+    if n is None:
+        n = max(len(lam), len(weight or ()))
+    return PolytopeSpec(pad(lam, n), weight=None if weight is None else pad(weight, n))
 
 
 def skew_spec(lam, mu=(), weight=None, n: int | None = None) -> PolytopeSpec:
-    lam = check_partition(lam)
-    mu = pad(check_partition(mu), len(lam))
-    return PolytopeSpec(
-        "skew",
-        lam,
-        bottom=mu,
-        weight=None if weight is None else tuple(weight),
-        n=n,
-    )
+    """GT(lambda/mu), cut to the patterns of weight `weight` when one is given.
+
+    It has n rows above mu: `n` when given, else the length of the weight
+    when it has parts and len(lambda) when it has none.  The weight is
+    padded with zeros to n (dropping a nonzero part raises ValueError) and
+    mu to len(lambda); lambda is kept as given."""
+    if n is None:
+        n = len(weight) if weight else len(lam)
+    return PolytopeSpec(lam, bottom=mu, weight=None if weight is None else pad(weight, n), n=n)
 
 
 # --- the per-entry step --------------------------------------------------------

@@ -260,7 +260,7 @@ def key_via_operators(lam: Sequence[int], sigma: Sequence[int]) -> MultiPoly:
 
 def schur(lam: Sequence[int], n: int) -> MultiPoly:
     """Schur polynomial as the weight generating sum over GT(lambda)."""
-    return MultiPoly(n, lattice.weight_counts(lattice.gt_spec(pad(check_partition(lam), n))))
+    return MultiPoly(n, lattice.weight_counts(lattice.gt_spec(lam, n=n)))
 
 
 def skew_schur(lam: Sequence[int], mu: Sequence[int], n: int) -> MultiPoly:
@@ -276,15 +276,12 @@ def eval_ones(f: MultiPoly) -> int | Fraction:
 
 def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
     """Number of semistandard tableaux of shape lam and content mu."""
-    n = max(len(lam), len(mu), 1)
-    spec = lattice.gt_spec(pad(check_partition(lam), n), weight=pad(tuple(mu), n))
-    return lattice.count_points(spec)
+    return lattice.count_points(lattice.gt_spec(lam, weight=mu))
 
 
 def skew_kostka(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int:
-    n = len(nu) if nu else len(lam)
-    spec = lattice.skew_spec(lam, mu, weight=pad(tuple(nu), n), n=n)
-    return lattice.count_points(spec)
+    """Number of semistandard tableaux of shape lam/mu and content nu."""
+    return lattice.count_points(lattice.skew_spec(lam, mu, weight=nu))
 
 
 # --- exact division (used by the bundled reference expressions) --------------

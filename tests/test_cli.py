@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from gtkey import cli, kogan, lattice, polyops
+from gtkey.combinat import partitions_in_box
+from gtkey.ehrhart import compositions
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -384,3 +386,126 @@ def test_readme_lists_commands():
 def test_readme_command_exits_zero(capsys, line):
     assert cli.main(shlex.split(line)[1:]) == 0, line
     assert capsys.readouterr().out
+
+
+def test_weights_need_not_be_partitions(capsys):
+    assert run_cli(capsys, "points", "--lambda", "2,1,0", "--nu", "0,1,2", "--count-only") == (0, "1\n")
+    code, out = run_cli(capsys, "scan", "--family", "skew_kostka", "--ranges", "max_shape=2,1;n=2", "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert len(results) == 27
+    for result in results:
+        obj = result["object"]
+        argv = ["ehrhart", "--object", "skew-weight", "--n", str(obj["n"]), "--format", "json"]
+        for option, key in [("--lambda", "lambda"), ("--mu", "mu"), ("--nu", "nu")]:
+            argv += [option, ",".join(str(x) for x in obj[key])]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert json.loads(out)["poly"] == result["poly"], argv
+
+
+@pytest.mark.parametrize("ranges", [
+    ("skew_gt", "n=3,2"),
+    ("skew_kostka", "max_shape=1;n=-1"),
+    ("stretched_kostka", "max_size=2,3"),
+    ("stretched_kostka", "max_rows=3,2"),
+    ("stretched_kostka", "max_size=1;max_rows=-1"),
+    ("key_complex", "max_part=3,2"),
+    ("key_complex", "n=0"),
+])
+def test_scan_rejects_integer_ranges_out_of_their_floor(capsys, ranges):
+    family, text = ranges
+    assert cli.main(["scan", "--family", family, "--ranges", text]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: scan {family}: ")
+    assert "Traceback" not in captured.err
+
+
+def _cli_count(capsys, *argv):
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, argv
+    payload = json.loads(out)
+    if "count" in payload:
+        return int(payload["count"])
+    # ehrhart: the k = 1 count, a sample or, when the degree bound is 0, a check
+    return int(dict(payload["samples"] + [point[:2] for point in payload["verify_points"]])[1])
+
+
+def test_kostka_points_and_ehrhart_agree_on_every_weight(capsys):
+    # lambda inside (2,1), written with and without its zeros, so that nu
+    # of 1-4 parts is both longer and shorter than lambda
+    shapes = {lam[:length] for lam in partitions_in_box((2, 1)) for length in (len(lam), sum(map(bool, lam)))}
+    for lam in sorted(shapes - {()}):
+        text = ",".join(map(str, lam))
+        for parts in range(1, 5):
+            for nu in compositions(sum(lam), parts):
+                weight = ",".join(map(str, nu))
+                counts = {
+                    _cli_count(capsys, "kostka", "--lambda", text, "--mu", weight),
+                    _cli_count(capsys, "points", "--lambda", text, "--nu", weight, "--count-only"),
+                    _cli_count(capsys, "ehrhart", "--object", "gt-weight", "--lambda", text, "--mu", weight),
+                }
+                assert len(counts) == 1, (lam, nu, counts)
+            if not any(lam):
+                continue
+            for nu in compositions(sum(lam) - 1, parts):
+                weight = ",".join(map(str, nu))
+                counts = {
+                    _cli_count(capsys, "kostka", "--lambda", text, "--mu", "1", "--nu", weight),
+                    _cli_count(capsys, "points", "--lambda", text, "--mu", "1", "--nu", weight, "--count-only"),
+                    _cli_count(capsys, "ehrhart", "--object", "skew-weight", "--lambda", text, "--mu", "1", "--nu", weight),
+                }
+                assert len(counts) == 1, (lam, nu, counts)
+    assert cli.main(["kostka", "--lambda", "", "--mu", ""]) == cli.USAGE_ERROR
+    kostka_err = capsys.readouterr().err
+    assert cli.main(["points", "--lambda", ""]) == cli.USAGE_ERROR
+    assert kostka_err == capsys.readouterr().err == "error: a GT polytope needs a top row with at least one entry\n"
+
+
+# one small valid argv per subcommand, --object and --family
+SWEEP_ARGVS = [
+    ["key", "--lambda", "2,1", "--sigma", "[2,1]", "--method", "both", "--format", "json"],
+    ["key", "--lambda", "2,1", "--word", "1"],
+    ["schur", "--lambda", "2,1", "--mu", "1", "--n", "2"],
+    ["kostka", "--lambda", "2,1", "--mu", "1,1,1", "--out", "kostka.txt"],
+    ["kostka", "--lambda", "2,1", "--mu", "1", "--nu", "1,1"],
+    ["faces", "--n", "3", "--sigma", "[1,3,2]"],
+    ["points", "--lambda", "2,1", "--mu", "1", "--nu", "1,1", "--n", "2", "--k", "1"],
+    ["points", "--lambda", "2,1,0", "--sigma", "[2,1,3]", "--count-only"],
+    ["ehrhart", "--object", "gt", "--lambda", "2,1", "--degree-bound", "3", "--cache", "cache.jsonl"],
+    ["ehrhart", "--object", "skew", "--lambda", "2,1", "--mu", "1", "--n", "2"],
+    ["ehrhart", "--object", "gt-weight", "--lambda", "2,1", "--mu", "1,1,1"],
+    ["ehrhart", "--object", "skew-weight", "--lambda", "2,1", "--mu", "1", "--nu", "1,1", "--n", "2"],
+    ["ehrhart", "--object", "key-complex", "--lambda", "2,1", "--sigma", "[2,1]"],
+    ["ehrhart", "--object", "kogan-face", "--lambda", "2,1,0", "--cells", "1,1"],
+    ["scan", "--family", "skew_gt", "--ranges", "max_shape=1;n=1"],
+    ["scan", "--family", "skew_kostka", "--ranges", "max_shape=1;n=1"],
+    ["scan", "--family", "stretched_kostka", "--ranges", "max_size=1;max_rows=1"],
+    ["scan", "--family", "key_complex", "--ranges", "n=1;max_part=1"],
+    ["verify", "--suite", "example-gtkey"],
+]
+MALFORMED = ["", "x", "-1", "1,,2", "2,3", "3,2", "[1,1]"]
+
+
+def _malformed(argv):
+    for i, option in enumerate(argv[:-1]):
+        if not option.startswith("--") or argv[i + 1].startswith("--"):
+            continue
+        # an empty --ranges is the default grid, valid and slow
+        values = [v for v in MALFORMED if v or option != "--ranges"]
+        if option == "--ranges":  # each key in turn set to a bad value
+            pairs = [chunk.split("=") for chunk in argv[i + 1].split(";")]
+            values += [";".join(f"{k}={bad if k == key else v}" for k, v in pairs) for key, _ in pairs for bad in ("3,2", "-1")]
+        for value in values:
+            yield argv[: i + 1] + [value] + argv[i + 2 :]
+
+
+@pytest.mark.parametrize("argv", SWEEP_ARGVS, ids=lambda argv: "-".join(argv[:3]))
+def test_malformed_values_exit_without_a_traceback(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # --out and --cache values are file names
+    monkeypatch.delenv("GTKEY_CACHE", raising=False)
+    assert cli.main(argv) == 0
+    for bad in _malformed(argv):
+        assert cli.main(bad) in (0, 1, 2), bad
+    capsys.readouterr()
