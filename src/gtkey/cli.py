@@ -79,23 +79,34 @@ def _parse_ranges(text: str | None) -> dict:
     return ranges
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _emit(args, text: str) -> None:
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise CliError(f"--out {args.out}: {exc.strerror or exc}") from exc
+def _emit(args, payload, header, rows, lines) -> None:
+    """Write one result in --format to --out or stdout: `payload` as JSON,
+    `header` and then `rows()` as CSV, or `lines()` as text.  Only the
+    chosen format's callable runs."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows())
+        text = buf.getvalue()
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        text = "\n".join(lines())
+    text = text if text.endswith("\n") else text + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"--out {args.out}: {exc.strerror or exc}") from exc
+
+
+def _term_rows(terms) -> list:
+    """CSV rows of a polynomial's JSON terms: coefficient, spaced exponents."""
+    return [[t["coeff"], " ".join(str(e) for e in t["exp"])] for t in terms]
 
 
 def _open_cache(args) -> ehrhart.ResultCache | None:
@@ -141,18 +152,12 @@ def cmd_key(args) -> int:
     }
     if method == "both":
         payload["methods_agree"] = agree
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        rows = [[t["coeff"], " ".join(str(e) for e in t["exp"])] for t in poly.to_json()]
-        _emit(args, _csv_text(["coeff", "exp"], rows))
-    else:
-        lines = [f"key polynomial, lambda={list(lam)} sigma={list(sigma)}"]
-        if method == "both":
-            lines.append(f"methods agree: {agree}")
-        lines.append(str(poly))
-        lines.append(f"{len(poly.terms)} distinct monomials, value at ones {polyops.eval_ones(poly)}")
-        _emit(args, "\n".join(lines))
+    _emit(args, payload, ["coeff", "exp"], lambda: _term_rows(payload["terms"]), lambda: [
+        f"key polynomial, lambda={list(lam)} sigma={list(sigma)}",
+        *([f"methods agree: {agree}"] if method == "both" else []),
+        str(poly),
+        f"{len(poly.terms)} distinct monomials, value at ones {payload['at_ones']}",
+    ])
     return 0 if agree else VIOLATION
 
 
@@ -167,13 +172,10 @@ def cmd_schur(args) -> int:
         poly = polyops.schur(lam, n)
         desc = {"lambda": list(lam), "n": n}
     payload = dict(desc, terms=poly.to_json(), at_ones=str(polyops.eval_ones(poly)))
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        rows = [[t["coeff"], " ".join(str(e) for e in t["exp"])] for t in poly.to_json()]
-        _emit(args, _csv_text(["coeff", "exp"], rows))
-    else:
-        _emit(args, f"{poly}\nvalue at ones {polyops.eval_ones(poly)}")
+    _emit(
+        args, payload, ["coeff", "exp"], lambda: _term_rows(payload["terms"]),
+        lambda: [str(poly), f"value at ones {payload['at_ones']}"],
+    )
     return 0
 
 
@@ -191,12 +193,7 @@ def cmd_kostka(args) -> int:
         value = polyops.kostka(lam, mu)
         desc = {"lambda": list(lam), "mu": list(mu)}
     payload = {"spec": desc, "count": str(value)}
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        _emit(args, _csv_text(["spec", "count"], [[json.dumps(desc), str(value)]]))
-    else:
-        _emit(args, str(value))
+    _emit(args, payload, ["spec", "count"], lambda: [[json.dumps(desc), str(value)]], lambda: [str(value)])
     return 0
 
 
@@ -218,35 +215,32 @@ def cmd_faces(args) -> int:
         for tau in taus
         for f in kogan.enumerate_reduced_faces(n, tau)
     ]
-    if args.format == "json":
-        _emit(args, json.dumps(records, indent=2))
-    elif args.format == "csv":
-        rows = [
-            [
-                r["n"],
-                ";".join(f"{i},{j}" for i, j in r["cells"]),
-                format_word(r["word"]),
-                r["reduced"],
-                format_permutation(r["type"]),
-            ]
+    cells = lambda r: ";".join(f"{i},{j}" for i, j in r["cells"])
+    _emit(
+        args, records, ["n", "cells", "word", "reduced", "type"],
+        lambda: [
+            [r["n"], cells(r), format_word(r["word"]), r["reduced"], format_permutation(r["type"])]
             for r in records
-        ]
-        _emit(args, _csv_text(["n", "cells", "word", "reduced", "type"], rows))
-    else:
-        lines = [f"{len(records)} reduced Kogan faces"]
-        for r in records:
-            cells = ";".join(f"{i},{j}" for i, j in r["cells"])
-            lines.append(
-                f"cells [{cells or '-'}] word ({format_word(r['word']) or '-'}) "
-                f"type {format_permutation(r['type'])}"
-            )
-        _emit(args, "\n".join(lines))
+        ],
+        lambda: [f"{len(records)} reduced Kogan faces"] + [
+            f"cells [{cells(r) or '-'}] word ({format_word(r['word']) or '-'}) type {format_permutation(r['type'])}"
+            for r in records
+        ],
+    )
     return 0
+
+
+def _sigma_of_size_n(args, where: str) -> tuple:
+    """--sigma, which fixes the number of rows: a different --n exits 1."""
+    sigma = parse_permutation(args.sigma)
+    if args.n is not None and args.n != len(sigma):
+        raise CliError(f"{where}: --n {args.n} differs from the size {len(sigma)} of sigma")
+    return sigma
 
 
 def _points_spec(args):
     lam = parse_partition(args.lam)
-    nu = parse_word(args.nu) if args.nu else None
+    nu = None if args.nu is None else parse_word(args.nu)
     if args.mu is not None:
         return lattice.skew_spec(lam, parse_partition(args.mu), weight=nu, n=args.n)
     return lattice.gt_spec(lam, weight=nu, n=args.n)
@@ -257,9 +251,7 @@ def cmd_points(args) -> int:
     if args.sigma:
         if args.nu is not None or args.mu is not None:
             raise CliError("points --sigma counts the whole key complex; it takes neither --nu nor --mu")
-        lam, sigma = parse_partition(args.lam), parse_permutation(args.sigma)
-        if args.n is not None and args.n != len(sigma):
-            raise CliError(f"points --sigma: --n {args.n} differs from the size {len(sigma)} of sigma")
+        lam, sigma = parse_partition(args.lam), _sigma_of_size_n(args, "points --sigma")
         desc = {"family": "key_complex", "lambda": list(lam), "sigma": list(sigma)}
         count_points = lambda: kogan.complex_count(lam, sigma, k)
         list_points = lambda: kogan.complex_points(lam, sigma, k)
@@ -269,51 +261,39 @@ def cmd_points(args) -> int:
         count_points = lambda: lattice.count_points(spec, k)
         list_points = lambda: list(lattice.enumerate_points(spec, k))
     if args.count_only:
-        count = count_points()
-        payload = {"spec": desc, "k": k, "count": str(count)}
-        if args.format == "json":
-            _emit(args, json.dumps(payload, indent=2))
-        elif args.format == "csv":
-            _emit(args, _csv_text(["spec", "k", "count"], [[json.dumps(desc), k, str(count)]]))
-        else:
-            _emit(args, str(count))
+        count = str(count_points())
+        payload = {"spec": desc, "k": k, "count": count}
+        _emit(args, payload, ["spec", "k", "count"], lambda: [[json.dumps(desc), k, count]], lambda: [count])
         return 0
     points = list_points()
-    count = len(points)
     weights = [pattern_weight(p) for p in points]
     records = [{"rows": [list(r) for r in p.rows], "weight": list(w)} for p, w in zip(points, weights)]
-    if args.format == "json":
-        _emit(args, json.dumps({"spec": desc, "k": k, "count": str(count), "points": records}, indent=2))
-    elif args.format == "csv":
-        rows = [
-            [
-                " ".join(str(x) for r in reversed(p["rows"]) for x in r),
-                " ".join(str(w) for w in p["weight"]),
-                str(polyops.MultiPoly.monomial(p["weight"])),
-            ]
-            for p in records
-        ]
-        _emit(args, _csv_text(["entries_top_down", "weight", "monomial"], rows))
-    else:
-        lines = [f"{count} lattice points"]
-        for p, w in zip(points, weights):
-            lines.append(str(p))
-            lines.append(f"weight {w} monomial {polyops.MultiPoly.monomial(w)}")
-        _emit(args, "\n".join(lines))
+    payload = {"spec": desc, "k": k, "count": str(len(points)), "points": records}
+    monomial = polyops.MultiPoly.monomial
+    _emit(
+        args, payload, ["entries_top_down", "weight", "monomial"],
+        lambda: [
+            [" ".join(str(x) for r in reversed(p["rows"]) for x in r), " ".join(map(str, w)), str(monomial(w))]
+            for p, w in zip(records, weights)
+        ],
+        lambda: [f"{len(points)} lattice points"] + [
+            line for p, w in zip(points, weights) for line in (str(p), f"weight {w} monomial {monomial(w)}")
+        ],
+    )
     return 0
 
 
 def _ehrhart_object(args) -> ehrhart.CountedObject:
     lam = parse_partition(args.lam)
     if args.object == "gt":
-        return ehrhart.gt_object(lam)
+        return ehrhart.gt_object(lam, n=args.n)
     if args.object == "skew":
         mu = parse_partition(args.mu) if args.mu else ()
         return ehrhart.skew_object(lam, mu, n=args.n)
     if args.object == "gt-weight":
         if args.mu is None:
             raise CliError("gt-weight needs --mu")
-        return ehrhart.gt_weight_object(lam, parse_word(args.mu))
+        return ehrhart.gt_weight_object(lam, parse_word(args.mu), n=args.n)
     if args.object == "skew-weight":
         mu = parse_partition(args.mu) if args.mu else ()
         if args.nu is None:
@@ -322,7 +302,7 @@ def _ehrhart_object(args) -> ehrhart.CountedObject:
     if args.object == "key-complex":
         if args.sigma is None:
             raise CliError("key-complex needs --sigma")
-        return ehrhart.key_complex_object(lam, parse_permutation(args.sigma))
+        return ehrhart.key_complex_object(lam, _sigma_of_size_n(args, "ehrhart --object key-complex"))
     if args.object == "kogan-face":
         if args.cells is None:
             raise CliError("kogan-face needs --cells \"i,j;i,j;...\"")
@@ -337,26 +317,17 @@ def cmd_ehrhart(args) -> int:
     cache = _open_cache(args)
     result = ehrhart.ehrhart_of(obj, degree_bound=args.degree_bound, cache=cache)
     payload = result.to_json()
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        rows = [[
-            json.dumps(payload["object"]),
-            payload["degree_bound"],
-            " ".join(payload["poly"]),
-            payload["nonneg"],
-            payload["valid"],
-            payload["empty"],
-        ]]
-        _emit(args, _csv_text(["object", "degree_bound", "coeffs", "nonneg", "valid", "empty"], rows))
-    else:
-        lines = [
+    flags = [payload["nonneg"], payload["valid"], payload["empty"]]
+    _emit(
+        args, payload, ["object", "degree_bound", "coeffs", "nonneg", "valid", "empty"],
+        lambda: [[json.dumps(payload["object"]), payload["degree_bound"], " ".join(payload["poly"]), *flags]],
+        lambda: [
             f"object {json.dumps(payload['object'])}",
             f"polynomial {payload['poly_str']}",
             f"coefficients (low degree first) {payload['poly']}",
-            f"nonneg {payload['nonneg']}  valid {payload['valid']}  empty {payload['empty']}",
-        ]
-        _emit(args, "\n".join(lines))
+            "nonneg {}  valid {}  empty {}".format(*flags),
+        ],
+    )
     return 0 if result.valid else VIOLATION
 
 
@@ -366,32 +337,20 @@ def cmd_scan(args) -> int:
     report = ehrhart.scan(args.family, ranges, cache=cache)
     if not report.entries:
         raise CliError(f"scan {args.family}: ranges {json.dumps(ranges)} give no objects")
-    payload = report.to_json()
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        rows = [
-            [
-                json.dumps(e.result.object),
-                " ".join(e.result.poly.coeff_strings()),
-                e.result.nonneg,
-                e.result.valid,
-                e.result.empty,
-            ]
-            for e in report.entries
-        ]
-        _emit(args, _csv_text(["object", "coeffs", "nonneg", "valid", "empty"], rows))
-    else:
-        lines = [
+    _emit(
+        args, report.to_json(), ["object", "coeffs", "nonneg", "valid", "empty"],
+        lambda: [
+            [json.dumps(r.object), " ".join(r.poly.coeff_strings()), r.nonneg, r.valid, r.empty]
+            for r in (e.result for e in report.entries)
+        ],
+        lambda: [
             f"family {report.family} ranges {json.dumps(ranges)}",
             f"checked {len(report.entries)} objects",
             f"violations {len(report.violations)}  verification failures {len(report.failures)}",
-        ]
-        for r in report.violations:
-            lines.append(f"VIOLATION {json.dumps(r.object)} -> {r.poly}")
-        for r in report.failures:
-            lines.append(f"VERIFY-FAIL {json.dumps(r.object)} -> {r.poly}")
-        _emit(args, "\n".join(lines))
+            *(f"VIOLATION {json.dumps(r.object)} -> {r.poly}" for r in report.violations),
+            *(f"VERIFY-FAIL {json.dumps(r.object)} -> {r.poly}" for r in report.failures),
+        ],
+    )
     return report.status
 
 
@@ -403,24 +362,15 @@ def cmd_verify(args) -> int:
         for check in verify.run_suite(name, cache=cache):
             all_checks.append((name, check))
     ok = all(c.ok for _, c in all_checks)
-    if args.format == "json":
-        payload = {
-            "suites": names,
-            "ok": ok,
-            "checks": [dict(c.to_json(), suite=name) for name, c in all_checks],
-        }
-        _emit(args, json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        rows = [[name, c.name, c.ok, c.detail] for name, c in all_checks]
-        _emit(args, _csv_text(["suite", "check", "ok", "detail"], rows))
-    else:
-        lines = []
-        for name, c in all_checks:
-            status = "ok" if c.ok else "FAIL"
-            detail = f"  ({c.detail})" if c.detail and not c.ok else ""
-            lines.append(f"[{status}] {name}: {c.name}{detail}")
-        lines.append(f"{'all checks passed' if ok else 'FAILURES PRESENT'}")
-        _emit(args, "\n".join(lines))
+    payload = {"suites": names, "ok": ok, "checks": [dict(c.to_json(), suite=name) for name, c in all_checks]}
+    _emit(
+        args, payload, ["suite", "check", "ok", "detail"],
+        lambda: [[name, c.name, c.ok, c.detail] for name, c in all_checks],
+        lambda: [
+            f"[{'ok' if c.ok else 'FAIL'}] {name}: {c.name}" + (f"  ({c.detail})" if c.detail and not c.ok else "")
+            for name, c in all_checks
+        ] + ["all checks passed" if ok else "FAILURES PRESENT"],
+    )
     return 0 if ok else VIOLATION
 
 
@@ -433,10 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, cache=False):
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--cache", help="JSON-lines cache for interpolation results")
+        if cache:  # only the subcommands that interpolate read it
+            p.add_argument("--cache", help="JSON-lines cache for interpolation results")
 
     p = sub.add_parser("key", help="key polynomial by operators, faces, or both")
     p.add_argument("--lambda", dest="lam", required=True, help="partition, e.g. 2,1,0,0")
@@ -490,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", help='face cells as "i,j;i,j;..."')
     p.add_argument("--n", type=_at_least_one)
     p.add_argument("--degree-bound", type=int)
-    common(p)
+    common(p, cache=True)
     p.set_defaults(func=cmd_ehrhart)
 
     p = sub.add_parser("scan", help="non-negativity scan over a family grid")
@@ -500,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["skew_gt", "stretched_kostka", "skew_kostka", "key_complex"],
     )
     p.add_argument("--ranges", help='bounds, e.g. "n=3;max_shape=3,2,1" or "max_size=6;max_rows=4"')
-    common(p)
+    common(p, cache=True)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="run a named fixture suite")
@@ -509,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=sorted(verify.SUITES) + ["all"],
     )
-    common(p)
+    common(p, cache=True)
     p.set_defaults(func=cmd_verify)
 
     return parser

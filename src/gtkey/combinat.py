@@ -171,15 +171,17 @@ def check_partition(seq: Sequence[int]) -> tuple[int, ...]:
     return part
 
 
-def pad(part: Sequence[int], n: int) -> tuple[int, ...]:
+def pad(part: Sequence[int], n: int, what: str = "partition") -> tuple[int, ...]:
     """Pad with trailing zeros to length n (error if n < 0 or if that drops a
-    nonzero part)."""
+    nonzero part; the error names the sequence `what`)."""
     if n < 0:
         raise ValueError(f"cannot pad to negative length {n}")
     part = tuple(part)
     if len(part) > n:
         if any(part[n:]):
-            raise ValueError(f"partition {part!r} has more than {n} nonzero parts")
+            # a partition's nonzero parts come first, a weight's need not
+            tail = f"more than {n} nonzero parts" if what == "partition" else f"a nonzero part after its first {n}"
+            raise ValueError(f"{what} {part!r} has {tail}")
         return part[:n]
     return part + (0,) * (n - len(part))
 

@@ -216,8 +216,8 @@ class CountedObject:
         return json.dumps(self.desc, sort_keys=True, separators=(",", ":"))
 
 
-def gt_object(lam) -> CountedObject:
-    spec = lattice.gt_spec(lam)
+def gt_object(lam, n: int | None = None) -> CountedObject:
+    spec = lattice.gt_spec(lam, n=n)
     return CountedObject(
         {"family": "gt", "lambda": list(spec.top)},
         lambda k: lattice.count_points(spec, k),
@@ -234,8 +234,8 @@ def skew_object(lam, mu=(), n: int | None = None) -> CountedObject:
     )
 
 
-def gt_weight_object(lam, mu) -> CountedObject:
-    spec = lattice.gt_spec(lam, weight=mu)
+def gt_weight_object(lam, mu, n: int | None = None) -> CountedObject:
+    spec = lattice.gt_spec(lam, weight=mu, n=n)
     return CountedObject(
         {"family": "gt_weight", "lambda": list(spec.top), "mu": list(spec.weight)},
         lambda k: lattice.count_points(spec, k),

@@ -111,7 +111,7 @@ def gt_spec(lam, weight=None, n: int | None = None) -> PolytopeSpec:
     lam = check_partition(lam)
     if n is None:
         n = max(len(lam), len(weight or ()))
-    return PolytopeSpec(pad(lam, n), weight=None if weight is None else pad(weight, n))
+    return PolytopeSpec(pad(lam, n), weight=None if weight is None else pad(weight, n, "weight"))
 
 
 def skew_spec(lam, mu=(), weight=None, n: int | None = None) -> PolytopeSpec:
@@ -123,7 +123,7 @@ def skew_spec(lam, mu=(), weight=None, n: int | None = None) -> PolytopeSpec:
     mu to len(lambda); lambda is kept as given."""
     if n is None:
         n = len(weight) if weight else len(lam)
-    return PolytopeSpec(lam, bottom=mu, weight=None if weight is None else pad(weight, n), n=n)
+    return PolytopeSpec(lam, bottom=mu, weight=None if weight is None else pad(weight, n, "weight"), n=n)
 
 
 # --- the per-entry step --------------------------------------------------------

@@ -509,3 +509,143 @@ def test_malformed_values_exit_without_a_traceback(tmp_path, monkeypatch, capsys
     for bad in _malformed(argv):
         assert cli.main(bad) in (0, 1, 2), bad
     capsys.readouterr()
+
+
+EXAMPLE_CHECKS = [
+    ("three reduced faces of the key type", "found 3 faces"),
+    ("all faces share the expected word", ""),
+    ("face type matches", ""),
+    ("nine lattice points in the key complex", "found 9 points"),
+    ("point monomials match", ""),
+    ("face memberships match", ""),
+    ("operator route equals fixture", ""),
+    ("face route equals fixture", ""),
+]
+# text and CSV output of one small argv per subcommand, byte for byte
+TEXT_AND_CSV = {
+    "key": (
+        ["key", "--lambda", "2,1,0", "--sigma", "[3,1,2]", "--method", "both"],
+        "key polynomial, lambda=[2, 1, 0] sigma=[3, 1, 2]\nmethods agree: True\n"
+        "z1^2*z2 + z1^2*z3 + z1*z2^2 + z1*z2*z3 + z2^2*z3\n5 distinct monomials, value at ones 5\n",
+        "coeff,exp\r\n1,2 1 0\r\n1,2 0 1\r\n1,1 2 0\r\n1,1 1 1\r\n1,0 2 1\r\n",
+    ),
+    "schur": (
+        ["schur", "--lambda", "2,1", "--mu", "1", "--n", "2"],
+        "z1^2 + 2*z1*z2 + z2^2\nvalue at ones 4\n",
+        "coeff,exp\r\n1,2 0\r\n2,1 1\r\n1,0 2\r\n",
+    ),
+    "kostka": (
+        ["kostka", "--lambda", "2,1", "--mu", "1,1,1"],
+        "2\n",
+        'spec,count\r\n"{""lambda"": [2, 1], ""mu"": [1, 1, 1]}",2\r\n',
+    ),
+    "points-count": (
+        ["points", "--lambda", "2,1,0", "--k", "2", "--count-only"],
+        "27\n",
+        'spec,k,count\r\n"{""kind"": ""triangular"", ""top"": [2, 1, 0], ""n"": 3}",2,27\r\n',
+    ),
+    "points-list": (
+        ["points", "--lambda", "2,1", "--mu", "1", "--nu", "1,1", "--n", "2"],
+        "2 lattice points\n2 1\n 1 1\n  1 0\nweight (1, 1) monomial z1*z2\n"
+        "2 1\n 2 0\n  1 0\nweight (1, 1) monomial z1*z2\n",
+        "entries_top_down,weight,monomial\r\n2 1 1 1 1 0,1 1,z1*z2\r\n2 1 2 0 1 0,1 1,z1*z2\r\n",
+    ),
+    "points-sigma": (
+        ["points", "--lambda", "2,1,0", "--sigma", "[2,1,3]"],
+        "2 lattice points\n2 1 0\n 2 1\n  1\nweight (1, 2, 0) monomial z1*z2^2\n"
+        "2 1 0\n 2 1\n  2\nweight (2, 1, 0) monomial z1^2*z2\n",
+        "entries_top_down,weight,monomial\r\n2 1 0 2 1 1,1 2 0,z1*z2^2\r\n2 1 0 2 1 2,2 1 0,z1^2*z2\r\n",
+    ),
+    "ehrhart": (
+        ["ehrhart", "--object", "skew", "--lambda", "2,1", "--mu", "1"],
+        'object {"family": "skew", "lambda": [2, 1], "mu": [1, 0], "n": 2}\npolynomial k^2 + 2*k + 1\n'
+        "coefficients (low degree first) ['1', '2', '1']\nnonneg True  valid True  empty False\n",
+        "object,degree_bound,coeffs,nonneg,valid,empty\r\n"
+        '"{""family"": ""skew"", ""lambda"": [2, 1], ""mu"": [1, 0], ""n"": 2}",4,1 2 1,True,True,False\r\n',
+    ),
+    "scan": (
+        ["scan", "--family", "key_complex", "--ranges", "n=2;max_part=1"],
+        'family key_complex ranges {"n": 2, "max_part": 1}\nchecked 6 objects\nviolations 0  verification failures 0\n',
+        "object,coeffs,nonneg,valid,empty\r\n" + "".join(
+            f'"{{""family"": ""key_complex"", ""lambda"": [{lam}], ""sigma"": [{sigma}]}}",{coeffs},True,True,False\r\n'
+            for lam, sigma, coeffs in [
+                ("0, 0", "1, 2", "1"), ("0, 0", "2, 1", "1"), ("1, 0", "1, 2", "1"),
+                ("1, 0", "2, 1", "1 1"), ("1, 1", "1, 2", "1"), ("1, 1", "2, 1", "1"),
+            ]
+        ),
+    ),
+    "verify": (
+        ["verify", "--suite", "example-gtkey"],
+        "".join(f"[ok] example-gtkey: {check}\n" for check, _ in EXAMPLE_CHECKS) + "all checks passed\n",
+        "suite,check,ok,detail\r\n" + "".join(f"example-gtkey,{check},True,{detail}\r\n" for check, detail in EXAMPLE_CHECKS),
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("name", sorted(TEXT_AND_CSV))
+def test_text_and_csv_output(capsys, name, fmt):
+    argv, text, csv_text = TEXT_AND_CSV[name]
+    assert run_cli(capsys, *argv, "--format", fmt) == (0, text if fmt == "text" else csv_text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["key", "--lambda", "2,1", "--sigma", "[2,1]"],
+    ["schur", "--lambda", "2,1"],
+    ["kostka", "--lambda", "2,1", "--mu", "1,1,1"],
+    ["faces", "--n", "2"],
+    ["points", "--lambda", "2,1", "--count-only"],
+])
+def test_cache_is_a_usage_error_where_nothing_reads_it(capsys, argv):
+    assert cli.main([*argv, "--cache", "/no/such/dir/c"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --cache /no/such/dir/c\n")
+
+
+@pytest.mark.parametrize("padded, full", [
+    (["--object", "gt", "--lambda", "2,1", "--n", "4"], ["--object", "gt", "--lambda", "2,1,0,0"]),
+    (
+        ["--object", "gt-weight", "--lambda", "2,1", "--mu", "1,1,1", "--n", "4"],
+        ["--object", "gt-weight", "--lambda", "2,1,0,0", "--mu", "1,1,1,0"],
+    ),
+    (
+        ["--object", "key-complex", "--lambda", "2,1", "--sigma", "[2,1,3]", "--n", "3"],
+        ["--object", "key-complex", "--lambda", "2,1,0", "--sigma", "[2,1,3]"],
+    ),
+])
+def test_ehrhart_reads_n(capsys, padded, full):
+    code, out = run_cli(capsys, "ehrhart", *padded, "--format", "json")
+    assert code == 0
+    assert run_cli(capsys, "ehrhart", *full, "--format", "json") == (0, out)
+
+
+def test_ehrhart_key_complex_rejects_a_different_n(capsys):
+    argv = ["ehrhart", "--object", "key-complex", "--lambda", "2,1", "--sigma", "[2,1]", "--n", "5"]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ehrhart --object key-complex: --n 5 differs from the size 2 of sigma\n"
+
+
+@pytest.mark.parametrize("lam", ["2,1", "2,1,0"])
+def test_empty_weight_is_the_zero_weight_everywhere(capsys, lam):
+    # an empty --nu (or kostka's content --mu) filters to weight 0, which no
+    # pattern of lambda or lambda/(1) has
+    for argv in [
+        ["kostka", "--lambda", lam, "--mu", ""],
+        ["points", "--lambda", lam, "--nu", "", "--count-only"],
+        ["ehrhart", "--object", "gt-weight", "--lambda", lam, "--mu", ""],
+        ["kostka", "--lambda", lam, "--mu", "1", "--nu", ""],
+        ["points", "--lambda", lam, "--mu", "1", "--nu", "", "--count-only"],
+        ["ehrhart", "--object", "skew-weight", "--lambda", lam, "--mu", "1", "--nu", ""],
+    ]:
+        assert _cli_count(capsys, *argv) == 0, argv
+
+
+@pytest.mark.parametrize("option", [[], ["--mu", "1"]])
+def test_a_weight_that_does_not_fit_is_named_a_weight(capsys, option):
+    assert cli.main(["points", "--lambda", "2,1", *option, "--nu", "0,1,2", "--n", "2", "--count-only"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weight (0, 1, 2) has a nonzero part after its first 2\n"
