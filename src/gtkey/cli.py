@@ -48,15 +48,22 @@ def _parse_cells(text: str) -> frozenset:
     return frozenset(cells)
 
 
-def _at_least_one(text: str) -> int:
-    """An --n: a pattern needs at least one row above its bottom."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
-    return n
+def _at_least(floor: int):
+    """An --n parser: an integer no smaller than `floor`."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if n < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, not {n}")
+        return n
+
+    return parse
+
+
+_at_least_one = _at_least(1)  # a pattern needs at least one row above its bottom
 
 
 def _parse_ranges(text: str | None) -> dict:
@@ -412,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kostka)
 
     p = sub.add_parser("faces", help="reduced Kogan faces, optionally of one type")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
     p.add_argument("--sigma", help="face type in one-line notation")
     common(p)
     p.set_defaults(func=cmd_faces)

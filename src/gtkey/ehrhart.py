@@ -1,11 +1,15 @@
 """Exact Ehrhart polynomials: interpolation, closed formulas, and scans.
 
-Counting functions are sampled at k = 0..D for a conservative degree bound
-D, interpolated with exact rational arithmetic, then re-checked at two
-extra dilations.  Two verification points are used deliberately: a single
-extra point cannot distinguish a period-2 quasi-polynomial from an honest
-polynomial.  A verification mismatch never raises; it is recorded on the
-result and surfaced by scans and the CLI.
+Counting functions are sampled at k = 0..D for a proved degree bound D,
+interpolated with exact rational arithmetic, then re-checked at two extra
+dilations.  D is the bound `lattice.dimension` reads off the spec: the
+number of entries whose interval between the marked rows is not a point,
+less one per independent row-sum equation of a weight.  A key complex or
+Kogan face takes the smaller of its own dimension formula and the bound of
+the GT(lambda) that contains it.  Two verification points are used
+deliberately: a single extra point cannot distinguish a period-2
+quasi-polynomial from an honest polynomial.  A verification mismatch never
+raises; it is recorded on the result and surfaced by scans and the CLI.
 """
 
 from __future__ import annotations
@@ -200,7 +204,8 @@ def poly_det(matrix: list[list[UniPoly]]) -> UniPoly:
 
 @dataclass(frozen=True)
 class CountedObject:
-    """A lattice-point counting family with a dilation parameter."""
+    """A lattice-point counting family with a dilation parameter and a
+    proved upper bound on the degree of its counting function."""
 
     desc: dict
     counter: Callable[[int], int]
@@ -221,7 +226,7 @@ def gt_object(lam, n: int | None = None) -> CountedObject:
     return CountedObject(
         {"family": "gt", "lambda": list(spec.top)},
         lambda k: lattice.count_points(spec, k),
-        spec.n * (spec.n - 1) // 2,
+        lattice.dimension(spec),
     )
 
 
@@ -230,7 +235,7 @@ def skew_object(lam, mu=(), n: int | None = None) -> CountedObject:
     return CountedObject(
         {"family": "skew", "lambda": list(spec.top), "mu": list(spec.bottom), "n": spec.n},
         lambda k: lattice.count_points(spec, k),
-        spec.n * spec.m,
+        lattice.dimension(spec),
     )
 
 
@@ -239,7 +244,7 @@ def gt_weight_object(lam, mu, n: int | None = None) -> CountedObject:
     return CountedObject(
         {"family": "gt_weight", "lambda": list(spec.top), "mu": list(spec.weight)},
         lambda k: lattice.count_points(spec, k),
-        spec.n * (spec.n - 1) // 2 - (spec.n - 1),
+        lattice.dimension(spec),
     )
 
 
@@ -254,7 +259,7 @@ def skew_weight_object(lam, mu, nu, n: int | None = None) -> CountedObject:
             "n": spec.n,
         },
         lambda k: lattice.count_points(spec, k),
-        spec.n * spec.m - spec.n,
+        lattice.dimension(spec),
     )
 
 
@@ -266,7 +271,7 @@ def key_complex_object(lam, sigma) -> CountedObject:
     return CountedObject(
         {"family": "key_complex", "lambda": list(lam), "sigma": list(sigma)},
         lambda k: kogan.complex_count(lam, sigma, k),
-        n * (n - 1) // 2 - codim,
+        min(n * (n - 1) // 2 - codim, lattice.dimension(lattice.gt_spec(lam))),
     )
 
 
@@ -276,7 +281,7 @@ def kogan_face_object(lam, face: kogan.KoganFace) -> CountedObject:
     return CountedObject(
         {"family": "kogan_face", "lambda": list(lam), "cells": [list(c) for c in face.sorted_cells()]},
         lambda k: kogan.face_count(lam, face, k),
-        n * (n - 1) // 2 - len(face.cells),
+        min(n * (n - 1) // 2 - len(face.cells), lattice.dimension(lattice.gt_spec(lam))),
     )
 
 

@@ -126,6 +126,32 @@ def skew_spec(lam, mu=(), weight=None, n: int | None = None) -> PolytopeSpec:
     return PolytopeSpec(lam, bottom=mu, weight=None if weight is None else pad(weight, n, "weight"), n=n)
 
 
+def dimension(spec: PolytopeSpec) -> int:
+    """A proved upper bound on the degree of k -> count_points(spec, k).
+
+    The polytope is a marked order polytope, its top and bottom rows marked
+    (Ardila-Bliem-Salazar, JCTA 2011), so entry j of row l, 1 <= l <= n-1,
+    lies in [max(mu_j, lambda_{j+n-l}), min(lambda_j, mu_{j-l})], a missing
+    index imposing nothing; it is free when that interval is not a point.
+    Without a weight the bound is the number of free entries, the
+    dimension of a non-empty polytope: raising the free entries of an
+    up-set from their lower bounds to their upper ones stays inside, so
+    only the constant entries are implicit equalities (Pegel, Order 2018).
+    A weight subtracts one per row with a free entry: these row sums act on
+    disjoint non-empty sets of free entries, so they are independent."""
+    lam, n, m = spec.top, spec.n, spec.m
+    mu = spec.bottom or (0,) * m
+    bound = 0
+    for level in range(1, n):
+        free = sum(
+            max(mu[j], lam[j + n - level] if j + n - level < m else 0)
+            < min(lam[j], mu[j - level] if j >= level else lam[j])
+            for j in range(m)
+        )
+        bound += free - (spec.weight is not None and free > 0)
+    return bound
+
+
 # --- the per-entry step --------------------------------------------------------
 
 def _kernel(

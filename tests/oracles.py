@@ -162,3 +162,26 @@ def reduced_cell_subsets(n):
             if inversions(perm) == r:
                 groups.setdefault(perm, []).append(combo)
     return groups
+
+
+def affine_rank(points):
+    """The dimension of the affine hull of a non-empty list of integer
+    vectors: the rank of their differences from the first, by exact
+    elimination over the rationals.  It stops once the rank reaches the
+    number of coordinates that vary, which it cannot exceed."""
+    from fractions import Fraction
+
+    base = points[0]
+    varying = sum(len({p[i] for p in points}) > 1 for i in range(len(base)))
+    basis = {}  # pivot column -> a reduced vector with a 1 there
+    for p in points[1:]:
+        if len(basis) == varying:
+            break
+        v = [Fraction(x - b) for x, b in zip(p, base)]
+        for col, row in basis.items():
+            if v[col]:
+                v = [x - v[col] * y for x, y in zip(v, row)]
+        col = next((i for i, x in enumerate(v) if x), None)
+        if col is not None:
+            basis[col] = [x / v[col] for x in v]
+    return len(basis)

@@ -336,6 +336,14 @@ def test_n_below_one_exits_one(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def test_faces_n_below_zero_exits_one(capsys):
+    assert cli.main(["faces", "--n", "-1"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --n: must be at least 0, not -1\n")
+    assert run_cli(capsys, "faces", "--n", "0") == (0, "1 reduced Kogan faces\ncells [-] word (-) type []\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["points", "--lambda", "", "--count-only"],
     ["points", "--lambda", ""],
@@ -561,7 +569,7 @@ TEXT_AND_CSV = {
         'object {"family": "skew", "lambda": [2, 1], "mu": [1, 0], "n": 2}\npolynomial k^2 + 2*k + 1\n'
         "coefficients (low degree first) ['1', '2', '1']\nnonneg True  valid True  empty False\n",
         "object,degree_bound,coeffs,nonneg,valid,empty\r\n"
-        '"{""family"": ""skew"", ""lambda"": [2, 1], ""mu"": [1, 0], ""n"": 2}",4,1 2 1,True,True,False\r\n',
+        '"{""family"": ""skew"", ""lambda"": [2, 1], ""mu"": [1, 0], ""n"": 2}",2,1 2 1,True,True,False\r\n',
     ),
     "scan": (
         ["scan", "--family", "key_complex", "--ranges", "n=2;max_part=1"],

@@ -355,3 +355,46 @@ def test_unusable_cache_path_raises_value_error(tmp_path):
     cache = ResultCache(tmp_path / "missing" / "cache.jsonl")
     with pytest.raises(ValueError, match="^cache .*: No such file or directory$"):
         ehrhart.ehrhart_of(ehrhart.gt_object((1, 0)), cache=cache)
+
+
+def _hand_written_bound(desc):
+    """The per-family degree bounds the dimension bound replaced."""
+    n = desc.get("n", len(desc["lambda"]))
+    return {
+        "skew": n * len(desc["lambda"]),
+        "skew_weight": n * len(desc["lambda"]) - n,
+        "gt_weight": n * (n - 1) // 2 - (n - 1),
+    }[desc["family"]]
+
+
+@pytest.mark.parametrize("family, ranges", [
+    ("skew_gt", {"max_shape": (3, 2, 1), "n": 3}),
+    ("skew_kostka", {"max_shape": (2, 1), "n": 3}),
+    ("stretched_kostka", {"max_size": 4, "max_rows": 3}),
+])
+def test_dimension_bounds_the_degree_of_every_scan_object(family, ranges):
+    for obj in ehrhart.scan_objects(family, ranges):
+        result = ehrhart_of(obj)
+        assert result.valid, obj.desc
+        assert obj.bound >= result.poly.degree(), obj.desc
+        if obj.desc["family"] == "skew" and not result.empty:  # unweighted
+            assert obj.bound == result.poly.degree(), obj.desc
+        assert obj.bound <= _hand_written_bound(obj.desc), obj.desc
+
+
+def test_cache_entry_under_another_degree_bound_is_a_miss(tmp_path):
+    # a line stored under the old bound n*m = 9 is not returned for the
+    # dimension bound 6; the result is recomputed and appended
+    path = tmp_path / "cache.jsonl"
+    obj = skew_object((3, 2, 1), (2, 1), n=3)
+    old = ehrhart_of(obj, degree_bound=9, cache=ResultCache(path))
+    assert old.degree_bound == 9 and obj.bound == 6
+    calls = []
+    counting = ehrhart.CountedObject(obj.desc, lambda k: calls.append(k) or obj.count(k), obj.bound)
+    result = ehrhart_of(counting, cache=ResultCache(path))
+    assert calls == list(range(9))
+    assert result.to_json() == ehrhart_of(obj).to_json()
+    assert result.degree_bound == 6 and result.poly == old.poly
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [line["degree_bound"] for line in lines] == [9, 6]
+    assert ResultCache(path).get(obj.desc, 6).to_json() == result.to_json()

@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
+from gtkey.ehrhart import compositions
 from gtkey.gtcore import validate_pattern, weight
 from gtkey.kogan import key_faces
-from gtkey.lattice import count_points, enumerate_points, gt_spec, skew_spec, weight_counts
-from oracles import grid_filter_patterns, skew_ssyt_fillings, ssyt_fillings
+from gtkey.lattice import count_points, dimension, enumerate_points, gt_spec, skew_spec, weight_counts
+from oracles import affine_rank, grid_filter_patterns, skew_ssyt_fillings, ssyt_fillings
 
 
 def test_full_polytope_counts():
@@ -281,3 +282,35 @@ def test_specs_without_rows_are_rejected():
         with pytest.raises(ValueError):
             gt_spec((2, 1), n=n)
     assert skew_spec((2, 1), (1,)).n == 2  # n left out: one row per part
+
+
+def _rank_at_two(spec):
+    """The affine rank of the lattice points of the second dilate, None
+    when it has none."""
+    points = [p.flat() for p in enumerate_points(spec, 2)]
+    return affine_rank(points) if points else None
+
+
+def test_dimension_is_the_affine_rank_of_the_points():
+    # a lattice polytope's points span its affine hull, so for every GT and
+    # skew GT spec the bound is the rank; a weight cuts out a polytope whose
+    # points may span less, so there it only bounds the rank from above
+    specs = [gt_spec(lam) for lam in _box((3, 2, 1, 0))]
+    weighted = [gt_spec(lam, weight=nu) for lam in _box((3, 2, 1, 0)) for nu in compositions(sum(lam), 4)]
+    for lam in _box((3, 2, 1)):
+        for mu in _box(lam):
+            for n in range(1, 5):
+                specs.append(skew_spec(lam, mu, n=n))
+                weighted += [skew_spec(lam, mu, weight=nu, n=n) for nu in compositions(sum(lam) - sum(mu), n)]
+    for spec in specs:
+        rank = _rank_at_two(spec)
+        if rank is not None:
+            assert dimension(spec) == rank, spec
+    for spec in weighted:
+        rank = _rank_at_two(spec)
+        if rank is not None:
+            assert dimension(spec) >= rank, spec
+    assert dimension(gt_spec((3, 2, 1, 0))) == 6
+    assert dimension(skew_spec((3, 2, 1), (2, 1), n=3)) == 6
+    assert dimension(skew_spec((2, 1), (1,), n=2)) == 2
+    assert dimension(gt_spec((2, 1, 0), weight=(1, 1, 1))) == 1
