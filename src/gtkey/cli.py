@@ -147,8 +147,8 @@ def cmd_key(args) -> int:
         polys["operators"] = polyops.key_via_operators(lam, sigma)
     if method in ("faces", "both"):
         polys["faces"] = kogan.key_via_faces(lam, sigma)
-    agree = len({p for p in polys.values()}) == 1
-    poly = next(iter(polys.values()))
+    poly, *others = polys.values()
+    agree = all(other == poly for other in others)
     payload = {
         "lambda": list(lam),
         "sigma": list(sigma),

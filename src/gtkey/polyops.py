@@ -1,9 +1,11 @@
 """Exact sparse multivariate polynomials and Demazure operators.
 
-Coefficients are arbitrary-precision rationals throughout; no floating
-point enters anywhere.  The divided difference is computed monomial-wise
-through the closed geometric-sum form, so no polynomial division is ever
-performed and exactness is structural.
+Coefficients are exact: a stored coefficient is an `int` exactly when it is
+integral, and a `Fraction` only after a true non-integer operation such as
+`f * Fraction(1, 2)`; no floating point enters anywhere.  The divided
+difference is computed monomial-wise through the closed geometric-sum
+form, so no polynomial division is ever performed, exactness is structural
+and an integral polynomial stays in plain `int` through every operator.
 """
 
 from __future__ import annotations
@@ -21,24 +23,41 @@ class MultiPoly:
     """Sparse polynomial in z_1..z_n over the rationals.
 
     Immutable by convention: operations return fresh instances and the term
-    map is never mutated after construction.
+    map is never mutated after construction.  The public constructors
+    validate and normalise their input; the operators build their results
+    through `_of`, as their exponents are valid by construction.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Scalar] | None = None):
+        if type(nvars) is not int or nvars < 0:
+            raise ValueError(f"bad variable count {nvars!r}")
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = Fraction(coeff)
+                if not isinstance(coeff, (int, Fraction)):
+                    raise ValueError(f"coefficient {coeff!r} is not an int or a Fraction")
                 if coeff == 0:
                     continue
                 exp = tuple(exp)
-                if len(exp) != nvars or any(e < 0 for e in exp):
+                if len(exp) != nvars or not all(type(e) is int and e >= 0 for e in exp):
                     raise ValueError(f"bad exponent vector {exp!r} for {nvars} variables")
-                clean[exp] = coeff
+                clean[exp] = coeff.numerator if coeff.denominator == 1 else coeff
         self.terms = clean
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[tuple[int, ...], Scalar]) -> "MultiPoly":
+        """Adopt `terms` unchecked: valid exponents and no zero coefficient,
+        as an operator builds them; only integral Fractions become int."""
+        for exp, c in terms.items():
+            if type(c) is not int and c.denominator == 1:
+                terms[exp] = c.numerator
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
 
     # -- constructors --------------------------------------------------------
 
@@ -57,6 +76,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, i: int, nvars: int) -> "MultiPoly":
+        _check_index(i, 1, nvars, "variable")
         exp = [0] * nvars
         exp[i - 1] = 1
         return cls(nvars, {tuple(exp): 1})
@@ -67,33 +87,28 @@ class MultiPoly:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            new = terms.get(exp, 0) + c
-            if new == 0:
-                terms.pop(exp, None)
-            else:
-                terms[exp] = new
-        return MultiPoly(self.nvars, terms)
+            _accumulate(terms, exp, c)
+        return MultiPoly._of(self.nvars, terms)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+            if other == 0:
+                return MultiPoly.zero(self.nvars)
+            return MultiPoly._of(self.nvars, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(exp, 0) + c1 * c2
-                if new == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = new
-        return MultiPoly(self.nvars, out)
+                _accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return MultiPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -121,8 +136,8 @@ class MultiPoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+    def coefficient(self, exp: Sequence[int]) -> Scalar:
+        return self.terms.get(tuple(exp), 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -134,7 +149,7 @@ class MultiPoly:
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """Graded lexicographic order, z_1 > ... > z_n, largest first."""
         return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
 
@@ -169,72 +184,71 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, nvars: int, items: Iterable[dict]) -> "MultiPoly":
-        return cls(nvars, {tuple(t["exp"]): Fraction(t["coeff"]) for t in items})
+        """Read `to_json` terms back; a coefficient is an int or a "p/q" string."""
+        terms = {}
+        for t in items:
+            coeff = t["coeff"]
+            terms[tuple(t["exp"])] = Fraction(coeff) if isinstance(coeff, str) else coeff
+        return cls(nvars, terms)
+
+
+def _accumulate(terms: dict, exp: tuple[int, ...], c: Scalar) -> None:
+    """Add c to the coefficient of exp, dropping it when it cancels."""
+    new = terms.get(exp, 0) + c
+    if new:
+        terms[exp] = new
+    else:
+        del terms[exp]
+
+
+def _check_index(i: int, lo: int, hi: int, what: str) -> None:
+    if type(i) is not int or not lo <= i <= hi:
+        raise ValueError(f"{what} index {i!r} out of range {lo}..{hi}")
 
 
 # --- operators ---------------------------------------------------------------
 
 def swap_vars(f: MultiPoly, i: int) -> MultiPoly:
     """Exchange z_i and z_{i+1}."""
-    if not 1 <= i <= f.nvars - 1:
-        raise ValueError(f"swap index {i} out of range")
-    out: dict[tuple[int, ...], Fraction] = {}
+    _check_index(i, 1, f.nvars - 1, "swap")
+    out = {}
     for exp, c in f.terms.items():
-        e = list(exp)
-        e[i - 1], e[i] = e[i], e[i - 1]
-        out[tuple(e)] = c
-    return MultiPoly(f.nvars, out)
+        out[exp[: i - 1] + (exp[i], exp[i - 1]) + exp[i + 1 :]] = c
+    return MultiPoly._of(f.nvars, out)
 
 
-def _add_strip(
-    out: dict[tuple[int, ...], Fraction],
-    base: list[int],
-    i: int,
-    a: int,
-    b: int,
-    coeff: Fraction,
-) -> None:
-    # contribute coeff * sum_{t=lo}^{hi} z_i^t z_{i+1}^{a+b-1-t}
-    if a == b:
-        return
-    sign = 1 if a > b else -1
-    lo, hi = (b, a - 1) if a > b else (a, b - 1)
-    for t in range(lo, hi + 1):
-        base[i - 1], base[i] = t, a + b - 1 - t
-        exp = tuple(base)
-        new = out.get(exp, 0) + sign * coeff
-        if new == 0:
-            out.pop(exp, None)
+def _strips(f: MultiPoly, i: int, shift: int) -> MultiPoly:
+    """d_i(z_i^shift * f), summed monomial-wise.
+
+    Each monomial m * z_i^a z_{i+1}^b (m free of z_i, z_{i+1}, a counting
+    the shift) contributes a geometric strip m * sum z_i^t z_{i+1}^{a+b-1-t}:
+    t = b..a-1 when a > b, the negated mirror when a < b, nothing when
+    a = b.  The result is symmetric in z_i, z_{i+1}.
+    """
+    _check_index(i, 1, f.nvars - 1, "operator")
+    out: dict[tuple[int, ...], Scalar] = {}
+    for exp, c in f.terms.items():
+        a, b = exp[i - 1] + shift, exp[i]
+        if a == b:
+            continue
+        if a > b:
+            lo, hi = b, a
         else:
-            out[exp] = new
+            lo, hi, c = a, b, -c
+        head, tail, d = exp[: i - 1], exp[i + 1 :], a + b - 1
+        for t in range(lo, hi):
+            _accumulate(out, head + (t, d - t) + tail, c)
+    return MultiPoly._of(f.nvars, out)
 
 
 def divided_difference(f: MultiPoly, i: int) -> MultiPoly:
-    """(f - s_i f) / (z_i - z_{i+1}), exact and division-free.
-
-    Each monomial m * z_i^a z_{i+1}^b (m free of z_i, z_{i+1}) contributes a
-    geometric strip m * sum z_i^t z_{i+1}^{a+b-1-t}: t = b..a-1 when a > b,
-    the negated mirror when a < b, nothing when a = b.  The result is
-    symmetric in z_i, z_{i+1}.
-    """
-    if not 1 <= i <= f.nvars - 1:
-        raise ValueError(f"operator index {i} out of range")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exp, c in f.terms.items():
-        base = list(exp)
-        _add_strip(out, base, i, exp[i - 1], exp[i], c)
-    return MultiPoly(f.nvars, out)
+    """(f - s_i f) / (z_i - z_{i+1}), exact and division-free."""
+    return _strips(f, i, 0)
 
 
 def pi_op(f: MultiPoly, i: int) -> MultiPoly:
     """Demazure operator: divided_difference(z_i * f, i).  Degree-preserving."""
-    if not 1 <= i <= f.nvars - 1:
-        raise ValueError(f"operator index {i} out of range")
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exp, c in f.terms.items():
-        base = list(exp)
-        _add_strip(out, base, i, exp[i - 1] + 1, exp[i], c)
-    return MultiPoly(f.nvars, out)
+    return _strips(f, i, 1)
 
 
 def apply_pi_word(f: MultiPoly, word: Sequence[int]) -> MultiPoly:
@@ -251,7 +265,7 @@ def key_via_operators(lam: Sequence[int], sigma: Sequence[int]) -> MultiPoly:
     lam = pad(check_partition(lam), n)
     word = canonical_reduced_word(sigma)
     out = apply_pi_word(MultiPoly.monomial(lam), word)
-    if any(c < 0 or c.denominator != 1 for c in out.terms.values()):
+    if not all(type(c) is int and c > 0 for c in out.terms.values()):
         raise AssertionError("key polynomial produced a non-natural coefficient")
     return out
 
@@ -270,8 +284,8 @@ def skew_schur(lam: Sequence[int], mu: Sequence[int], n: int) -> MultiPoly:
 
 def eval_ones(f: MultiPoly) -> int | Fraction:
     """Substitute z_i = 1 for all i; returns an int whenever the value is integral."""
-    total = sum(f.terms.values(), Fraction(0))
-    return int(total) if total.denominator == 1 else total
+    total = sum(f.terms.values())
+    return total.numerator if total.denominator == 1 else total
 
 
 def kostka(lam: Sequence[int], mu: Sequence[int]) -> int:
@@ -288,10 +302,12 @@ def skew_kostka(lam: Sequence[int], mu: Sequence[int], nu: Sequence[int]) -> int
 
 def divide_by_difference(f: MultiPoly, i: int, j: int) -> MultiPoly:
     """Exact quotient f / (z_i - z_j); raises if the division is not exact."""
+    _check_index(i, 1, f.nvars, "variable")
+    _check_index(j, 1, f.nvars, "variable")
     if i == j:
         raise ValueError("need two distinct variables")
     num = dict(f.terms)
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Scalar] = {}
     while num:
         exp = max(num, key=lambda e: (e[i - 1], e))
         coeff = num.pop(exp)
@@ -299,13 +315,7 @@ def divide_by_difference(f: MultiPoly, i: int, j: int) -> MultiPoly:
             raise ValueError("polynomial is not divisible by the difference")
         q = list(exp)
         q[i - 1] -= 1
-        qexp = tuple(q)
-        out[qexp] = out.get(qexp, 0) + coeff
+        _accumulate(out, tuple(q), coeff)
         q[j - 1] += 1
-        rexp = tuple(q)
-        new = num.get(rexp, 0) + coeff
-        if new == 0:
-            num.pop(rexp, None)
-        else:
-            num[rexp] = new
-    return MultiPoly(f.nvars, out)
+        _accumulate(num, tuple(q), coeff)
+    return MultiPoly._of(f.nvars, out)

@@ -1,5 +1,6 @@
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,16 @@ def test_assertion_failure_exits_two_without_traceback(capsys, monkeypatch):
     assert code == cli.VIOLATION == 2
     assert err == "error: key polynomial produced a non-natural coefficient\n"
     assert "Traceback" not in err
+
+
+def test_planted_fraction_in_operators_exits_two(capsys, monkeypatch):
+    real = polyops.pi_op
+    monkeypatch.setattr(polyops, "pi_op", lambda f, i: real(f, i) * Fraction(1, 2))
+    code = cli.main(["key", "--lambda", "2,1,0", "--sigma", "[3,1,2]", "--method", "operators"])
+    captured = capsys.readouterr()
+    assert code == cli.VIOLATION == 2
+    assert captured.err == "error: key polynomial produced a non-natural coefficient\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("option", [["--nu", "1,1,1"], ["--mu", "1"]])

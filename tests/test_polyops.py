@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtkey import kogan, polyops
 from gtkey.combinat import all_reduced_words, longest_element, partitions_in_box
 from gtkey.polyops import (
     MultiPoly,
@@ -26,13 +27,25 @@ def mono(*exp):
     return MultiPoly.monomial(exp)
 
 
+# both storage types: ints, and Fractions that may or may not be integral
+coeffs = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+
+def stored_exactly(f):
+    """Each stored coefficient is an int exactly when it is integral."""
+    return all(
+        type(c) is int if c.denominator == 1 else type(c) is Fraction
+        for c in f.terms.values()
+    )
+
+
 @st.composite
 def polys(draw, nvars=4, max_terms=5, max_exp=4):
     n_terms = draw(st.integers(1, max_terms))
     terms = {}
     for _ in range(n_terms):
         exp = tuple(draw(st.integers(0, max_exp)) for _ in range(nvars))
-        coeff = draw(st.integers(-3, 3))
+        coeff = draw(coeffs)
         terms[exp] = terms.get(exp, 0) + coeff
     return MultiPoly(nvars, terms)
 
@@ -263,3 +276,91 @@ def test_eval_ones_type():
     assert eval_ones(schur((2, 1), 2)) == 2
     assert isinstance(eval_ones(schur((2, 1), 2)), int)
     assert eval_ones(MultiPoly.constant(2, Fraction(1, 2))) == Fraction(1, 2)
+
+
+@settings(max_examples=60)
+@given(polys(), polys())
+def test_operators_keep_coefficients_int_while_integral(f, g):
+    assert stored_exactly(f)
+    for i in (1, 2, 3):
+        for out in (pi_op(f, i), divided_difference(f, i), swap_vars(f, i)):
+            assert stored_exactly(out)
+    for out in (f + g, f - g, -f, f * g, f * Fraction(1, 2), f * Fraction(4, 2), 3 * f):
+        assert stored_exactly(out)
+
+
+def test_integral_fraction_is_stored_as_int():
+    whole = MultiPoly(2, {(1, 0): Fraction(2, 1), (0, 1): Fraction(-6, 3)})
+    plain = MultiPoly(2, {(1, 0): 2, (0, 1): -2})
+    assert whole == plain
+    assert hash(whole) == hash(plain)
+    assert str(whole) == str(plain) == "2*z1 - 2*z2"
+    assert whole.to_json() == plain.to_json()
+    assert all(type(c) is int for c in whole.terms.values())
+    f = mono(2, 1, 0, 0) + 3 * mono(0, 1, 1, 0)
+    half = f * Fraction(1, 2)
+    assert all(type(c) is Fraction for c in half.terms.values())
+    assert all(type(c) is int for c in (half * 2).terms.values())
+    assert half * 2 == f
+    assert (f * 0).is_zero() and (f * Fraction(0)).is_zero()
+    assert f.coefficient((0, 0, 0, 0)) == 0 and type(f.coefficient((0, 0, 0, 0))) is int
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultiPoly(2, {(1, 0): 1.5}),
+        lambda: MultiPoly(2, {(1, 0): 2.0}),
+        lambda: MultiPoly(2, {(1.5, 0): 1}),
+        lambda: MultiPoly(2, {(1.0, 0): 1}),
+        lambda: MultiPoly(2, {(1, -1): 1}),
+        lambda: MultiPoly(2, {(1, 0, 0): 1}),
+        lambda: MultiPoly(2.0),
+        lambda: MultiPoly.monomial((1, 0), 0.5),
+        lambda: MultiPoly.monomial((1.0, 0)),
+        lambda: MultiPoly.constant(2, 0.5),
+        lambda: MultiPoly.from_json(2, [{"coeff": 0.5, "exp": [1, 0]}]),
+        lambda: MultiPoly.from_json(2, [{"coeff": "1", "exp": [1.0, 0]}]),
+    ],
+)
+def test_constructors_reject_floats(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_from_json_reads_int_and_rational_strings():
+    f = MultiPoly.from_json(2, [{"coeff": "3", "exp": [1, 0]}, {"coeff": "-1/2", "exp": [0, 1]}])
+    assert f.terms == {(1, 0): 3, (0, 1): Fraction(-1, 2)}
+    assert stored_exactly(f)
+
+
+@pytest.mark.parametrize("i", [0, -1, 4, 10])
+def test_variable_index_out_of_range(i):
+    with pytest.raises(ValueError):
+        MultiPoly.variable(i, 3)
+
+
+@pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (1, 4), (4, 1), (-2, 1)])
+def test_divide_by_difference_index_out_of_range(i, j):
+    # i = 0 used to alias j = 3 and loop forever dividing by z3 - z3
+    z1, z3 = MultiPoly.variable(1, 3), MultiPoly.variable(3, 3)
+    with pytest.raises(ValueError):
+        divide_by_difference(z1 - z3, i, j)
+
+
+@pytest.mark.parametrize(
+    "lam, n", [(lam, 4) for lam in partitions_in_box((3, 2, 1, 0))] + [((2, 1, 1, 0, 0), 5)]
+)
+def test_operator_keys_are_int_and_match_faces(lam, n):
+    for sigma in itertools.permutations(range(1, n + 1)):
+        key = key_via_operators(lam, sigma)
+        assert all(type(c) is int and c > 0 for c in key.terms.values())
+        assert key == kogan.key_via_faces(lam, sigma)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2), -1])
+def test_planted_non_natural_coefficient_raises(monkeypatch, scale):
+    real = polyops.pi_op
+    monkeypatch.setattr(polyops, "pi_op", lambda f, i: real(f, i) * scale)
+    with pytest.raises(AssertionError, match="non-natural coefficient"):
+        key_via_operators((2, 1, 0), (2, 1, 3))
