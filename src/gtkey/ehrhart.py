@@ -1,15 +1,26 @@
 """Exact Ehrhart polynomials: interpolation, closed formulas, and scans.
 
-Counting functions are sampled at k = 0..D for a proved degree bound D,
-interpolated with exact rational arithmetic, then re-checked at two extra
-dilations.  D is the bound `lattice.dimension` reads off the spec: the
-number of entries whose interval between the marked rows is not a point,
-less one per independent row-sum equation of a weight.  A key complex or
-Kogan face takes the smaller of its own dimension formula and the bound of
-the GT(lambda) that contains it.  Two verification points are used
-deliberately: a single extra point cannot distinguish a period-2
-quasi-polynomial from an honest polynomial.  A verification mismatch never
-raises; it is recorded on the result and surfaced by scans and the CLI.
+Counting functions are sampled at D+1 consecutive dilations for a proved
+degree bound D, interpolated with exact rational arithmetic, then
+re-checked at the next two.  D is the bound `lattice.dimension` reads off
+the spec: the number of entries whose interval between the marked rows is
+not a point, less one per independent row-sum equation of a weight.  A
+key complex or Kogan face takes the smaller of its own dimension formula
+and the bound of GT(lambda) that contains it.
+
+The object's family picks the dilations (`_plan`).  A GT or skew GT
+polytope P is convex and D is its exact dimension d, so its counting
+function L is sampled at k = -ceil(D/2)..floor(D/2) by Ehrhart-Macdonald
+reciprocity, L(-k) = (-1)^d times the number of lattice points in the
+relative interior of kP (Macdonald 1971; Beck-Robins, Computing the
+Continuous Discretely, ch. 4), and checked at floor(D/2)+1 and +2: half
+the samples are interior counts at small k instead of counts at large k.
+Key complexes are not convex, and Kogan faces and weighted objects have
+no exact dimension yet, so they keep k = 0..D and the checks at D+1, D+2.
+Both plans check at two consecutive dilations, one even and one odd: a
+single extra point cannot distinguish a period-2 quasi-polynomial from an
+honest polynomial.  A verification mismatch never raises; it is recorded
+on the result and surfaced by scans and the CLI.
 """
 
 from __future__ import annotations
@@ -205,7 +216,8 @@ def poly_det(matrix: list[list[UniPoly]]) -> UniPoly:
 @dataclass(frozen=True)
 class CountedObject:
     """A lattice-point counting family with a dilation parameter and a
-    proved upper bound on the degree of its counting function."""
+    proved upper bound on the degree of its counting function.  `counter`
+    gives the value at every k of the family's `_plan`, negative k too."""
 
     desc: dict
     counter: Callable[[int], int]
@@ -221,22 +233,27 @@ class CountedObject:
         return json.dumps(self.desc, sort_keys=True, separators=(",", ":"))
 
 
+def _polytope_object(desc: dict, spec: lattice.PolytopeSpec) -> CountedObject:
+    """An unweighted spec, its counter giving L(k) at every integer k: the
+    count of kP at k >= 0, and (-1)^d times the interior count of |k|P at
+    k < 0 by reciprocity, d the exact dimension `lattice.dimension` proves,
+    whatever degree bound the fit is given."""
+    d = lattice.dimension(spec)
+
+    def count(k: int) -> int:
+        return lattice.count_points(spec, k) if k >= 0 else (-1) ** d * lattice.count_points(spec, -k, interior=True)
+
+    return CountedObject(desc, count, d)
+
+
 def gt_object(lam, n: int | None = None) -> CountedObject:
     spec = lattice.gt_spec(lam, n=n)
-    return CountedObject(
-        {"family": "gt", "lambda": list(spec.top)},
-        lambda k: lattice.count_points(spec, k),
-        lattice.dimension(spec),
-    )
+    return _polytope_object({"family": "gt", "lambda": list(spec.top)}, spec)
 
 
 def skew_object(lam, mu=(), n: int | None = None) -> CountedObject:
     spec = lattice.skew_spec(lam, mu, n=n)
-    return CountedObject(
-        {"family": "skew", "lambda": list(spec.top), "mu": list(spec.bottom), "n": spec.n},
-        lambda k: lattice.count_points(spec, k),
-        lattice.dimension(spec),
-    )
+    return _polytope_object({"family": "skew", "lambda": list(spec.top), "mu": list(spec.bottom), "n": spec.n}, spec)
 
 
 def gt_weight_object(lam, mu, n: int | None = None) -> CountedObject:
@@ -327,18 +344,31 @@ class EhrhartResult:
         )
 
 
+# Families whose counter gives L(k) at k < 0 by reciprocity (`_polytope_object`).
+_RECIPROCAL = ("gt", "skew")
+
+
+def _plan(desc: dict, D: int) -> tuple[range, tuple[int, int]]:
+    """The dilations an object of this family is sampled at and checked at
+    for the degree bound D: D+1 consecutive ones, then the next two."""
+    low = -((D + 1) // 2) if desc["family"] in _RECIPROCAL else 0
+    return range(low, low + D + 1), (low + D + 1, low + D + 2)
+
+
 def _fit(desc: dict, D: int, count: Callable[[int], int]) -> EhrhartResult:
-    """Interpolate the counts at k = 0..D and check them at D+1 and D+2.
+    """Interpolate the counts at the dilations of `_plan` and check them at
+    its two extra ones.  A sample at k < 0 is stored as the value L(k) the
+    counter gives, so every sample is a point of the polynomial.
 
     The k = 0 sample of a dilated specification is always the single zero
-    pattern, so an empty polytope (possible only for weight-filtered
-    families) would poison the fit; if every sample and verification count
-    at k >= 1 vanishes the honest answer is the zero polynomial and the
-    object is marked empty.
+    pattern, so an empty polytope would poison the fit; if every sample and
+    verification count at k != 0 vanishes the honest answer is the zero
+    polynomial and the object is marked empty.
     """
-    samples = [(k, count(k)) for k in range(D + 1)]
-    checks = [(k, count(k)) for k in (D + 1, D + 2)]
-    empty = all(v == 0 for _, v in samples[1:] + checks)
+    ks, extra = _plan(desc, D)
+    samples = [(k, count(k)) for k in ks]
+    checks = [(k, count(k)) for k in extra]
+    empty = all(v == 0 for k, v in samples + checks if k)
     poly = UniPoly() if empty else interpolate(samples)
     return EhrhartResult(
         object=desc,
@@ -356,10 +386,11 @@ class ResultCache:
 
     A line that is not a readable entry is skipped and its number kept in
     `bad_lines`.  A stored entry is returned only when fitting its own
-    stored counts gives back exactly that entry (polynomial, verification
-    points and flags); otherwise it is a miss, the result is recomputed and
-    appended, and on the next load the later line wins.  A path that cannot
-    be read or appended to raises ValueError naming it.
+    stored counts under the object's `_plan` gives back exactly that entry
+    (samples, polynomial, verification points and flags), so a line written
+    under another plan is a miss too; a miss is recomputed and appended,
+    and on the next load the later line wins.  A path that cannot be read
+    or appended to raises ValueError naming it.
     """
 
     def __init__(self, path):

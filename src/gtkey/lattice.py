@@ -20,8 +20,10 @@ cell of some face.  The mask has a bit per face whose cells hold so far.
 `faces=None` is the whole polytope and `faces=[]` the empty set.
 
 Counting sweeps the steps with an integer tally per state of the current
-step.  Weight counting is the same sweep with weight tallies: a row's
-pending component, the row above's sum less its own, is added at its end.
+step.  Counting the relative interior is the same sweep, each strict
+inequality x < y taken as x <= y - 1 by the step's bounds (count_points).
+Weight counting is the same sweep with weight tallies: a row's pending
+component, the row above's sum less its own, is added at its end.
 Enumeration chains the steps lazily, a depth-first walk yielding each point
 once in canonical order (entries read top row first).
 """
@@ -126,28 +128,39 @@ def skew_spec(lam, mu=(), weight=None, n: int | None = None) -> PolytopeSpec:
     return PolytopeSpec(lam, bottom=mu, weight=None if weight is None else pad(weight, n, "weight"), n=n)
 
 
+def _intervals(spec: PolytopeSpec) -> list[list[tuple[int, int]]]:
+    """For each row l = 1..n-1 between the marked ones, bottom-up, the
+    interval [max(mu_j, lambda_{j+n-l}), min(lambda_j, mu_{j-l})] of each
+    entry j, a missing index imposing nothing."""
+    lam, n, m = spec.top, spec.n, spec.m
+    mu = spec.bottom or (0,) * m
+    return [
+        [
+            (
+                max(mu[j], lam[j + n - level] if j + n - level < m else 0),
+                min(lam[j], mu[j - level] if j >= level else lam[j]),
+            )
+            for j in range(m)
+        ]
+        for level in range(1, n)
+    ]
+
+
 def dimension(spec: PolytopeSpec) -> int:
     """A proved upper bound on the degree of k -> count_points(spec, k).
 
     The polytope is a marked order polytope, its top and bottom rows marked
-    (Ardila-Bliem-Salazar, JCTA 2011), so entry j of row l, 1 <= l <= n-1,
-    lies in [max(mu_j, lambda_{j+n-l}), min(lambda_j, mu_{j-l})], a missing
-    index imposing nothing; it is free when that interval is not a point.
-    Without a weight the bound is the number of free entries, the
-    dimension of a non-empty polytope: raising the free entries of an
+    (Ardila-Bliem-Salazar, JCTA 2011), so each entry of a row between them
+    lies in its interval of `_intervals`; it is free when that interval is
+    not a point.  Without a weight the bound is the number of free entries,
+    the dimension of a non-empty polytope: raising the free entries of an
     up-set from their lower bounds to their upper ones stays inside, so
     only the constant entries are implicit equalities (Pegel, Order 2018).
     A weight subtracts one per row with a free entry: these row sums act on
     disjoint non-empty sets of free entries, so they are independent."""
-    lam, n, m = spec.top, spec.n, spec.m
-    mu = spec.bottom or (0,) * m
     bound = 0
-    for level in range(1, n):
-        free = sum(
-            max(mu[j], lam[j + n - level] if j + n - level < m else 0)
-            < min(lam[j], mu[j - level] if j >= level else lam[j])
-            for j in range(m)
-        )
+    for row in _intervals(spec):
+        free = sum(lo < hi for lo, hi in row)
         bound += free - (spec.weight is not None and free > 0)
     return bound
 
@@ -155,15 +168,18 @@ def dimension(spec: PolytopeSpec) -> int:
 # --- the per-entry step --------------------------------------------------------
 
 def _kernel(
-    spec: PolytopeSpec, k: int, faces: Optional[Iterable[Cells]]
+    spec: PolytopeSpec, k: int, faces: Optional[Iterable[Cells]], interior: bool = False
 ) -> tuple[tuple[int, ...], tuple[int, ...], int, list[list[Callable]]]:
     """The k-th dilate set up for the sweep: the top row as the starting
     profile, the bottom row mu, the face mask to start from (0 when the set
     is empty) and, for each row between them, top-down, the steps choosing
-    its entries left to right: `_step` with each entry's constants bound."""
+    its entries left to right: `_step` with each entry's constants bound.
+    With `interior` the steps keep only the relative interior (count_points)."""
     d = spec.dilate(k)
     if faces is not None and d.kind != "triangular":
         raise ValueError("faces only apply to triangular polytopes")
+    if interior and (faces is not None or d.weight is not None):
+        raise ValueError("an interior count takes no faces and no weight")
     faces = [frozenset()] if faces is None else [frozenset(f) for f in faces]
     mu = d.bottom or (0,) * d.m  # GT(lambda) is the skew polytope over 0...0
     widths = [min(level + d.m - mu.count(0), d.m) for level in range(d.n)]  # before the zero tail
@@ -188,30 +204,54 @@ def _kernel(
         if targets.pop() != sum(d.top):
             mask = 0  # weight incompatible with the top row
 
+    if interior:  # fixed[level][j]: entry j of that row is constant, as the marked rows are
+        fixed = [[True] * d.m] + [[lo >= hi for lo, hi in row] for row in _intervals(d)] + [[True] * d.m]
+
     cap = max(d.top)
     levels, free, above = [], ends.get(-1, 0), None
     for level in range(d.n - 1, 0, -1):
         width = widths[level]
+        los = list(mu[:width])  # x_{l,j} >= mu_j
         his = [mu[j - level] if j >= level else cap for j in range(width)]  # x_{l,j} <= mu_{j-l}
+        opens = [(0, 0)] * width  # 1 where v >= s[j+1], v <= s[j] are strict
+        if interior:  # an inequality is strict unless both its entries are constant
+            row, up = fixed[level], fixed[level + 1]
+            opens = [
+                (int(j + 1 < d.m and not (row[j] and up[j + 1])), int(not (row[j] and up[j])))
+                for j in range(width)
+            ]
+            # no step sweeps the constant entries below a free entry j: mu under
+            # row 1, where x_{0,j} = mu_j and x_{0,j-1} = mu_{j-1} bound it, and
+            # the zero tail x_{l-1,j} = 0 = mu_j past the width of row l-1
+            for j in (j for j in range(width) if not row[j]):
+                if level == 1 or j >= widths[level - 1]:
+                    los[j] += 1
+                if level == 1 and j >= 1:
+                    his[j] -= 1
         steps = []
         for j in range(width):
             free |= ends.get(first[level] + j, 0)
-            ceil = his[j + 1] if j + 1 < width and above and his[j + 1] < above[j + 1] else None
+            ceil = his[j + 1] + opens[j + 1][1] if j + 1 < width and above else None
+            if ceil is not None and ceil >= above[j + 1]:
+                ceil = None  # s[j+1] <= above[j+1] never exceeds it
             cut = (width if j + 1 < width else widths[level - 1]) + 1
-            steps.append(partial(_step, j, mu[j], his[j], cut, ceil, need[level][j], free, targets[level]))
+            steps.append(partial(
+                _step, j, los[j], his[j], *opens[j], cut, ceil, need[level][j], free, targets[level]
+            ))
         levels.append(steps)
         above = his
     return (d.top + (0,))[: widths[-1] + 1], mu, mask, levels
 
 
-def _step(j, lo, hi, cut, ceil, drop, free, target, states):
+def _step(j, lo, hi, below, over, cut, ceil, drop, free, target, states):
     """Map ((profile s, mask), value) pairs to the pairs that choosing entry
-    j leads to, in order, each keeping its value.  v in [s[j+1], s[j]] cut
-    to [lo, hi] goes into s[j] and s[j+1:cut] is kept: a row's last entry
-    keeps a trailing 0 only for a row below as long, and `ceil`, if given,
-    caps s[j+1], which now only bounds entry j+1, to merge states.  A face
-    in `drop` keeps its bit only if v == s[j]; a live face with no cells
-    left puts every completion in the union, so the mask becomes `free`."""
+    j leads to, in order, each keeping its value.  v in [s[j+1] + below,
+    s[j] - over] cut to [lo, hi] goes into s[j] and s[j+1:cut] is kept: a
+    row's last entry keeps a trailing 0 only for a row below as long, and
+    `ceil`, if given, caps s[j+1], which now only bounds entry j+1, to merge
+    states.  A face in `drop` keeps its bit only if v == s[j]; a live face
+    with no cells left puts every completion in the union, so the mask
+    becomes `free`."""
 
     def summed(s):  # the entries after j add at most sum(s[j+1:-1]), at least sum(s[j+2:])
         room = target - sum(s) + s[j]
@@ -224,7 +264,7 @@ def _step(j, lo, hi, cut, ceil, drop, free, target, states):
             s[:j], s[j], s[j + 1 : cut] if ceil is None else (min(s[j + 1], ceil),) + s[j + 2 :],
             free if m & free else m, free if m & ~drop & free else m & ~drop,
         ),)
-        for v in (range(max(s[j + 1], lo), min(up, hi) + 1) if target is None else summed(s))
+        for v in (range(max(s[j + 1] + below, lo), min(up - over, hi) + 1) if target is None else summed(s))
         if off or v == up
     )
 
@@ -258,9 +298,19 @@ def count_points(
     spec: PolytopeSpec,
     k: int = 1,
     faces: Optional[Iterable[Cells]] = None,
+    interior: bool = False,
 ) -> int:
-    """|k.P intersect Z^d|, or of the union of `faces` in it."""
-    start, _, mask, levels = _kernel(spec, k, faces)
+    """|k.P intersect Z^d|, or of the union of `faces` in it.
+
+    With `interior`, the lattice points of the relative interior of k.P,
+    for a spec without a weight and without faces.  Its only implicit
+    equalities are the constant entries (see `dimension`), so the interior
+    makes every interlacing inequality strict unless both its entries are
+    constant, x < y being x <= y - 1 on integers.  Only the inequalities
+    of the polytope count, not the bounds the sweep adds: on row 1 the
+    floors mu_j and ceilings mu_{j-1} are the interlacing with mu, but
+    elsewhere they are implied, and the 0 after a full row bounds nothing."""
+    start, _, mask, levels = _kernel(spec, k, faces, interior)
     states = {(start, mask): 1} if mask else {}
     for steps in levels:
         for step in steps:

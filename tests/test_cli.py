@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -668,3 +671,56 @@ def test_a_weight_that_does_not_fit_is_named_a_weight(capsys, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: weight (0, 1, 2) has a nonzero part after its first 2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ehrhart", "--object", "gt", "--lambda", "3,1,1,0"],
+    ["ehrhart", "--object", "gt", "--lambda", "4,2,2,1,0"],
+    ["ehrhart", "--object", "skew", "--lambda", "3,2,1", "--mu", "2,1"],
+    ["ehrhart", "--object", "skew", "--lambda", "4,3,1", "--mu", "2", "--n", "4"],
+])
+def test_degree_bound_above_the_dimension_fits_and_below_fails(capsys, argv):
+    # d + 1 and d + 2 give the same polynomial, sampled on both sides of 0;
+    # d - 1 samples too few dilations, and the checks say so with exit 2
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    fitted = json.loads(out)
+    d = fitted["degree_bound"]
+    assert len(fitted["poly"]) == d + 1  # the bound is the degree here
+    for bound in (d + 1, d + 2):
+        code, out = run_cli(capsys, *argv, "--degree-bound", str(bound), "--format", "json")
+        result = json.loads(out)
+        assert code == 0 and result["valid"] is True, bound
+        assert result["poly"] == fitted["poly"] and result["degree_bound"] == bound
+        assert min(k for k, _ in result["samples"]) < 0
+    code, out = run_cli(capsys, *argv, "--degree-bound", str(d - 1), "--format", "json")
+    assert code == cli.VIOLATION
+    assert json.loads(out)["valid"] is False
+
+
+PARSER_REUSE_ARGVS = [
+    ["points", "--lambda", "2,1,0", "--count-only"],
+    ["ehrhart", "--object", "skew", "--lambda", "3,2,1", "--mu", "2,1", "--format", "json"],
+    ["ehrhart", "--object", "gt", "--lambda", "2,1,0", "--degree-bound", "x"],
+    ["key", "--lambda", "2,1,0", "--sigma", "[2,1,3]", "--format", "csv"],
+    ["scan", "--family", "nonsense"],
+    ["ehrhart", "--object", "gt-weight", "--lambda", "2,1"],
+    ["points", "--lambda", "2,1,0", "--count-only"],
+    ["faces", "--help"],
+    ["schur", "--lambda", "2,1", "--n", "3"],
+]
+
+
+def test_consecutive_calls_in_one_process_match_fresh_processes(capsys, monkeypatch):
+    # main builds its parser once per process; each call, usage errors and
+    # --help included, must still print and exit as a fresh process does
+    monkeypatch.setenv("COLUMNS", "100")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    script = "import sys; from gtkey import cli; sys.exit(cli.main(sys.argv[1:]))"
+    for argv in PARSER_REUSE_ARGVS:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=env)
+        expected = fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()  # CSV keeps its \r\n
+        assert (code, captured.out, captured.err) == expected, argv
+    assert cli._parser.cache_info().currsize == 1

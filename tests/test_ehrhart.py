@@ -71,12 +71,22 @@ def test_product_formula_matches_interpolation():
         assert result.poly == ehrhart_gt_product(lam)
 
 
-@pytest.mark.parametrize("lam, ks", [((4, 3, 2, 1, 0), range(13)), ((5, 4, 3, 2, 1, 0), range(6))])
+@pytest.mark.parametrize("lam, ks", [
+    ((4, 3, 2, 1, 0), range(13)),
+    ((5, 4, 3, 2, 1, 0), range(6)),
+    ((3, 1, 1, 0), range(8)),
+])
 def test_counts_match_product_formula_at_sampled_dilations(lam, ks):
-    # ehrhart samples GT(4,3,2,1,0) up to k = 12, its degree bound 10 plus two
-    poly = ehrhart_gt_product(lam)
+    # ehrhart samples GT(4,3,2,1,0), of dimension 10, at k = -5..5 and checks
+    # it at 6 and 7; both counts are compared well past that.  By reciprocity
+    # the interior of kGT(lambda) has (-1)^d P(-k) points, also when constant
+    # entries keep it from being GT(k lambda - 2 rho), as for (3,1,1,0)
+    spec = lattice.gt_spec(lam)
+    poly, sign = ehrhart_gt_product(lam), (-1) ** lattice.dimension(spec)
     for k in ks:
-        assert lattice.count_points(lattice.gt_spec(lam), k) == poly(k), k
+        assert lattice.count_points(spec, k) == poly(k), k
+        if k:
+            assert lattice.count_points(spec, k, interior=True) == sign * poly(-k), k
 
 
 def test_skew_fixture_row():
@@ -136,7 +146,7 @@ def test_constant_term_is_one_for_nonempty():
     for obj in objs:
         result = ehrhart_of(obj)
         assert not result.empty
-        assert result.samples[0] == (0, 1)
+        assert dict(result.samples)[0] == 1
         assert result.poly(0) == 1
 
 
@@ -273,7 +283,7 @@ def test_cache_entry_that_does_not_fit_its_counts_is_recomputed(tmp_path, edit):
     obj = gt_object((2, 1, 0))
     right = ehrhart_of(obj, cache=ResultCache(path))
     entry = json.loads(path.read_text())
-    assert entry["samples"][0] == [0, "1"]
+    assert dict(entry["samples"])[0] == "1"
     edit(entry)
     path.write_text(json.dumps(entry) + "\n")
     again = ehrhart_of(obj, cache=ResultCache(path))
@@ -384,7 +394,7 @@ def test_dimension_bounds_the_degree_of_every_scan_object(family, ranges):
 
 def test_cache_entry_under_another_degree_bound_is_a_miss(tmp_path):
     # a line stored under the old bound n*m = 9 is not returned for the
-    # dimension bound 6; the result is recomputed and appended
+    # dimension bound 6; the result is recomputed at k = -3..3, 4, 5 and appended
     path = tmp_path / "cache.jsonl"
     obj = skew_object((3, 2, 1), (2, 1), n=3)
     old = ehrhart_of(obj, degree_bound=9, cache=ResultCache(path))
@@ -392,9 +402,33 @@ def test_cache_entry_under_another_degree_bound_is_a_miss(tmp_path):
     calls = []
     counting = ehrhart.CountedObject(obj.desc, lambda k: calls.append(k) or obj.count(k), obj.bound)
     result = ehrhart_of(counting, cache=ResultCache(path))
-    assert calls == list(range(9))
+    assert calls == list(range(-3, 6))
     assert result.to_json() == ehrhart_of(obj).to_json()
     assert result.degree_bound == 6 and result.poly == old.poly
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [line["degree_bound"] for line in lines] == [9, 6]
     assert ResultCache(path).get(obj.desc, 6).to_json() == result.to_json()
+
+
+def test_cache_entry_under_the_positive_plan_is_a_miss(tmp_path):
+    # a gt line written when every object was sampled at k = 0..D and checked
+    # at D+1, D+2 fits its own counts, but a gt object is now sampled on both
+    # sides of 0; the line is recounted and the new one appended
+    path = tmp_path / "cache.jsonl"
+    obj = gt_object((3, 1, 1, 0))
+    D = obj.bound
+    samples = [(k, obj.count(k)) for k in range(D + 1)]
+    poly = interpolate(samples)
+    checks = [(k, obj.count(k), True) for k in (D + 1, D + 2)]
+    old = EhrhartResult(obj.desc, D, samples, poly, checks, poly.nonneg())
+    assert old.valid and poly == ehrhart_gt_product((3, 1, 1, 0))
+    path.write_text(json.dumps(old.to_json(), sort_keys=True) + "\n")
+    calls = []
+    counting = ehrhart.CountedObject(obj.desc, lambda k: calls.append(k) or obj.count(k), obj.bound)
+    result = ehrhart_of(counting, cache=ResultCache(path))
+    assert calls == list(range(-((D + 1) // 2), D // 2 + 3))
+    assert result.to_json() == ehrhart_of(obj).to_json()
+    assert result.poly == old.poly and result.samples != old.samples
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines == [old.to_json(), result.to_json()]
+    assert ResultCache(path).get(obj.desc, D).to_json() == result.to_json()

@@ -314,3 +314,47 @@ def test_dimension_is_the_affine_rank_of_the_points():
     assert dimension(skew_spec((3, 2, 1), (2, 1), n=3)) == 6
     assert dimension(skew_spec((2, 1), (1,), n=2)) == 2
     assert dimension(gt_spec((2, 1, 0), weight=(1, 1, 1))) == 1
+
+
+def _full_rows(spec, pattern):
+    """A pattern's rows bottom-up, mu (0...0 for GT(lambda)) first, each
+    padded with zeros to the length of the top row."""
+    rows = pattern.rows if spec.kind == "skew" else ((),) + pattern.rows
+    return [tuple(r) + (0,) * (spec.m - len(r)) for r in rows]
+
+
+def _interior_by_filter(spec, k):
+    """The points of the k-th dilate strictly inside every interlacing
+    inequality whose two entries are not both constant.  An entry is
+    constant when it takes one value on all points of the second dilate,
+    which span the affine hull (test_dimension_is_the_affine_rank_of_the_points)."""
+    spread = [_full_rows(spec, p) for p in enumerate_points(spec, 2)]
+    n, m = spec.n, spec.m
+    fixed = {(l, j): len({rows[l][j] for rows in spread}) <= 1 for l in range(n + 1) for j in range(m)}
+    pairs = [((l + 1, j), (l, j)) for l in range(n) for j in range(m)]  # x_{l+1,j} >= x_{l,j}
+    pairs += [((l, j), (l + 1, j + 1)) for l in range(n) for j in range(m - 1)]  # x_{l,j} >= x_{l+1,j+1}
+    strict = [(a, b) for a, b in pairs if not (fixed[a] and fixed[b])]
+    return sum(
+        all(rows[a[0]][a[1]] > rows[b[0]][b[1]] for a, b in strict)
+        for rows in (_full_rows(spec, p) for p in enumerate_points(spec, k))
+    )
+
+
+def test_interior_count_matches_a_filter_of_the_points():
+    # every GT spec in (3,2,1,0) and skew spec in (3,2,1), n = 1..4, k = 1..3,
+    # with GT(3,1,1,0), whose interior is not that of GT(k lambda - 2 rho)
+    specs = [gt_spec(lam) for lam in _box((3, 2, 1, 0))]
+    specs += [skew_spec(lam, mu, n=n) for lam in _box((3, 2, 1)) for mu in _box(lam) for n in range(1, 5)]
+    for spec in specs:
+        for k in (1, 2, 3):
+            assert count_points(spec, k, interior=True) == _interior_by_filter(spec, k), (spec, k)
+    assert count_points(gt_spec((3, 1, 1, 0)), 3, interior=True) == 20
+    assert count_points(gt_spec((3, 1, 1, 0)), 0, interior=True) == 1  # 0P is one point
+    assert count_points(skew_spec((1, 1, 1), (), n=2), 2, interior=True) == 0  # empty
+
+
+def test_interior_count_takes_no_weight_and_no_faces():
+    with pytest.raises(ValueError, match="no faces and no weight"):
+        count_points(gt_spec((2, 1, 0), weight=(1, 1, 1)), interior=True)
+    with pytest.raises(ValueError, match="no faces and no weight"):
+        count_points(gt_spec((2, 1, 0)), faces=[frozenset()], interior=True)
