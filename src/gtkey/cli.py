@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import ehrhart, kogan, lattice, polyops, verify
 from .combinat import (
@@ -87,12 +88,46 @@ def _parse_ranges(text: str | None) -> dict:
     return ranges
 
 
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, without the pure-Python
+    encoder an indent makes json use: strings go through json's own C
+    escaper, and a list of plain ints is joined in one go."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, (int, float)):  # null, true, false, numbers
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        head, tail = "{", "}"
+        items = (f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        head, tail = "[", "]"
+        if all(type(v) is int for v in value):
+            items = map(str, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return head + tail
+    return f"{head}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{tail}"
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a scalar key becomes its JSON text, quoted."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return _quote(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _emit(args, payload, header, rows, lines) -> None:
     """Write one result in --format to --out or stdout: `payload` as JSON,
     `header` and then `rows()` as CSV, or `lines()` as text.  Only the
     chosen format's callable runs."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2)
+        text = _json_text(payload)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

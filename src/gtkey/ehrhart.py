@@ -1,12 +1,14 @@
 """Exact Ehrhart polynomials: interpolation, closed formulas, and scans.
 
 Counting functions are sampled at D+1 consecutive dilations for a proved
-degree bound D, interpolated with exact rational arithmetic, then
-re-checked at the next two.  D is the bound `lattice.dimension` reads off
-the spec: the number of entries whose interval between the marked rows is
-not a point, less one per independent row-sum equation of a weight.  A
-key complex or Kogan face takes the smaller of its own dimension formula
-and the bound of GT(lambda) that contains it.
+degree bound D, interpolated exactly from their forward differences
+(`interpolate`), then re-checked at the next two.  D is the bound
+`lattice.dimension` reads off the spec: the number of entries whose
+interval between the marked rows is not a point, less one per independent
+row-sum equation of a weight.  A Kogan face's D is its dimension, the
+number of free classes once its cells merge entries, and a key complex's
+the largest among its faces (`kogan.face_dimension`,
+`kogan.complex_dimension`); both are the degree.
 
 The object's family picks the dilations (`_plan`).  A GT or skew GT
 polytope P is convex and D is its exact dimension d, so its counting
@@ -15,11 +17,11 @@ reciprocity, L(-k) = (-1)^d times the number of lattice points in the
 relative interior of kP (Macdonald 1971; Beck-Robins, Computing the
 Continuous Discretely, ch. 4), and checked at floor(D/2)+1 and +2: half
 the samples are interior counts at small k instead of counts at large k.
-Key complexes are not convex, and Kogan faces and weighted objects have
-no exact dimension yet, so they keep k = 0..D and the checks at D+1, D+2.
-Both plans check at two consecutive dilations, one even and one odd: a
-single extra point cannot distinguish a period-2 quasi-polynomial from an
-honest polynomial.  A verification mismatch never raises; it is recorded
+Key complexes are not convex, and Kogan faces and weighted objects are
+not sampled by reciprocity yet, so they keep k = 0..D and the checks at
+D+1, D+2.  Both plans check at two consecutive dilations, one even and
+one odd: a single extra point cannot distinguish a period-2
+quasi-polynomial from an honest polynomial.  A verification mismatch never raises; it is recorded
 on the result and surfaced by scans and the CLI.
 """
 
@@ -37,12 +39,9 @@ from .combinat import (
     avoids_pattern,
     check_partition,
     check_permutation,
-    longest_element,
-    multiply,
     pad,
     partitions_in_box,
     partitions_of,
-    perm_length,
 )
 
 
@@ -144,27 +143,32 @@ class UniPoly:
 
 
 def interpolate(samples: Sequence[tuple[int, int]]) -> UniPoly:
-    """Unique polynomial of degree < len(samples) through the samples.
+    """The polynomial of degree <= D through D+1 samples at the consecutive
+    dilations k0, k0+1, ..., k0+D, given in that order (else ValueError).
 
-    Newton's divided differences over exact rationals.  Duplicate
-    evaluation points are an input error.
+    Newton's forward differences: P(k) is the sum over i of the i-th
+    difference of the samples at k0 times binom(k - k0, i).  D! binom(k -
+    k0, i) is D!/i! times a falling factorial, a polynomial with integer
+    coefficients, so integer samples are summed in integers and divided by
+    D! once.  Rational samples work the same way.
     """
     if not samples:
         raise ValueError("need at least one sample")
-    xs = [Fraction(k) for k, _ in samples]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate evaluation points")
-    ys = [Fraction(v) for _, v in samples]
-    # divided difference coefficients
-    coef = list(ys)
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    # Horner expansion of the Newton form
-    poly = UniPoly.constant(0)
-    for i in range(len(xs) - 1, -1, -1):
-        poly = poly * UniPoly.linear(-xs[i], 1) + UniPoly.constant(coef[i])
-    return poly
+    k0 = samples[0][0]
+    if any(k != k0 + i for i, (k, _) in enumerate(samples)):
+        raise ValueError("samples must be at consecutive dilations, in order")
+    diffs = [v for _, v in samples]
+    degree = len(diffs) - 1
+    scale = factorial(degree)
+    coeffs = [0] * len(diffs)
+    basis = [scale]  # D!/i! (k - k0)(k - k0 - 1)...(k - k0 - i + 1), low degree first
+    for i in range(len(diffs)):
+        if i:  # times k - (k0 + i - 1), over i, which divides D!/(i-1)!
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            basis = [(low - (k0 + i - 1) * high) // i for low, high in zip([0] + basis, basis + [0])]
+        for j, b in enumerate(basis):
+            coeffs[j] += diffs[0] * b
+    return UniPoly([Fraction(c, scale) for c in coeffs])
 
 
 def ehrhart_gt_product(lam: Sequence[int], n: int | None = None) -> UniPoly:
@@ -282,23 +286,20 @@ def skew_weight_object(lam, mu, nu, n: int | None = None) -> CountedObject:
 
 def key_complex_object(lam, sigma) -> CountedObject:
     sigma = check_permutation(sigma)
-    n = len(sigma)
-    lam = pad(check_partition(lam), n)
-    codim = perm_length(multiply(longest_element(n), sigma))
+    lam = pad(check_partition(lam), len(sigma))
     return CountedObject(
         {"family": "key_complex", "lambda": list(lam), "sigma": list(sigma)},
         lambda k: kogan.complex_count(lam, sigma, k),
-        min(n * (n - 1) // 2 - codim, lattice.dimension(lattice.gt_spec(lam))),
+        kogan.complex_dimension(lam, sigma),
     )
 
 
 def kogan_face_object(lam, face: kogan.KoganFace) -> CountedObject:
     lam = pad(check_partition(lam), face.n)
-    n = face.n
     return CountedObject(
         {"family": "kogan_face", "lambda": list(lam), "cells": [list(c) for c in face.sorted_cells()]},
         lambda k: kogan.face_count(lam, face, k),
-        min(n * (n - 1) // 2 - len(face.cells), lattice.dimension(lattice.gt_spec(lam))),
+        kogan.face_dimension(lam, face),
     )
 
 

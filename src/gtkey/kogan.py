@@ -154,6 +154,11 @@ def face_count(lam, face: KoganFace, k: int = 1) -> int:
     return lattice.count_points(lattice.gt_spec(lam, n=face.n), k, faces=[face.cells])
 
 
+def face_dimension(lam, face: KoganFace) -> int:
+    """The dimension of the face, the degree of k -> face_count(lam, face, k)."""
+    return lattice.dimension(lattice.gt_spec(lam, n=face.n), [face.cells])
+
+
 def _complex(lam, sigma):
     """The polytope and the face cell sets whose union is the key complex."""
     sigma = check_permutation(sigma)
@@ -177,6 +182,13 @@ def complex_count(lam, sigma, k: int = 1) -> int:
     """
     spec, faces = _complex(lam, sigma)
     return lattice.count_points(spec, k, faces=faces)
+
+
+def complex_dimension(lam, sigma) -> int:
+    """The largest dimension of a face of the key complex, the degree of
+    k -> complex_count(lam, sigma, k)."""
+    spec, faces = _complex(lam, sigma)
+    return lattice.dimension(spec, faces)
 
 
 def key_via_faces(lam, sigma) -> MultiPoly:

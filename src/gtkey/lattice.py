@@ -31,7 +31,7 @@ once in canonical order (entries read top row first).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -146,8 +146,8 @@ def _intervals(spec: PolytopeSpec) -> list[list[tuple[int, int]]]:
     ]
 
 
-def dimension(spec: PolytopeSpec) -> int:
-    """A proved upper bound on the degree of k -> count_points(spec, k).
+def dimension(spec: PolytopeSpec, faces: Optional[Iterable[Cells]] = None) -> int:
+    """A proved upper bound on the degree of k -> count_points(spec, k, faces).
 
     The polytope is a marked order polytope, its top and bottom rows marked
     (Ardila-Bliem-Salazar, JCTA 2011), so each entry of a row between them
@@ -157,12 +157,86 @@ def dimension(spec: PolytopeSpec) -> int:
     up-set from their lower bounds to their upper ones stays inside, so
     only the constant entries are implicit equalities (Pegel, Order 2018).
     A weight subtracts one per row with a free entry: these row sums act on
-    disjoint non-empty sets of free entries, so they are independent."""
-    bound = 0
-    for row in _intervals(spec):
-        free = sum(lo < hi for lo, hi in row)
-        bound += free - (spec.weight is not None and free > 0)
-    return bound
+    disjoint non-empty sets of free entries, so they are independent.
+
+    With `faces` (an unweighted triangular spec only, else ValueError) the
+    bound is the largest dimension of a face, 0 for no face, and it is the
+    degree: the union's count is by inclusion-exclusion a sum of Ehrhart
+    polynomials of faces (intersections of faces are faces), the largest
+    faces' leading coefficients are positive, and GT(lambda) is integral.
+    Every face holds the pattern x_{i,j} = lambda_j, so none is empty, and
+    a face is the marked order polytope of the quotient that merges the
+    entries its cells set equal, so its dimension is read off that quotient
+    as above (`_face_dimension`)."""
+    rows = _intervals(spec)
+    if faces is None:
+        bound = 0
+        for row in rows:
+            free = sum(lo < hi for lo, hi in row)
+            bound += free - (spec.weight is not None and free > 0)
+        return bound
+    if spec.kind != "triangular" or spec.weight is not None:
+        raise ValueError("faces only apply to unweighted triangular polytopes")
+    # the triangle's entries, row by row bottom-up to lambda, as `_edges` numbers them
+    los = [lo for level, row in enumerate(rows, 1) for lo, _ in row[:level]] + list(spec.top)
+    his = [hi for level, row in enumerate(rows, 1) for _, hi in row[:level]] + list(spec.top)
+    return max((_face_dimension(spec.n, los, his, frozenset(cells)) for cells in faces), default=0)
+
+
+def _face_dimension(n: int, los: list[int], his: list[int], cells: Cells) -> int:
+    """The dimension of the face of triangular GT(lambda), n rows, on which
+    every cell (i, j) sets x_{i,j} = x_{i+1,j}, given each entry's interval
+    [los, his] in the numbering of `_edges`: its number of free classes.
+
+    The cells merge entries into classes (a union-find whose classes are
+    runs of one column: a cell is vertical).  Every interlacing edge
+    x_{l,j} <= x_{l+1,j}, x_{l+1,j+1} <= x_{l,j} keeps or lowers the column,
+    so an edge out of a class leaves its column or its run upwards: the
+    quotient order has no cycles, and `_edges` lists the edges in a
+    topological order of their lower ends.  A class takes the intersection
+    of its entries' intervals, which is its top entry's: entry j of row l
+    lies in [lambda_{j+n-l}, lambda_j], so floors rise up a column and the
+    ceiling is the column's.  The classes are then tightened along the
+    edges until nothing changes, which only drops values no point of the
+    face takes.  The ceilings already satisfy every edge (an edge never
+    moves right, and lambda is non-increasing), so only floors tighten, and
+    a floor passed up the edges in topological order is final after one
+    pass.  Then the floors form a point of the face, raising the up-set of
+    a class whose interval is not a point to its ceilings stays in the
+    face, and these moves are independent, so the free classes count the
+    dimension."""
+    for i, j in cells:
+        if not 1 <= j <= i <= n - 1:
+            raise ValueError(f"cell {(i, j)} out of range for n={n}")
+    root = list(range(len(los)))  # each class's top entry
+    los = los[:]
+    for level in range(n - 1, 0, -1):  # top-down: the entry above has its root already
+        for j in range(level):
+            if (level, j + 1) in cells:
+                x = level * (level - 1) // 2 + j
+                root[x] = root[x + level]  # entry j of level + 1
+    for a, b in _edges(n):  # every floor into a's class is final by now
+        a, b = root[a], root[b]
+        if los[b] < los[a]:
+            los[b] = los[a]
+    return sum(los[x] < his[x] for x, r in enumerate(root) if r == x)
+
+
+@lru_cache(maxsize=None)
+def _edges(n: int) -> tuple[tuple[int, int], ...]:
+    """The interlacing edges (a, b), x_a <= x_b, of triangular GT with n
+    rows, entry j of level l (1 <= l <= n, lambda at level n) numbered
+    l(l-1)/2 + j.  They are ordered by a, reading the columns right to
+    left and each bottom-up, a topological order of the triangle."""
+    at = lambda level, j: level * (level - 1) // 2 + j  # noqa: E731
+    edges = []
+    for j in range(n - 1, -1, -1):
+        for level in range(j + 1, n + 1):
+            if level < n:
+                edges.append((at(level, j), at(level + 1, j)))  # x_{l,j} <= x_{l+1,j}
+            if j:
+                edges.append((at(level, j), at(level - 1, j - 1)))  # x_{l,j} <= x_{l-1,j-1}
+    return tuple(edges)
 
 
 # --- the per-entry step --------------------------------------------------------

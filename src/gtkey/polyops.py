@@ -151,7 +151,7 @@ class MultiPoly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """Graded lexicographic order, z_1 > ... > z_n, largest first."""
-        return sorted(self.terms.items(), key=lambda t: (-sum(t[0]), tuple(-e for e in t[0])))
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -185,3 +185,21 @@ def affine_rank(points):
         if col is not None:
             basis[col] = [x / v[col] for x in v]
     return len(basis)
+
+
+def lagrange(samples):
+    """The coefficients, low degree first and without trailing zeros, of the
+    polynomial through the samples (k, value) at distinct k: Lagrange's
+    formula, each basis polynomial expanded factor by factor in Fractions."""
+    from fractions import Fraction
+
+    coeffs = [Fraction(0)] * len(samples)
+    for i, (xi, yi) in enumerate(samples):
+        term = [Fraction(yi)]
+        for j, (xj, _) in enumerate(samples):
+            if j != i:  # times (k - xj) / (xi - xj)
+                term = [(low - xj * high) / (xi - xj) for low, high in zip([0] + term, term + [0])]
+        coeffs = [c + t for c, t in zip(coeffs, term)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtkey import cli, kogan, lattice, polyops
 from gtkey.combinat import partitions_in_box
@@ -31,6 +33,27 @@ GOLDEN_CASES = {
     "scan": ["scan", "--family", "stretched_kostka", "--ranges", "max_size=2;max_rows=2"],
     "verify": ["verify", "--suite", "example-gtkey"],
 }
+
+
+_JSON_TEXT = st.text() | st.sampled_from(
+    ['"', 'a "quoted" [word]', "{[]}", "\\", "\n\t", "caf\u00e9", "\u2603\U0001f600"]
+)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats() | _JSON_TEXT
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(st.integers(), max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(_JSON_TEXT | st.integers() | st.none() | st.booleans(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_writes_what_json_dumps_with_an_indent_writes(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -678,10 +701,13 @@ def test_a_weight_that_does_not_fit_is_named_a_weight(capsys, option):
     ["ehrhart", "--object", "gt", "--lambda", "4,2,2,1,0"],
     ["ehrhart", "--object", "skew", "--lambda", "3,2,1", "--mu", "2,1"],
     ["ehrhart", "--object", "skew", "--lambda", "4,3,1", "--mu", "2", "--n", "4"],
+    ["ehrhart", "--object", "key-complex", "--lambda", "1,1,0,0", "--sigma", "[2,3,4,1]"],
+    ["ehrhart", "--object", "kogan-face", "--lambda", "2,2,1,0", "--cells", "3,2"],
 ])
 def test_degree_bound_above_the_dimension_fits_and_below_fails(capsys, argv):
-    # d + 1 and d + 2 give the same polynomial, sampled on both sides of 0;
-    # d - 1 samples too few dilations, and the checks say so with exit 2
+    # d + 1 and d + 2 give the same polynomial, a gt or skew object sampled on
+    # both sides of 0, a key complex or Kogan face from 0 up; d - 1 samples
+    # too few dilations, and the checks say so with exit 2
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     fitted = json.loads(out)
@@ -692,7 +718,7 @@ def test_degree_bound_above_the_dimension_fits_and_below_fails(capsys, argv):
         result = json.loads(out)
         assert code == 0 and result["valid"] is True, bound
         assert result["poly"] == fitted["poly"] and result["degree_bound"] == bound
-        assert min(k for k, _ in result["samples"]) < 0
+        assert (min(k for k, _ in result["samples"]) < 0) == (argv[2] in ("gt", "skew"))
     code, out = run_cli(capsys, *argv, "--degree-bound", str(d - 1), "--format", "json")
     assert code == cli.VIOLATION
     assert json.loads(out)["valid"] is False

@@ -1,11 +1,12 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from gtkey import ehrhart, lattice
-from gtkey.combinat import avoids_pattern, catalan
+from gtkey.combinat import avoids_pattern, catalan, longest_element, multiply, perm_length
 from gtkey.ehrhart import (
     EhrhartResult,
     ResultCache,
@@ -29,6 +30,7 @@ from gtkey.ehrhart import (
     skew_weight_object,
 )
 from gtkey.kogan import KoganFace
+from oracles import lagrange
 
 
 def test_unipoly_basics():
@@ -49,6 +51,19 @@ def test_interpolate_fixtures():
         interpolate([(1, 1), (1, 2)])
     with pytest.raises(ValueError):
         interpolate([])
+    for samples in ([(0, 1), (2, 9)], [(1, 4), (0, 1)], [(0, 1), (1, 4), (1, 4)]):
+        with pytest.raises(ValueError, match="consecutive"):
+            interpolate(samples)
+
+
+@pytest.mark.parametrize("k0, degree", [(0, 0), (-4, 0), (-3, 5), (2, 8), (-11, 21), (0, 21)])
+def test_interpolate_matches_lagrange(k0, degree):
+    rng = random.Random(100 * k0 + degree)
+    ints = [rng.randint(-10**12, 10**12) for _ in range(degree + 1)]
+    rationals = [Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(degree + 1)]
+    for values in (ints, rationals):
+        samples = list(zip(range(k0, k0 + degree + 1), values))
+        assert list(interpolate(samples).coeffs) == lagrange(samples)
 
 
 def test_interpolate_recovers_high_degree():
@@ -368,8 +383,12 @@ def test_unusable_cache_path_raises_value_error(tmp_path):
 
 
 def _hand_written_bound(desc):
-    """The per-family degree bounds the dimension bound replaced."""
+    """The per-family degree bounds the dimension bound replaced; a key
+    complex's was n(n-1)/2 - l(w0 sigma), capped by the dimension of GT(lambda)."""
     n = desc.get("n", len(desc["lambda"]))
+    if desc["family"] == "key_complex":
+        codim = perm_length(multiply(longest_element(n), desc["sigma"]))
+        return min(n * (n - 1) // 2 - codim, lattice.dimension(lattice.gt_spec(desc["lambda"])))
     return {
         "skew": n * len(desc["lambda"]),
         "skew_weight": n * len(desc["lambda"]) - n,
@@ -381,13 +400,17 @@ def _hand_written_bound(desc):
     ("skew_gt", {"max_shape": (3, 2, 1), "n": 3}),
     ("skew_kostka", {"max_shape": (2, 1), "n": 3}),
     ("stretched_kostka", {"max_size": 4, "max_rows": 3}),
+    ("key_complex", {"n": 3, "max_part": 2}),
+    ("key_complex", {"n": 4, "max_part": 2}),
+    ("key_complex", {"n": 5, "max_part": 1}),
 ])
 def test_dimension_bounds_the_degree_of_every_scan_object(family, ranges):
+    # unweighted, the bound is the degree; a weight may still leave it above
     for obj in ehrhart.scan_objects(family, ranges):
         result = ehrhart_of(obj)
         assert result.valid, obj.desc
         assert obj.bound >= result.poly.degree(), obj.desc
-        if obj.desc["family"] == "skew" and not result.empty:  # unweighted
+        if obj.desc["family"] in ("skew", "key_complex") and not result.empty:
             assert obj.bound == result.poly.degree(), obj.desc
         assert obj.bound <= _hand_written_bound(obj.desc), obj.desc
 
@@ -408,6 +431,25 @@ def test_cache_entry_under_another_degree_bound_is_a_miss(tmp_path):
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [line["degree_bound"] for line in lines] == [9, 6]
     assert ResultCache(path).get(obj.desc, 6).to_json() == result.to_json()
+
+
+def test_key_complex_cache_entry_under_the_old_bound_is_a_miss(tmp_path):
+    # lambda = 1,1,0, sigma = [2,3,1]: the old bound 3 - l(w0 sigma) = 2, but
+    # the complex's faces have dimension at most 1; a line stored under 2 is
+    # not returned, and the result is recounted at k = 0..1, 2, 3 and appended
+    path = tmp_path / "cache.jsonl"
+    obj = key_complex_object((1, 1, 0), (2, 3, 1))
+    old = ehrhart_of(obj, degree_bound=2, cache=ResultCache(path))
+    assert old.valid and old.degree_bound == 2 and obj.bound == 1
+    calls = []
+    counting = ehrhart.CountedObject(obj.desc, lambda k: calls.append(k) or obj.count(k), obj.bound)
+    result = ehrhart_of(counting, cache=ResultCache(path))
+    assert calls == [0, 1, 2, 3]
+    assert result.to_json() == ehrhart_of(obj).to_json()
+    assert result.degree_bound == 1 and result.poly == old.poly and result.poly.degree() == 1
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [line["degree_bound"] for line in lines] == [2, 1]
+    assert ResultCache(path).get(obj.desc, 1).to_json() == result.to_json()
 
 
 def test_cache_entry_under_the_positive_plan_is_a_miss(tmp_path):

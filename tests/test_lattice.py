@@ -6,7 +6,7 @@ from gtkey.ehrhart import compositions
 from gtkey.gtcore import validate_pattern, weight
 from gtkey.kogan import key_faces
 from gtkey.lattice import count_points, dimension, enumerate_points, gt_spec, skew_spec, weight_counts
-from oracles import affine_rank, grid_filter_patterns, skew_ssyt_fillings, ssyt_fillings
+from oracles import affine_rank, grid_filter_patterns, reduced_cell_subsets, skew_ssyt_fillings, ssyt_fillings
 
 
 def test_full_polytope_counts():
@@ -284,10 +284,10 @@ def test_specs_without_rows_are_rejected():
     assert skew_spec((2, 1), (1,)).n == 2  # n left out: one row per part
 
 
-def _rank_at_two(spec):
-    """The affine rank of the lattice points of the second dilate, None
-    when it has none."""
-    points = [p.flat() for p in enumerate_points(spec, 2)]
+def _rank_at_two(spec, faces=None):
+    """The affine rank of the lattice points of the second dilate, or of the
+    union of `faces` in it, None when it has none."""
+    points = [p.flat() for p in enumerate_points(spec, 2, faces)]
     return affine_rank(points) if points else None
 
 
@@ -314,6 +314,38 @@ def test_dimension_is_the_affine_rank_of_the_points():
     assert dimension(skew_spec((3, 2, 1), (2, 1), n=3)) == 6
     assert dimension(skew_spec((2, 1), (1,), n=2)) == 2
     assert dimension(gt_spec((2, 1, 0), weight=(1, 1, 1))) == 1
+
+
+def test_face_dimension_is_the_affine_rank_of_the_face():
+    # every reduced Kogan face over S3 and S4, and every key complex (all the
+    # reduced faces of one type), for lambda in the (3,2,1) and (3,2,1,0)
+    # boxes, many with equal parts: a face of the integral polytope GT(lambda)
+    # is spanned by its points, so its bound is its rank, and a union's bound
+    # is the largest rank among its faces
+    for n in (3, 4):
+        groups = reduced_cell_subsets(n).values()
+        for lam in _box((3, 2, 1, 0)[:n]):
+            spec = gt_spec(lam)
+            for faces in groups:
+                ranks = [_rank_at_two(spec, [frozenset(cells)]) for cells in faces]
+                for cells, rank in zip(faces, ranks):
+                    assert dimension(spec, [frozenset(cells)]) == rank, (lam, cells)
+                assert dimension(spec, [frozenset(cells) for cells in faces]) == max(ranks), (lam, faces)
+    # x_{3,2} = lambda_2 = 2 leaves x_{2,1} only [2, lambda_1 = 2]: of the five
+    # free entries of GT(2,2,1,0) three stay free, where 6 - 1 cell said 5
+    assert dimension(gt_spec((2, 2, 1, 0)), [frozenset({(3, 2)})]) == 3
+    assert dimension(gt_spec((2, 1, 0)), [frozenset()]) == dimension(gt_spec((2, 1, 0))) == 3
+    assert dimension(gt_spec((2, 1, 0)), []) == 0
+
+
+@pytest.mark.parametrize("spec, faces, message", [
+    (skew_spec((2, 1), (1,), n=2), [frozenset()], "faces only apply"),
+    (gt_spec((2, 1, 0), weight=(1, 1, 1)), [frozenset()], "faces only apply"),
+    (gt_spec((2, 1, 0)), [frozenset({(3, 1)})], r"cell \(3, 1\) out of range for n=3"),
+])
+def test_dimension_with_faces_rejects_what_it_cannot_bound(spec, faces, message):
+    with pytest.raises(ValueError, match=message):
+        dimension(spec, faces)
 
 
 def _full_rows(spec, pattern):
