@@ -7,8 +7,8 @@ degree bound D, interpolated exactly from their forward differences
 interval between the marked rows is not a point, less one per independent
 row-sum equation of a weight.  A Kogan face's D is its dimension, the
 number of free classes once its cells merge entries, and a key complex's
-the largest among its faces (`kogan.face_dimension`,
-`kogan.complex_dimension`); both are the degree.
+the largest among its faces (`lattice.dimension` with faces); both are
+the degree.
 
 The object's family picks the dilations (`_plan`).  A GT or skew GT
 polytope P is convex and D is its exact dimension d, so its counting
@@ -287,20 +287,23 @@ def skew_weight_object(lam, mu, nu, n: int | None = None) -> CountedObject:
 def key_complex_object(lam, sigma) -> CountedObject:
     sigma = check_permutation(sigma)
     lam = pad(check_partition(lam), len(sigma))
-    return CountedObject(
-        {"family": "key_complex", "lambda": list(lam), "sigma": list(sigma)},
-        lambda k: kogan.complex_count(lam, sigma, k),
-        kogan.complex_dimension(lam, sigma),
-    )
+    desc = {"family": "key_complex", "lambda": list(lam), "sigma": list(sigma)}
+    return _faces_object(desc, *kogan.complex_spec(lam, sigma))
 
 
 def kogan_face_object(lam, face: kogan.KoganFace) -> CountedObject:
     lam = pad(check_partition(lam), face.n)
-    return CountedObject(
+    return _faces_object(
         {"family": "kogan_face", "lambda": list(lam), "cells": [list(c) for c in face.sorted_cells()]},
-        lambda k: kogan.face_count(lam, face, k),
-        kogan.face_dimension(lam, face),
+        lattice.gt_spec(lam, n=face.n),
+        [face.cells],
     )
+
+
+def _faces_object(desc: dict, spec: lattice.PolytopeSpec, faces: list) -> CountedObject:
+    """The union of `faces` in `spec`, built once and counted at each k;
+    its bound is the largest dimension of a face, which is the degree."""
+    return CountedObject(desc, lambda k: lattice.count_points(spec, k, faces), lattice.dimension(spec, faces))
 
 
 # --- interpolation with verification ------------------------------------------

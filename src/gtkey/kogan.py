@@ -28,7 +28,7 @@ from .combinat import (
     word_to_perm,
 )
 from .gtcore import GTPattern
-from .polyops import MultiPoly
+from .polyops import MultiPoly, weight_sum
 
 
 @dataclass(frozen=True)
@@ -154,12 +154,7 @@ def face_count(lam, face: KoganFace, k: int = 1) -> int:
     return lattice.count_points(lattice.gt_spec(lam, n=face.n), k, faces=[face.cells])
 
 
-def face_dimension(lam, face: KoganFace) -> int:
-    """The dimension of the face, the degree of k -> face_count(lam, face, k)."""
-    return lattice.dimension(lattice.gt_spec(lam, n=face.n), [face.cells])
-
-
-def _complex(lam, sigma):
+def complex_spec(lam, sigma):
     """The polytope and the face cell sets whose union is the key complex."""
     sigma = check_permutation(sigma)
     n = len(sigma)
@@ -169,7 +164,7 @@ def _complex(lam, sigma):
 def complex_points(lam, sigma, k: int = 1) -> list[GTPattern]:
     """Lattice points of the key complex at dilation k, each once, in
     canonical order."""
-    spec, faces = _complex(lam, sigma)
+    spec, faces = complex_spec(lam, sigma)
     return list(lattice.enumerate_points(spec, k, faces=faces))
 
 
@@ -180,18 +175,10 @@ def complex_count(lam, sigma, k: int = 1) -> int:
     the mask of faces whose equalities still hold, so no point set is ever
     materialized and no intersection is counted twice.
     """
-    spec, faces = _complex(lam, sigma)
+    spec, faces = complex_spec(lam, sigma)
     return lattice.count_points(spec, k, faces=faces)
-
-
-def complex_dimension(lam, sigma) -> int:
-    """The largest dimension of a face of the key complex, the degree of
-    k -> complex_count(lam, sigma, k)."""
-    spec, faces = _complex(lam, sigma)
-    return lattice.dimension(spec, faces)
 
 
 def key_via_faces(lam, sigma) -> MultiPoly:
     """Key polynomial: the key complex's lattice points tallied by weight."""
-    spec, faces = _complex(lam, sigma)
-    return MultiPoly(spec.n, lattice.weight_counts(spec, 1, faces))
+    return weight_sum(*complex_spec(lam, sigma))

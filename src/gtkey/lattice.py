@@ -19,21 +19,30 @@ bottom-up as in gtcore); a point lies in the union when it satisfies every
 cell of some face.  The mask has a bit per face whose cells hold so far.
 `faces=None` is the whole polytope and `faces=[]` the empty set.
 
-Counting sweeps the steps with an integer tally per state of the current
-step.  Counting the relative interior is the same sweep, each strict
-inequality x < y taken as x <= y - 1 by the step's bounds (count_points).
-Weight counting is the same sweep with weight tallies: a row's pending
-component, the row above's sum less its own, is added at its end.
-Enumeration chains the steps lazily, a depth-first walk yielding each point
-once in canonical order (entries read top row first).
+A polytope is laid out for the sweep once (`_layout`): the validation,
+the row widths, the face bits, the constant entries, the strict shifts of
+the interior and the emptiness checks are the same at every dilation
+k >= 1, and each bound of the k-th dilate is k times its value at k = 1
+plus a shift, so a dilation only rescales them (`_sweep`).  The layouts
+are kept in a memo of a few entries, as many as one Ehrhart fit
+alternates between.  One choice rule (`_choices`) gives the values an
+entry takes from a state, and three drivers expand it.  Counting expands
+each state's choices in a plain loop into an integer tally per state of
+the next step.  Counting the relative interior is the same sweep, each
+strict inequality x < y taken as x <= y - 1 by the shifted bounds
+(count_points).  Weight counting is the same loop with weight tallies: a
+row's pending component, the row above's sum less its own, is added at its
+end.  Enumeration chains a lazy generator per entry, a depth-first walk
+yielding each point once in canonical order (entries read top row first).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .combinat import check_partition, contains, pad
 from .gtcore import GTPattern, Pattern, SkewGTPattern
@@ -239,59 +248,77 @@ def _edges(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-# --- the per-entry step --------------------------------------------------------
+# --- the sweep: laid out once per polytope, rescaled per dilation ---------------
 
-def _kernel(
-    spec: PolytopeSpec, k: int, faces: Optional[Iterable[Cells]], interior: bool = False
-) -> tuple[tuple[int, ...], tuple[int, ...], int, list[list[Callable]]]:
-    """The k-th dilate set up for the sweep: the top row as the starting
-    profile, the bottom row mu, the face mask to start from (0 when the set
-    is empty) and, for each row between them, top-down, the steps choosing
-    its entries left to right: `_step` with each entry's constants bound.
-    With `interior` the steps keep only the relative interior (count_points)."""
-    d = spec.dilate(k)
-    if faces is not None and d.kind != "triangular":
+class _Layout(NamedTuple):
+    """A polytope laid out for the sweep (`_layout`), every number that a
+    dilation scales kept at k = 1: the top row as the starting profile, the
+    bottom row mu, the mask of all the faces, whether the polytope is empty
+    at every k >= 1 and, for each row between them, top-down, its entries
+    left to right as (j, lo, raise_lo, hi, lower_hi, below, over, cut, ceil,
+    shift, drop, free, target).  A bound at k is k * lo + raise_lo,
+    k * hi + lower_hi, k * ceil + shift or k * target; `ceil` and `target`
+    are None where they bound nothing (see `_choices`)."""
+
+    start: tuple[int, ...]
+    mu: tuple[int, ...]
+    mask: int
+    empty: bool
+    rows: tuple[tuple[tuple, ...], ...]
+
+
+@lru_cache(maxsize=4)
+def _layout(spec: PolytopeSpec, faces: Optional[tuple[Cells, ...]], interior: bool) -> _Layout:
+    """Validate `spec`, `faces` and `interior` and lay out the sweep.
+
+    Nothing here depends on the dilation k >= 1: the row widths, the face
+    bits, which entries are constant, the strict shifts and the emptiness
+    checks read the same off every dilate, and its bounds are k times those
+    of the first.  The memo is small: it holds what one object's fit
+    alternates between (its counts and its interior counts), not every
+    polytope a process has counted."""
+    if faces is not None and spec.kind != "triangular":
         raise ValueError("faces only apply to triangular polytopes")
-    if interior and (faces is not None or d.weight is not None):
+    if interior and (faces is not None or spec.weight is not None):
         raise ValueError("an interior count takes no faces and no weight")
-    faces = [frozenset()] if faces is None else [frozenset(f) for f in faces]
-    mu = d.bottom or (0,) * d.m  # GT(lambda) is the skew polytope over 0...0
-    widths = [min(level + d.m - mu.count(0), d.m) for level in range(d.n)]  # before the zero tail
-    first = [sum(widths[level + 1 :]) for level in range(d.n)]  # sweep place of entry 0
+    faces = (frozenset(),) if faces is None else faces
+    n, m = spec.n, spec.m
+    mu = spec.bottom or (0,) * m  # GT(lambda) is the skew polytope over 0...0
+    widths = [min(level + m - mu.count(0), m) for level in range(n)]  # before the zero tail
+    first = [sum(widths[level + 1 :]) for level in range(n)]  # sweep place of entry 0
 
     need = [[0] * w for w in widths]  # need[level][j]: faces forcing entry j = upper[j]
     ends: dict[int, int] = {}  # sweep place -> the faces whose last cell is there
     for f, cells in enumerate(faces):
         for i, j in cells:
-            if not 1 <= j <= i <= d.n - 1:
-                raise ValueError(f"cell {(i, j)} out of range for n={d.n}")
+            if not 1 <= j <= i <= n - 1:
+                raise ValueError(f"cell {(i, j)} out of range for n={n}")
             need[i][j - 1] |= 1 << f
         last = max((first[i] + j - 1 for i, j in cells), default=-1)
         ends[last] = ends.get(last, 0) | 1 << f
 
-    mask = (1 << len(faces)) - 1
-    if any(d.top[i] > mu[i - d.n] for i in range(d.n, d.m)):
-        mask = 0  # lambda_i > mu_{i-n}: a column of lambda/mu longer than n
-    targets: list[Optional[int]] = [None] * d.n  # row sums fixed by the weight
-    if d.weight is not None:
-        targets = list(accumulate(d.weight, initial=sum(mu)))
-        if targets.pop() != sum(d.top):
-            mask = 0  # weight incompatible with the top row
+    # lambda_i > mu_{i-n}: a column of lambda/mu longer than n
+    empty = any(spec.top[i] > mu[i - n] for i in range(n, m))
+    targets: list[Optional[int]] = [None] * n  # row sums fixed by the weight
+    if spec.weight is not None:
+        targets = list(accumulate(spec.weight, initial=sum(mu)))
+        empty |= targets.pop() != sum(spec.top)  # weight incompatible with the top row
 
     if interior:  # fixed[level][j]: entry j of that row is constant, as the marked rows are
-        fixed = [[True] * d.m] + [[lo >= hi for lo, hi in row] for row in _intervals(d)] + [[True] * d.m]
+        fixed = [[True] * m] + [[lo >= hi for lo, hi in row] for row in _intervals(spec)] + [[True] * m]
 
-    cap = max(d.top)
-    levels, free, above = [], ends.get(-1, 0), None
-    for level in range(d.n - 1, 0, -1):
+    cap = max(spec.top)
+    rows, free, above = [], ends.get(-1, 0), None
+    for level in range(n - 1, 0, -1):
         width = widths[level]
         los = list(mu[:width])  # x_{l,j} >= mu_j
         his = [mu[j - level] if j >= level else cap for j in range(width)]  # x_{l,j} <= mu_{j-l}
+        raise_lo, lower_hi = [0] * width, [0] * width
         opens = [(0, 0)] * width  # 1 where v >= s[j+1], v <= s[j] are strict
         if interior:  # an inequality is strict unless both its entries are constant
             row, up = fixed[level], fixed[level + 1]
             opens = [
-                (int(j + 1 < d.m and not (row[j] and up[j + 1])), int(not (row[j] and up[j])))
+                (int(j + 1 < m and not (row[j] and up[j + 1])), int(not (row[j] and up[j])))
                 for j in range(width)
             ]
             # no step sweeps the constant entries below a free entry j: mu under
@@ -299,48 +326,90 @@ def _kernel(
             # the zero tail x_{l-1,j} = 0 = mu_j past the width of row l-1
             for j in (j for j in range(width) if not row[j]):
                 if level == 1 or j >= widths[level - 1]:
-                    los[j] += 1
+                    raise_lo[j] = 1
                 if level == 1 and j >= 1:
-                    his[j] -= 1
-        steps = []
+                    lower_hi[j] = -1
+        entries = []
         for j in range(width):
             free |= ends.get(first[level] + j, 0)
-            ceil = his[j + 1] + opens[j + 1][1] if j + 1 < width and above else None
-            if ceil is not None and ceil >= above[j + 1]:
-                ceil = None  # s[j+1] <= above[j+1] never exceeds it
+            ceil = shift = None
+            if j + 1 < width and above:  # the cap on s[j+1], bound by entry j+1 alone
+                ceil, shift = his[j + 1], lower_hi[j + 1] + opens[j + 1][1]
+                top, top_shift = above[j + 1]  # s[j+1] <= k * top + top_shift
+                if ceil >= top and ceil + shift >= top + top_shift:
+                    ceil = None  # at no k >= 1 below what s[j+1] can be
             cut = (width if j + 1 < width else widths[level - 1]) + 1
-            steps.append(partial(
-                _step, j, los[j], his[j], *opens[j], cut, ceil, need[level][j], free, targets[level]
+            entries.append((
+                j, los[j], raise_lo[j], his[j], lower_hi[j], *opens[j], cut, ceil, shift,
+                need[level][j], free, targets[level],
             ))
-        levels.append(steps)
-        above = his
-    return (d.top + (0,))[: widths[-1] + 1], mu, mask, levels
+        rows.append(tuple(entries))
+        above = list(zip(his, lower_hi))
+    return _Layout((spec.top + (0,))[: widths[-1] + 1], mu, (1 << len(faces)) - 1, empty, tuple(rows))
 
 
-def _step(j, lo, hi, below, over, cut, ceil, drop, free, target, states):
-    """Map ((profile s, mask), value) pairs to the pairs that choosing entry
-    j leads to, in order, each keeping its value.  v in [s[j+1] + below,
-    s[j] - over] cut to [lo, hi] goes into s[j] and s[j+1:cut] is kept: a
-    row's last entry keeps a trailing 0 only for a row below as long, and
-    `ceil`, if given, caps s[j+1], which now only bounds entry j+1, to merge
-    states.  A face in `drop` keeps its bit only if v == s[j]; a live face
-    with no cells left puts every completion in the union, so the mask
-    becomes `free`."""
+def _sweep(
+    spec: PolytopeSpec, k: int, faces: Optional[Iterable[Cells]], interior: bool = False
+) -> tuple[tuple[int, ...], tuple[int, ...], int, list[list[tuple]]]:
+    """The k-th dilate set up for the sweep: `_layout`'s start, mu and mask
+    and its rows of entries (j, lo, hi, below, over, cut, ceil, drop, free,
+    target) for `_choices`, every bound rescaled to k.  With `interior` only
+    the relative interior is kept (count_points)."""
+    k = operator.index(k)
+    if k < 0:
+        raise ValueError("dilation factor must be >= 0")
+    faces = None if faces is None else tuple(frozenset(f) for f in faces)
+    lay = _layout(spec, faces, interior)
+    if k == 0:  # 0P is the zero point: in every face, and nothing is strict in a point
+        lay = _layout(spec, faces, False)
+    mask = 0 if lay.empty and k else lay.mask
+    rows = [
+        [
+            (
+                j, k * lo + raise_lo, k * hi + lower_hi, below, over, cut,
+                None if ceil is None else k * ceil + shift, drop, free, None if target is None else k * target,
+            )
+            for j, lo, raise_lo, hi, lower_hi, below, over, cut, ceil, shift, drop, free, target in row
+        ]
+        for row in lay.rows
+    ]
+    return tuple(k * x for x in lay.start), tuple(k * x for x in lay.mu), mask, rows
 
-    def summed(s):  # the entries after j add at most sum(s[j+1:-1]), at least sum(s[j+2:])
-        room = target - sum(s) + s[j]
-        return range(max(s[j + 1], lo, room + s[-1]), min(s[j], hi, room + s[j + 1]) + 1)
 
-    return (
-        ((head + (v,) + rest, eq if v == up else off), value)
-        for (s, m), value in states
-        for head, up, rest, eq, off in ((
-            s[:j], s[j], s[j + 1 : cut] if ceil is None else (min(s[j + 1], ceil),) + s[j + 2 :],
-            free if m & free else m, free if m & ~drop & free else m & ~drop,
-        ),)
-        for v in (range(max(s[j + 1] + below, lo), min(up - over, hi) + 1) if target is None else summed(s))
-        if off or v == up
-    )
+def _choices(entry: tuple, s: tuple[int, ...], m: int):
+    """Choosing entry j from the state (profile s, mask m): the profile's
+    head s[:j] and rest, s[j], the masks `eq` and `off`, and the range
+    [a, b] of the values v.  v goes into s[j], giving the profile
+    head + (v,) + rest and the mask eq if v == s[j] else off.
+
+    v lies in [s[j+1] + below, s[j] - over] cut to [lo, hi] and, with a
+    row sum `target`, to what the entries after j can add.  s[j+1:cut] is
+    kept: a row's last entry keeps a trailing 0 only for a row below as
+    long, and `ceil`, if given, caps s[j+1], which now only bounds entry
+    j+1, to merge states.  A face in `drop` keeps its bit only if
+    v == s[j]; a live face with no cells left puts every completion in the
+    union, so the mask becomes `free`.  When no face survives v != s[j],
+    the range is cut to v = s[j]."""
+    j, lo, hi, below, over, cut, ceil, drop, free, target = entry
+    up, nxt = s[j], s[j + 1]
+    if target is None:
+        a, b = nxt + below, up - over
+    else:  # the entries after j add at most sum(s[j+1:-1]), at least sum(s[j+2:])
+        room = target - sum(s) + up
+        a, b = room + s[-1], room + nxt
+        if a < nxt:
+            a = nxt
+        if b > up:
+            b = up
+    if a < lo:
+        a = lo
+    if b > hi:
+        b = hi
+    off = m & ~drop
+    if not off and a < up:
+        a = up
+    rest = s[j + 1 : cut] if ceil is None else (nxt if nxt < ceil else ceil,) + s[j + 2 :]
+    return s[:j], rest, up, free if m & free else m, free if off & free else off, a, b
 
 
 def enumerate_points(
@@ -351,17 +420,23 @@ def enumerate_points(
     """Yield each integral pattern of the k-th dilate exactly once, in
     canonical order.  `faces` restricts a triangular polytope to the union
     of those faces."""
-    start, mu, mask, levels = _kernel(spec, k, faces)
+    start, mu, mask, rows = _sweep(spec, k, faces)
+
+    def chosen(states, entry):  # choosing one entry, lazily
+        for (s, m), value in states:
+            head, rest, up, eq, off, a, b = _choices(entry, s, m)
+            for v in range(a, b + 1):
+                yield (head + (v,) + rest, eq if v == up else off), value
 
     def complete(states, width):  # each profile is a whole row: record it
         return (((s, m), rows + (s[:width],)) for (s, m), rows in states)
 
     # the steps chained lazily walk depth-first; values are the rows so far
     states: Iterable = [((start, mask), (pad(start, spec.m),))] if mask else []
-    for steps in levels:
-        for step in steps:
-            states = step(states)
-        states = complete(states, len(steps))
+    for row in rows:
+        for entry in row:
+            states = chosen(states, entry)
+        states = complete(states, len(row))
     if spec.kind == "triangular":
         yield from (GTPattern(rows[::-1]) for _, rows in states)
     else:  # a skew pattern's rows also hold their zero tails, and mu
@@ -384,13 +459,16 @@ def count_points(
     of the polytope count, not the bounds the sweep adds: on row 1 the
     floors mu_j and ceilings mu_{j-1} are the interlacing with mu, but
     elsewhere they are implied, and the 0 after a full row bounds nothing."""
-    start, _, mask, levels = _kernel(spec, k, faces, interior)
+    start, _, mask, rows = _sweep(spec, k, faces, interior)
     states = {(start, mask): 1} if mask else {}
-    for steps in levels:
-        for step in steps:
+    for row in rows:
+        for entry in row:
             swept: dict = {}
-            for state, count in step(states.items()):
-                swept[state] = swept.get(state, 0) + count
+            for (s, m), count in states.items():
+                head, rest, up, eq, off, a, b = _choices(entry, s, m)
+                for v in range(a, b + 1):
+                    state = (head + (v,) + rest, eq if v == up else off)
+                    swept[state] = swept.get(state, 0) + count
             states = swept
     return sum(states.values())
 
@@ -402,16 +480,18 @@ def weight_counts(
 ) -> dict[tuple[int, ...], int]:
     """The number of integral patterns of the k-th dilate, or of the union
     of `faces` in it, of each weight that occurs."""
-    start, mu, mask, levels = _kernel(spec, k, faces)
+    start, mu, mask, rows = _sweep(spec, k, faces)
     # tally keys: (u, the weight components of the rows above the last row
     # chosen), u that row's sum less |mu|: a row ending at t adds u - t
     base = sum(mu)
     states = {(start, mask): {(sum(start) - base,): 1}} if mask else {}
-    for steps in levels:
-        for step in steps:
-            swept = {}
-            for state, tally in step(states.items()):
-                swept.setdefault(state, []).append(tally)
+    for row in rows:
+        for entry in row:
+            swept: dict = {}
+            for (s, m), tally in states.items():
+                head, rest, up, eq, off, a, b = _choices(entry, s, m)
+                for v in range(a, b + 1):
+                    swept.setdefault((head + (v,) + rest, eq if v == up else off), []).append(tally)
             states = {state: _merged(tallies) for state, tallies in swept.items()}
         for (s, m), tally in states.items():  # each profile is a whole row
             t = sum(s) - base

@@ -272,14 +272,22 @@ def key_via_operators(lam: Sequence[int], sigma: Sequence[int]) -> MultiPoly:
 
 # --- tableau generating polynomials ------------------------------------------
 
+def weight_sum(spec: lattice.PolytopeSpec, faces: Iterable | None = None) -> MultiPoly:
+    """The lattice points of `spec`, or of the union of `faces` in it,
+    summed as weight monomials.  `lattice.weight_counts` maps the weight of
+    a pattern, a tuple of spec.n non-negative ints, to its positive int
+    count, in a dict of its own, so the terms are adopted unchecked."""
+    return MultiPoly._of(spec.n, lattice.weight_counts(spec, 1, faces))
+
+
 def schur(lam: Sequence[int], n: int) -> MultiPoly:
     """Schur polynomial as the weight generating sum over GT(lambda)."""
-    return MultiPoly(n, lattice.weight_counts(lattice.gt_spec(lam, n=n)))
+    return weight_sum(lattice.gt_spec(lam, n=n))
 
 
 def skew_schur(lam: Sequence[int], mu: Sequence[int], n: int) -> MultiPoly:
     """Skew Schur polynomial over the parallelogram patterns of GT(lambda/mu)."""
-    return MultiPoly(n, lattice.weight_counts(lattice.skew_spec(lam, mu, n=n)))
+    return weight_sum(lattice.skew_spec(lam, mu, n=n))
 
 
 def eval_ones(f: MultiPoly) -> int | Fraction:

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from gtkey.ehrhart import compositions
 from gtkey.gtcore import validate_pattern, weight
+from gtkey import lattice
 from gtkey.kogan import key_faces
 from gtkey.lattice import count_points, dimension, enumerate_points, gt_spec, skew_spec, weight_counts
 from oracles import affine_rank, grid_filter_patterns, reduced_cell_subsets, skew_ssyt_fillings, ssyt_fillings
@@ -390,3 +392,69 @@ def test_interior_count_takes_no_weight_and_no_faces():
         count_points(gt_spec((2, 1, 0), weight=(1, 1, 1)), interior=True)
     with pytest.raises(ValueError, match="no faces and no weight"):
         count_points(gt_spec((2, 1, 0)), faces=[frozenset()], interior=True)
+
+
+def _driver_grid():
+    """(spec, faces, interior counts checked?) over gt, skew (the empty
+    skew_spec((2,2),(0,),n=1) too), weighted and face-union specs."""
+    grid = [(gt_spec(lam), None) for lam in [(2, 1, 0), (3, 1, 1, 0), (2, 2, 0, 0), (4,)]]
+    grid += [
+        (skew_spec(lam, mu, n=n), None)
+        for lam, mu, n in [((3, 2, 1), (1,), 3), ((2, 2), (1,), 3), ((3, 1, 0), (1, 0, 0), 4), ((2, 2), (0,), 1)]
+    ]
+    grid += [
+        (gt_spec((3, 1, 0), weight=(1, 2, 1)), None),
+        (skew_spec((3, 2, 1), (1,), weight=(2, 1, 2)), None),
+        (gt_spec((2, 1, 0), weight=(1, 1, 2)), None),  # wrong total
+        (gt_spec((2, 2), weight=(1, 3)), None),  # right total, infeasible
+    ]
+    grid += [
+        (gt_spec((2, 1, 0, 0)), [f.cells for f in key_faces(4, (2, 4, 3, 1))]),
+        (gt_spec((3, 2, 1, 0)), [{(2, 2), (3, 2)}, {(1, 1), (2, 1)}, {(1, 1), (3, 2)}]),
+        (gt_spec((2, 1, 0)), [frozenset()]),
+        (gt_spec((2, 1, 0)), []),
+    ]
+    return grid
+
+
+def test_the_three_drivers_agree_in_any_order():
+    # every count is first taken alone, each sweep laid out afresh; then all
+    # of them again in one shuffled order that mixes specs, faces and k
+    calls = []
+    for spec, faces in _driver_grid():
+        for k in range(4):
+            calls.append((spec, faces, k, False))
+            if faces is None and spec.weight is None and k:
+                calls.append((spec, faces, k, True))
+    alone = {}
+    for spec, faces, k, interior in calls:
+        lattice._layout.cache_clear()
+        if interior:
+            alone[spec, str(faces), k, interior] = count_points(spec, k, interior=True)
+            assert alone[spec, str(faces), k, interior] == _interior_by_filter(spec, k), (spec, k)
+            continue
+        points = list(enumerate_points(spec, k, faces))
+        alone[spec, str(faces), k, interior] = count_points(spec, k, faces)
+        assert alone[spec, str(faces), k, interior] == len(points) == sum(weight_counts(spec, k, faces).values())
+    for spec, faces, k, interior in random.Random(14).sample(calls, len(calls)):
+        assert count_points(spec, k, faces, interior) == alone[spec, str(faces), k, interior], (spec, faces, k)
+
+
+def test_edge_answers_of_the_drivers():
+    empty = skew_spec((2, 2), (0,), n=1)  # a column of 2 boxes with n = 1
+    assert count_points(empty) == 0
+    assert count_points(empty, 0) == count_points(empty, 0, interior=True) == 1
+    assert weight_counts(empty, 0) == {(0,): 1}
+    assert [p.rows for p in enumerate_points(empty, 0)] == [((0, 0), (0, 0))]
+    spec = gt_spec((2, 1, 0))
+    for k in range(4):
+        assert count_points(spec, k, faces=[]) == 0
+    for k, error in [(-1, ValueError), (1.5, TypeError)]:
+        with pytest.raises(error):
+            count_points(spec, k)
+        with pytest.raises(error):
+            count_points(spec, k, interior=True)
+        with pytest.raises(error):
+            weight_counts(spec, k)
+        with pytest.raises(error):
+            list(enumerate_points(spec, k))
