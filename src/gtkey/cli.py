@@ -91,7 +91,8 @@ def _parse_ranges(text: str | None) -> dict:
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, without the pure-Python
     encoder an indent makes json use: strings go through json's own C
-    escaper, and a list of plain ints is joined in one go."""
+    escaper, a list of plain ints is joined in one go, and a `MultiPoly` is
+    written as its `to_json()` would be, without building that list."""
     if isinstance(value, str):
         return _quote(value)
     if value is None or isinstance(value, (int, float)):  # null, true, false, numbers
@@ -106,6 +107,19 @@ def _json_text(value, indent: str = "") -> str:
             items = map(str, value)
         else:
             items = (_json_text(v, inner) for v in value)
+    elif isinstance(value, polyops.MultiPoly):
+        # the {"coeff", "exp"} dicts of to_json(), written straight from the
+        # sorted terms: one join per term, from strings fixed by the depth
+        head, tail = "[", "]"
+        deep, deeper = inner + "  ", inner + "    "
+        start, end = f'{{\n{deep}"coeff": "', f"\n{inner}}}"
+        if value.nvars:
+            exp, sep, close = f'",\n{deep}"exp": [\n{deeper}', f",\n{deeper}", f"\n{deep}]{end}"
+            items = [f"{start}{c!s}{exp}{sep.join(map(str, e))}{close}" for e, c in value.sorted_terms()]
+        else:
+            exp = f'",\n{deep}"exp": []{end}'
+            items = [f"{start}{c!s}{exp}" for _, c in value.sorted_terms()]
+        value = items  # empty exactly when the polynomial is zero
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not value:
@@ -147,9 +161,9 @@ def _emit(args, payload, header, rows, lines) -> None:
         raise CliError(f"--out {args.out}: {exc.strerror or exc}") from exc
 
 
-def _term_rows(terms) -> list:
-    """CSV rows of a polynomial's JSON terms: coefficient, spaced exponents."""
-    return [[t["coeff"], " ".join(str(e) for e in t["exp"])] for t in terms]
+def _term_rows(poly) -> list:
+    """CSV rows of a polynomial's sorted terms: coefficient, spaced exponents."""
+    return [[str(c), " ".join(map(str, e))] for e, c in poly.sorted_terms()]
 
 
 def _open_cache(args) -> ehrhart.ResultCache | None:
@@ -189,13 +203,13 @@ def cmd_key(args) -> int:
         "lambda": list(lam),
         "sigma": list(sigma),
         "method": method,
-        "terms": poly.to_json(),
+        "terms": poly,
         "term_count": len(poly.terms),
         "at_ones": str(polyops.eval_ones(poly)),
     }
     if method == "both":
         payload["methods_agree"] = agree
-    _emit(args, payload, ["coeff", "exp"], lambda: _term_rows(payload["terms"]), lambda: [
+    _emit(args, payload, ["coeff", "exp"], lambda: _term_rows(poly), lambda: [
         f"key polynomial, lambda={list(lam)} sigma={list(sigma)}",
         *([f"methods agree: {agree}"] if method == "both" else []),
         str(poly),
@@ -214,9 +228,9 @@ def cmd_schur(args) -> int:
     else:
         poly = polyops.schur(lam, n)
         desc = {"lambda": list(lam), "n": n}
-    payload = dict(desc, terms=poly.to_json(), at_ones=str(polyops.eval_ones(poly)))
+    payload = dict(desc, terms=poly, at_ones=str(polyops.eval_ones(poly)))
     _emit(
-        args, payload, ["coeff", "exp"], lambda: _term_rows(payload["terms"]),
+        args, payload, ["coeff", "exp"], lambda: _term_rows(poly),
         lambda: [str(poly), f"value at ones {payload['at_ones']}"],
     )
     return 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -56,12 +57,87 @@ def test_json_writer_writes_what_json_dumps_with_an_indent_writes(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
+_COEFFS = (
+    st.integers(min_value=-3, max_value=3) | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.fractions(max_denominator=12) | st.just(Fraction(-1, 2))
+)
+
+
+@st.composite
+def _polys(draw):
+    nvars = draw(st.integers(min_value=0, max_value=4))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=5)] * nvars)
+    return polyops.MultiPoly(nvars, draw(st.dictionaries(exps, _COEFFS, max_size=6)))
+
+
+_POLYS = _polys() | st.builds(polyops.MultiPoly.zero, st.integers(min_value=0, max_value=4))
+_VALUES_WITH_POLYS = st.recursive(
+    _JSON_SCALARS | _POLYS,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(_JSON_TEXT | st.integers(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _polys_as_json(value):
+    """`value` with every polynomial replaced by its to_json() terms."""
+    if isinstance(value, polyops.MultiPoly):
+        return value.to_json()
+    if isinstance(value, dict):
+        return {k: _polys_as_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_polys_as_json(v) for v in value]
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES_WITH_POLYS)
+def test_json_writer_writes_a_polynomial_as_json_dumps_writes_its_terms(value):
+    assert cli._json_text(value) == json.dumps(_polys_as_json(value), indent=2)
+
+
+def test_json_writer_polynomial_edge_cases():
+    zero, constant = polyops.MultiPoly.zero(3), polyops.MultiPoly(0, {(): Fraction(-1, 2)})
+    big = polyops.MultiPoly(2, {(1, 0): -(10**30), (0, 2): 7})
+    assert cli._json_text(zero) == "[]"
+    assert cli._json_text({"p": constant}) == '{\n  "p": [\n    {\n      "coeff": "-1/2",\n      "exp": []\n    }\n  ]\n}'
+    for value in (big, [big, zero], {"a": [constant, {"b": big}]}):
+        assert cli._json_text(value) == json.dumps(_polys_as_json(value), indent=2)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_json_output_matches_golden(capsys, name):
     code, out = run_cli(capsys, *GOLDEN_CASES[name], "--format", "json")
     assert code == 0
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_json_output_is_byte_for_byte_json_dumps_with_an_indent(capsys, name):
+    # the golden files are compared after json.loads; this pins the whitespace
+    code, out = run_cli(capsys, *GOLDEN_CASES[name], "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# (byte count, sha256) of the exact stdout of key and schur polynomials
+PINNED_OUTPUT = {
+    ("key", "--lambda", "4,3,2,1,0,0", "--sigma", "[3,6,1,5,2,4]", "--format", "json"):
+        (29023, "463bf0be4fbda68a342acd51329e0881120c9117163dcddf166e47e454618cec"),
+    ("schur", "--lambda", "4,2,1", "--mu", "2,1", "--n", "3", "--format", "json"):
+        (1436, "8e4065e770b206ad2feb8f02a57dadb2f64b62882b9b6754731dc38bb9e8873d"),
+    ("schur", "--lambda", "4,2,1", "--mu", "2,1", "--n", "3", "--format", "csv"):
+        (146, "b594a0aa501844dfddf419292a979c559432fb00faac00534dc41ba724b02a4d"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUT))
+def test_polynomial_output_is_pinned_byte_for_byte(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_OUTPUT[argv]
 
 
 def test_key_both_reports_agreement(capsys):
