@@ -2,7 +2,7 @@
 
 Counting functions are sampled at D+1 consecutive dilations for a proved
 degree bound D, interpolated exactly from their forward differences
-(`interpolate`), then re-checked at the next two.  D is the bound
+(`interpolate`), then re-checked at two more.  D is the bound
 `lattice.dimension` reads off the spec: the number of entries whose
 interval between the marked rows is not a point, less one per independent
 row-sum equation of a weight.  A Kogan face's D is its dimension, the
@@ -10,19 +10,21 @@ number of free classes once its cells merge entries, and a key complex's
 the largest among its faces (`lattice.dimension` with faces); both are
 the degree.
 
-The object's family picks the dilations (`_plan`).  A GT or skew GT
-polytope P is convex and D is its exact dimension d, so its counting
-function L is sampled at k = -ceil(D/2)..floor(D/2) by Ehrhart-Macdonald
-reciprocity, L(-k) = (-1)^d times the number of lattice points in the
-relative interior of kP (Macdonald 1971; Beck-Robins, Computing the
-Continuous Discretely, ch. 4), and checked at floor(D/2)+1 and +2: half
-the samples are interior counts at small k instead of counts at large k.
-Key complexes are not convex, and Kogan faces and weighted objects are
-not sampled by reciprocity yet, so they keep k = 0..D and the checks at
-D+1, D+2.  Both plans check at two consecutive dilations, one even and
-one odd: a single extra point cannot distinguish a period-2
-quasi-polynomial from an honest polynomial.  A verification mismatch never raises; it is recorded
-on the result and surfaced by scans and the CLI.
+The object's family picks the dilations (`_plan`); every family is
+sampled at k = 0..D.  A GT or skew GT polytope P is counted by two
+independent methods.  Its samples are its Jacobi-Trudi determinant,
+s_{k lambda/k mu}(1^n) as an integer determinant (`_jacobi_trudi`).  Its
+checks are lattice sweeps: the count at k = 1, and at k = -1 and -2 the
+value L(-k) = (-1)^d times the number of lattice points in the relative
+interior of kP by Ehrhart-Macdonald reciprocity (Macdonald 1971;
+Beck-Robins, Computing the Continuous Discretely, ch. 4), d the exact
+dimension.  So its result is valid only when the two methods agree.  Key
+complexes, Kogan faces and weighted objects are counted by the sweep
+alone and checked at D+1 and D+2.  Both plans check at two consecutive
+dilations, one even and one odd: a single extra point cannot distinguish
+a period-2 quasi-polynomial from an honest polynomial.  A verification
+mismatch never raises; it is recorded on the result and surfaced by
+scans and the CLI.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import kogan, lattice
@@ -186,33 +188,43 @@ def ehrhart_gt_product(lam: Sequence[int], n: int | None = None) -> UniPoly:
     return poly * Fraction(1, denom)
 
 
-def binomial_poly(arg: UniPoly, r: int) -> UniPoly:
-    """Falling-factorial binomial coefficient of a linear argument:
-    arg*(arg-1)*...*(arg-r+1)/r!, zero when r < 0, one when r = 0."""
-    if r < 0:
-        return UniPoly()
-    out = UniPoly.constant(1)
-    for t in range(r):
-        out = out * (arg - UniPoly.constant(t))
-    return out * Fraction(1, factorial(r))
+def _det(matrix: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free
+    elimination (Bareiss 1968): after step c every entry below and right of
+    the pivot is a minor of the matrix, so each division is exact.  A zero
+    pivot swaps in a row below with a nonzero entry in its column, and
+    flips the sign; with none the determinant is 0."""
+    a = [list(row) for row in matrix]
+    size, sign, prev = len(a), 1, 1
+    for c in range(size - 1):
+        if not a[c][c]:
+            swap = next((r for r in range(c + 1, size) if a[r][c]), None)
+            if swap is None:
+                return 0
+            a[c], a[swap], sign = a[swap], a[c], -sign
+        pivot, row = a[c][c], a[c]
+        for r in range(c + 1, size):
+            below, lead = a[r], a[r][c]
+            for j in range(c + 1, size):
+                below[j] = (below[j] * pivot - lead * row[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if size else 1
 
 
-def poly_det(matrix: list[list[UniPoly]]) -> UniPoly:
-    """Determinant by cofactor expansion along the first column."""
-    size = len(matrix)
-    if size == 0:
-        return UniPoly.constant(1)
-    if size == 1:
-        return matrix[0][0]
-    total = UniPoly()
-    for r in range(size):
-        entry = matrix[r][0]
-        if entry.is_zero():
-            continue
-        minor = [row[1:] for i, row in enumerate(matrix) if i != r]
-        term = entry * poly_det(minor)
-        total = total + term if r % 2 == 0 else total - term
-    return total
+def _jacobi_trudi(spec: lattice.PolytopeSpec, k: int) -> int:
+    """The number of lattice points of k.GT(lambda/mu) with n rows above
+    mu, for an unweighted spec and k >= 0: s_{k lambda/k mu}(1^n) =
+    det[h_{k(lambda_i - mu_j) - i + j}(1^n)] (Jacobi-Trudi; Macdonald,
+    Symmetric Functions I.5), where h_r(1^n) = binom(r + n - 1, n - 1) is
+    the number of multisets of r elements of n, and 0 for r < 0.  At k = 0
+    the matrix is unitriangular; when a column of lambda/mu is longer than
+    n the determinant is 0 at every k >= 1, as is the polytope's count."""
+    lam, n = spec.top, spec.n
+    mu = spec.bottom or (0,) * len(lam)
+    return _det([
+        [comb(r + n - 1, n - 1) if r >= 0 else 0 for r in (k * (x - y) - i + j for j, y in enumerate(mu))]
+        for i, x in enumerate(lam)
+    ])
 
 
 # --- counted objects ----------------------------------------------------------
@@ -221,14 +233,20 @@ def poly_det(matrix: list[list[UniPoly]]) -> UniPoly:
 class CountedObject:
     """A lattice-point counting family with a dilation parameter and a
     proved upper bound on the degree of its counting function.  `counter`
-    gives the value at every k of the family's `_plan`, negative k too."""
+    gives the value at every k of the family's `_plan`, negative k too;
+    `checker`, when given, gives it by an independent method, and the
+    fit's checks are its counts (`check`)."""
 
     desc: dict
     counter: Callable[[int], int]
     bound: int
+    checker: Optional[Callable[[int], int]] = None
 
     def count(self, k: int) -> int:
         return self.counter(k)
+
+    def check(self, k: int) -> int:
+        return (self.checker or self.counter)(k)
 
     def degree_bound(self) -> int:
         return self.bound
@@ -238,16 +256,19 @@ class CountedObject:
 
 
 def _polytope_object(desc: dict, spec: lattice.PolytopeSpec) -> CountedObject:
-    """An unweighted spec, its counter giving L(k) at every integer k: the
-    count of kP at k >= 0, and (-1)^d times the interior count of |k|P at
-    k < 0 by reciprocity, d the exact dimension `lattice.dimension` proves,
-    whatever degree bound the fit is given."""
+    """An unweighted spec, counted by two independent methods.  Its checker
+    is the lattice sweep, giving L(k) at every integer k: the count of kP
+    at k >= 0, and (-1)^d times the count of the relative interior of |k|P
+    at k < 0 by reciprocity, d the exact dimension `lattice.dimension`
+    proves, whatever degree bound the fit is given.  Its counter is the
+    Jacobi-Trudi determinant at k >= 0 (`_jacobi_trudi`) and the sweep at
+    k < 0."""
     d = lattice.dimension(spec)
 
-    def count(k: int) -> int:
+    def sweep(k: int) -> int:
         return lattice.count_points(spec, k) if k >= 0 else (-1) ** d * lattice.count_points(spec, -k, interior=True)
 
-    return CountedObject(desc, count, d)
+    return CountedObject(desc, lambda k: _jacobi_trudi(spec, k) if k >= 0 else sweep(k), d, sweep)
 
 
 def gt_object(lam, n: int | None = None) -> CountedObject:
@@ -348,21 +369,29 @@ class EhrhartResult:
         )
 
 
-# Families whose counter gives L(k) at k < 0 by reciprocity (`_polytope_object`).
+# Families sampled by the Jacobi-Trudi determinant and checked by the sweep,
+# which counts them at k < 0 by reciprocity (`_polytope_object`).
 _RECIPROCAL = ("gt", "skew")
 
 
-def _plan(desc: dict, D: int) -> tuple[range, tuple[int, int]]:
+def _plan(desc: dict, D: int) -> tuple[range, tuple[int, ...]]:
     """The dilations an object of this family is sampled at and checked at
-    for the degree bound D: D+1 consecutive ones, then the next two."""
-    low = -((D + 1) // 2) if desc["family"] in _RECIPROCAL else 0
-    return range(low, low + D + 1), (low + D + 1, low + D + 2)
+    for the degree bound D: k = 0..D, then D+1 and D+2, or 1, -1 and -2 for
+    a family checked by the sweep.  There the check at 1 compares the two
+    methods at a sample, and those at -1 and -2 the interpolant with the
+    sweep's interior counts: a sample wrong at one k, or a degree bound
+    below the degree, moves the interpolant at -1.  A wrong determinant
+    entry errs at every k, by a polynomial that often vanishes at -1 and
+    -2 (an Ehrhart polynomial of a smaller polytope with no interior
+    points); at 1 it does not."""
+    return range(D + 1), (1, -1, -2) if desc["family"] in _RECIPROCAL else (D + 1, D + 2)
 
 
-def _fit(desc: dict, D: int, count: Callable[[int], int]) -> EhrhartResult:
-    """Interpolate the counts at the dilations of `_plan` and check them at
-    its two extra ones.  A sample at k < 0 is stored as the value L(k) the
-    counter gives, so every sample is a point of the polynomial.
+def _fit(desc: dict, D: int, count: Callable[[int], int], check: Callable[[int], int]) -> EhrhartResult:
+    """Interpolate the counts at the samples of `_plan` and compare the
+    polynomial with the checker's counts at its checks.  A check at k < 0
+    is stored as the value L(k) the checker gives, so every count is a
+    point of the polynomial.
 
     The k = 0 sample of a dilated specification is always the single zero
     pattern, so an empty polytope would poison the fit; if every sample and
@@ -371,7 +400,7 @@ def _fit(desc: dict, D: int, count: Callable[[int], int]) -> EhrhartResult:
     """
     ks, extra = _plan(desc, D)
     samples = [(k, count(k)) for k in ks]
-    checks = [(k, count(k)) for k in extra]
+    checks = [(k, check(k)) for k in extra]
     empty = all(v == 0 for k, v in samples + checks if k)
     poly = UniPoly() if empty else interpolate(samples)
     return EhrhartResult(
@@ -432,8 +461,8 @@ class ResultCache:
             return None
         try:
             stored = EhrhartResult.from_json(hit)
-            counts = dict(stored.samples + [(k, v) for k, v, _ in stored.verify_points])
-            result = _fit(stored.object, degree_bound, counts.__getitem__)
+            checks = {k: v for k, v, _ in stored.verify_points}
+            result = _fit(stored.object, degree_bound, dict(stored.samples).__getitem__, checks.__getitem__)
         except (ValueError, KeyError, TypeError, ZeroDivisionError):
             result = None
         if result is None or result.to_json() != hit:
@@ -474,7 +503,7 @@ def ehrhart_of(
         hit = cache.get(obj.desc, D)
         if hit is not None:
             return hit
-    result = _fit(obj.desc, D, obj.count)
+    result = _fit(obj.desc, D, obj.count, obj.check)
     if cache is not None:
         cache.put(result)
     return result
@@ -509,15 +538,25 @@ def check_flag(b: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def determinant_formula(lam: Sequence[int], b: Sequence[int]) -> UniPoly:
-    """det( binom(k*lam_i + b_i - i, b_i - j) ) over exact polynomials in k."""
+    """det( binom(k*lam_i + b_i - i, b_i - j) ) as an exact polynomial in k.
+
+    Entry (i, j) is the binomial polynomial of degree b_i - j in k, 0 when
+    b_i < j, so every product of the Leibniz sum, and the determinant, has
+    degree at most B = sum(b_i - 1).  It is interpolated from its values at
+    k = 0..B, each an integer determinant (`_det`).  There the upper
+    argument k*lam_i + b_i - i is >= 0, as b_i >= i, and the binomial
+    polynomial's value is math.comb, 0 when b_i - j exceeds it."""
     lam = check_partition(lam)
     n = len(lam)
     b = check_flag(b, n)
-    matrix = []
-    for i in range(1, n + 1):
-        arg = UniPoly.linear(b[i - 1] - i, lam[i - 1])
-        matrix.append([binomial_poly(arg, b[i - 1] - j) for j in range(1, n + 1)])
-    return poly_det(matrix)
+
+    def value(k: int) -> int:
+        return _det([
+            [comb(k * x + c - i, c - j) if c >= j else 0 for j in range(1, n + 1)]
+            for i, (x, c) in enumerate(zip(lam, b), 1)
+        ])
+
+    return interpolate([(k, value(k)) for k in range(sum(b) - n + 1)])
 
 
 def flag_match(

@@ -39,7 +39,7 @@ yielding each point once in canonical order (entries read top row first).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -92,16 +92,6 @@ class PolytopeSpec:
     @property
     def m(self) -> int:
         return len(self.top)
-
-    def dilate(self, k: int) -> "PolytopeSpec":
-        if k < 0:
-            raise ValueError("dilation factor must be >= 0")
-        return replace(
-            self,
-            top=tuple(k * x for x in self.top),
-            bottom=None if self.bottom is None else tuple(k * x for x in self.bottom),
-            weight=None if self.weight is None else tuple(k * x for x in self.weight),
-        )
 
     def describe(self) -> dict:
         desc = {"kind": self.kind, "top": list(self.top)}

@@ -203,3 +203,52 @@ def lagrange(samples):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def leibniz_det(matrix):
+    """The determinant of a square matrix of integers as the sum over all
+    permutations p of sign(p) times the product of the entries (i, p(i))."""
+    total = 0
+    for perm in itertools.permutations(range(len(matrix))):
+        term = -1 if inversions(perm) % 2 else 1
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+def flag_determinant(lam, b):
+    """The coefficients, low degree first and without trailing zeros, of
+    det(binom(k lam_i + b_i - i, b_i - j)) as a polynomial in k: the
+    Leibniz sum of products of binomial polynomials, each expanded as
+    (k lam_i + b_i - i)(k lam_i + b_i - i - 1)... over (b_i - j)!, zero
+    when b_i < j, in Fractions."""
+    from fractions import Fraction
+    from math import factorial
+
+    def times(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    def binomial(i, j):  # rows and columns from 1
+        r = b[i - 1] - j
+        if r < 0:
+            return [Fraction(0)]
+        poly = [Fraction(1)]
+        for t in range(r):
+            poly = times(poly, [Fraction(b[i - 1] - i - t), Fraction(lam[i - 1])])
+        return [c / factorial(r) for c in poly]
+
+    n = len(lam)
+    coeffs = [Fraction(0)]
+    for perm in itertools.permutations(range(1, n + 1)):
+        term = [Fraction(-1 if inversions(perm) % 2 else 1)]
+        for i, j in enumerate(perm, 1):
+            term = times(term, binomial(i, j))
+        coeffs = [x + y for x, y in itertools.zip_longest(coeffs, term, fillvalue=0)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs

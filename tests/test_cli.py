@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtkey import cli, kogan, lattice, polyops
+from gtkey import cli, ehrhart, kogan, lattice, polyops
 from gtkey.combinat import partitions_in_box
 from gtkey.ehrhart import compositions
 
@@ -781,9 +781,10 @@ def test_a_weight_that_does_not_fit_is_named_a_weight(capsys, option):
     ["ehrhart", "--object", "kogan-face", "--lambda", "2,2,1,0", "--cells", "3,2"],
 ])
 def test_degree_bound_above_the_dimension_fits_and_below_fails(capsys, argv):
-    # d + 1 and d + 2 give the same polynomial, a gt or skew object sampled on
-    # both sides of 0, a key complex or Kogan face from 0 up; d - 1 samples
-    # too few dilations, and the checks say so with exit 2
+    # d + 1 and d + 2 give the same polynomial, every object sampled from 0
+    # up, a gt or skew object checked by the sweep at k = 1 and below 0, a
+    # key complex or Kogan face above its samples; d - 1 samples too few
+    # dilations, and the checks say so with exit 2
     code, out = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     fitted = json.loads(out)
@@ -794,10 +795,47 @@ def test_degree_bound_above_the_dimension_fits_and_below_fails(capsys, argv):
         result = json.loads(out)
         assert code == 0 and result["valid"] is True, bound
         assert result["poly"] == fitted["poly"] and result["degree_bound"] == bound
-        assert (min(k for k, _ in result["samples"]) < 0) == (argv[2] in ("gt", "skew"))
+        assert [k for k, _ in result["samples"]] == list(range(bound + 1))
+        checks = [1, -1, -2] if argv[2] in ("gt", "skew") else [bound + 1, bound + 2]
+        assert [k for k, _, _ in result["verify_points"]] == checks
     code, out = run_cli(capsys, *argv, "--degree-bound", str(d - 1), "--format", "json")
     assert code == cli.VIOLATION
     assert json.loads(out)["valid"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["ehrhart", "--object", "skew", "--lambda", "3,2,1", "--mu", "2,1"],
+    ["ehrhart", "--object", "gt", "--lambda", "3,1,1,0"],
+    ["scan", "--family", "skew_gt", "--ranges", "max_shape=3,2,1;n=3"],
+])
+def test_planted_wrong_determinant_entry_exits_two(capsys, monkeypatch, argv):
+    # one entry of every Jacobi-Trudi matrix off by one: the samples are
+    # wrong at every k, and the sweep's checks disagree with them on every
+    # object, also where the error vanishes at k = -1 and -2
+    real = ehrhart._det
+
+    def planted(matrix):
+        matrix = [list(row) for row in matrix]
+        matrix[0][0] += 1
+        return real(matrix)
+
+    monkeypatch.setattr(ehrhart, "_det", planted)
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == cli.VIOLATION
+    payload = json.loads(out)
+    if argv[0] == "scan":
+        assert len(payload["verification_failures"]) == payload["checked"] == 83
+    else:
+        assert payload["valid"] is False
+
+
+def test_heavy_skew_gt_scan_is_valid(capsys):
+    code, out = run_cli(capsys, "scan", "--family", "skew_gt", "--ranges", "max_shape=4,3,2,1;n=4", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["checked"] == len(payload["results"]) == 593
+    assert all(result["valid"] for result in payload["results"])
+    assert not payload["verification_failures"] and not payload["violations"]
 
 
 PARSER_REUSE_ARGVS = [

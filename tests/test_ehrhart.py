@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from gtkey import ehrhart, lattice
-from gtkey.combinat import avoids_pattern, catalan, longest_element, multiply, perm_length
+from gtkey.combinat import avoids_pattern, catalan, longest_element, multiply, partitions_in_box, perm_length
 from gtkey.ehrhart import (
     EhrhartResult,
     ResultCache,
     UniPoly,
-    binomial_poly,
     determinant_formula,
     ehrhart_gt_product,
     ehrhart_of,
@@ -24,13 +23,12 @@ from gtkey.ehrhart import (
     interpolate,
     key_complex_object,
     kogan_face_object,
-    poly_det,
     scan,
     skew_object,
     skew_weight_object,
 )
 from gtkey.kogan import KoganFace
-from oracles import lagrange
+from oracles import flag_determinant, lagrange, leibniz_det
 
 
 def test_unipoly_basics():
@@ -92,8 +90,8 @@ def test_product_formula_matches_interpolation():
     ((3, 1, 1, 0), range(8)),
 ])
 def test_counts_match_product_formula_at_sampled_dilations(lam, ks):
-    # ehrhart samples GT(4,3,2,1,0), of dimension 10, at k = -5..5 and checks
-    # it at 6 and 7; both counts are compared well past that.  By reciprocity
+    # ehrhart samples GT(4,3,2,1,0), of dimension 10, at k = 0..10 and checks
+    # it at 1, -1 and -2; both counts are compared well past that.  By reciprocity
     # the interior of kGT(lambda) has (-1)^d P(-k) points, also when constant
     # entries keep it from being GT(k lambda - 2 rho), as for (3,1,1,0)
     spec = lattice.gt_spec(lam)
@@ -111,6 +109,17 @@ def test_skew_fixture_row():
         (1, Fraction(9, 2), Fraction(33, 4), Fraction(63, 8), Fraction(33, 8), Fraction(9, 8), eighth)
     )
     assert result.valid and result.nonneg
+
+
+def test_a_sample_wrong_at_one_dilation_is_flagged_at_minus_one():
+    # the interpolant moves at k = -1 whichever sample k = 0..D is wrong,
+    # also where the check at k = 1 compares nothing wrong
+    obj = skew_object((3, 2, 1), (2, 1), n=3)
+    assert ehrhart_of(obj).valid
+    for wrong in range(obj.bound + 1):
+        planted = ehrhart.CountedObject(obj.desc, lambda k: obj.count(k) + (k == wrong), obj.bound, obj.checker)
+        result = ehrhart_of(planted)
+        assert [(k, ok) for k, _, ok in result.verify_points][1] == (-1, False), wrong
 
 
 def test_key_complex_object():
@@ -165,20 +174,44 @@ def test_constant_term_is_one_for_nonempty():
         assert result.poly(0) == 1
 
 
-def test_binomial_poly():
-    assert binomial_poly(UniPoly((4,)), 2) == UniPoly((6,))
-    assert binomial_poly(UniPoly((0, 1)), 0) == UniPoly((1,))
-    assert binomial_poly(UniPoly((0, 1)), -1).is_zero()
-    # choose(k+1, 2) = k(k+1)/2 + ... evaluate a few points
-    p = binomial_poly(UniPoly((1, 1)), 2)
-    assert [p(k) for k in range(5)] == [0, 1, 3, 6, 10]
+def test_det_matches_the_leibniz_sum():
+    assert ehrhart._det([]) == 1
+    assert ehrhart._det([[0, 1], [1, 0]]) == -1  # a zero pivot swaps rows
+    assert ehrhart._det([[0, 2, 1], [0, 3, 4], [5, 6, 7]]) == 25
+    assert ehrhart._det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0  # no pivot in the column
+    assert ehrhart._det([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 0  # a zero pivot after a step
+    rng = random.Random(16)
+    for _ in range(400):
+        size = rng.randint(1, 5)
+        matrix = [[rng.choice((0, 0, 1, -1, rng.randint(-10**6, 10**6))) for _ in range(size)] for _ in range(size)]
+        assert ehrhart._det(matrix) == leibniz_det(matrix), matrix
 
 
-def test_poly_det():
-    one = UniPoly((1,))
-    k = UniPoly((0, 1))
-    matrix = [[one, k], [k, one]]
-    assert poly_det(matrix) == one - k * k
+def test_determinant_formula_matches_the_leibniz_sum():
+    # every lambda in the (3,...,3) box and every flag, n <= 4: 614 cases
+    cases = 0
+    for n in range(1, 5):
+        for lam in partitions_in_box((3,) * n):
+            for b in flag_sequences(n):
+                assert list(determinant_formula(lam, b).coeffs) == flag_determinant(lam, b), (lam, b)
+                cases += 1
+    assert cases == 614
+
+
+def test_jacobi_trudi_is_the_count_of_the_sweep():
+    # every lambda/mu inside (3,3,2) with n = 1..4 rows: m > n, n > m and
+    # empty polytopes (a column longer than n), and GT(lambda) padded to n
+    specs = [
+        lattice.skew_spec(lam if any(lam) else (0,), mu, n=n)
+        for n in range(1, 5)
+        for lam in partitions_in_box((3, 3, 2))
+        for mu in partitions_in_box(lam)
+    ]
+    specs += [lattice.gt_spec(lam, n=n) for n in range(1, 5) for lam in partitions_in_box((3,) * min(n, 3))]
+    assert any(lattice.count_points(spec, 1) == 0 for spec in specs)
+    for spec in specs:
+        for k in range(4):
+            assert ehrhart._jacobi_trudi(spec, k) == lattice.count_points(spec, k), (spec, k)
 
 
 def test_determinant_trivial_flag():
@@ -417,7 +450,7 @@ def test_dimension_bounds_the_degree_of_every_scan_object(family, ranges):
 
 def test_cache_entry_under_another_degree_bound_is_a_miss(tmp_path):
     # a line stored under the old bound n*m = 9 is not returned for the
-    # dimension bound 6; the result is recomputed at k = -3..3, 4, 5 and appended
+    # dimension bound 6; the result is recomputed at k = 0..6, 1, -1, -2 and appended
     path = tmp_path / "cache.jsonl"
     obj = skew_object((3, 2, 1), (2, 1), n=3)
     old = ehrhart_of(obj, degree_bound=9, cache=ResultCache(path))
@@ -425,7 +458,7 @@ def test_cache_entry_under_another_degree_bound_is_a_miss(tmp_path):
     calls = []
     counting = ehrhart.CountedObject(obj.desc, lambda k: calls.append(k) or obj.count(k), obj.bound)
     result = ehrhart_of(counting, cache=ResultCache(path))
-    assert calls == list(range(-3, 6))
+    assert calls == [0, 1, 2, 3, 4, 5, 6, 1, -1, -2]
     assert result.to_json() == ehrhart_of(obj).to_json()
     assert result.degree_bound == 6 and result.poly == old.poly
     lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -452,25 +485,49 @@ def test_key_complex_cache_entry_under_the_old_bound_is_a_miss(tmp_path):
     assert ResultCache(path).get(obj.desc, 1).to_json() == result.to_json()
 
 
-def test_cache_entry_under_the_positive_plan_is_a_miss(tmp_path):
-    # a gt line written when every object was sampled at k = 0..D and checked
-    # at D+1, D+2 fits its own counts, but a gt object is now sampled on both
-    # sides of 0; the line is recounted and the new one appended
-    path = tmp_path / "cache.jsonl"
-    obj = gt_object((3, 1, 1, 0))
-    D = obj.bound
-    samples = [(k, obj.count(k)) for k in range(D + 1)]
-    poly = interpolate(samples)
-    checks = [(k, obj.count(k), True) for k in (D + 1, D + 2)]
-    old = EhrhartResult(obj.desc, D, samples, poly, checks, poly.nonneg())
-    assert old.valid and poly == ehrhart_gt_product((3, 1, 1, 0))
+def _recounted_after(path, obj, old):
+    """Store `old`, a line of obj fitted under an earlier plan, and check
+    that the cache misses it: obj is counted at the dilations of the
+    present plan and the new line appended."""
+    assert old.valid and old.poly == ehrhart_of(obj).poly
     path.write_text(json.dumps(old.to_json(), sort_keys=True) + "\n")
     calls = []
     counting = ehrhart.CountedObject(obj.desc, lambda k: calls.append(k) or obj.count(k), obj.bound)
     result = ehrhart_of(counting, cache=ResultCache(path))
-    assert calls == list(range(-((D + 1) // 2), D // 2 + 3))
+    assert calls == list(range(obj.bound + 1)) + [1, -1, -2]
     assert result.to_json() == ehrhart_of(obj).to_json()
-    assert result.poly == old.poly and result.samples != old.samples
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines == [old.to_json(), result.to_json()]
-    assert ResultCache(path).get(obj.desc, D).to_json() == result.to_json()
+    assert ResultCache(path).get(obj.desc, obj.bound).to_json() == result.to_json()
+    return result
+
+
+def _line_under(obj, ks, extra):
+    samples = [(k, obj.count(k)) for k in ks]
+    poly = interpolate(samples)
+    return EhrhartResult(obj.desc, obj.bound, samples, poly, [(k, obj.count(k), True) for k in extra], poly.nonneg())
+
+
+def test_cache_entry_under_the_positive_plan_is_a_miss(tmp_path):
+    # a gt line written when every object was sampled at k = 0..D and checked
+    # at D+1, D+2 fits its own counts, but a gt object is now checked at
+    # k = 1, -1, -2, and the line lacks -1; it is recounted and the new one appended
+    obj = gt_object((3, 1, 1, 0))
+    D = obj.bound
+    old = _line_under(obj, range(D + 1), (D + 1, D + 2))
+    assert old.poly == ehrhart_gt_product((3, 1, 1, 0))
+    result = _recounted_after(tmp_path / "cache.jsonl", obj, old)
+    assert result.samples == old.samples and result.verify_points != old.verify_points
+
+
+def test_cache_entry_under_the_reciprocity_plan_is_a_miss(tmp_path):
+    # a skew line written when gt and skew objects were sampled at
+    # k = -ceil(D/2)..floor(D/2) and checked at the next two holds, for D = 4,
+    # every count the present plan needs; refitted under it, those counts give
+    # another entry, so the line is recounted and the new one appended
+    obj = skew_object((2, 1, 0), (1,), n=3)
+    D = obj.bound
+    assert D == 4
+    old = _line_under(obj, range(-2, 3), (3, 4))
+    result = _recounted_after(tmp_path / "cache.jsonl", obj, old)
+    assert result.poly == old.poly and result.samples != old.samples
