@@ -2,7 +2,8 @@
 
 Counting functions are sampled at D+1 consecutive dilations for a proved
 degree bound D, interpolated exactly from their forward differences
-(`interpolate`), then re-checked at two more.  D is the bound
+(`interpolate`) into integer numerators over one denominator dividing D!
+(`UniPoly`), then re-checked at two more.  D is the bound
 `lattice.dimension` reads off the spec: the number of entries whose
 interval between the marked rows is not a point, less one per independent
 row-sum equation of a weight.  A Kogan face's D is its dimension, the
@@ -33,7 +34,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import kogan, lattice
@@ -48,15 +49,36 @@ from .combinat import (
 
 
 class UniPoly:
-    """Dense univariate polynomial over the rationals, low degree first."""
+    """Dense univariate polynomial over the rationals, low degree first.
 
-    __slots__ = ("coeffs",)
+    It is held as integer numerators `nums` over one positive common
+    denominator `den`, in lowest terms (no prime divides `den` and every
+    numerator) and without trailing zeros, so equal polynomials have equal
+    fields.  `coeffs` gives the coefficients as Fractions."""
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Sequence[Fraction | int] = ()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        self._hold([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _over(cls, nums: list[int], den: int) -> "UniPoly":
+        """The polynomial with integer numerators `nums` over `den` != 0."""
+        poly = cls.__new__(cls)
+        poly._hold(nums, den)
+        return poly
+
+    def _hold(self, nums: list[int], den: int) -> None:
+        """Keep nums/den without trailing zeros and in lowest terms over a
+        positive denominator."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        self.nums, self.den = tuple(c // g for c in nums), den // g
 
     @classmethod
     def constant(cls, value) -> "UniPoly":
@@ -66,79 +88,101 @@ class UniPoly:
     def linear(cls, constant, slope) -> "UniPoly":
         return cls((constant, slope))
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self.nums) - 1
 
-    def __call__(self, k) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * k + c
-        return acc
+    def __call__(self, k) -> int | Fraction:
+        """The value at an integer or rational k: Horner's rule on the
+        numerators, divided by the denominator once; an int when the value
+        is integral, else a Fraction."""
+        if isinstance(k, int):
+            acc = 0
+            for c in reversed(self.nums):
+                acc = acc * k + c
+            whole, rest = divmod(acc, self.den)
+            return Fraction(acc, self.den) if rest else whole
+        k = Fraction(k)
+        p, q = k.numerator, k.denominator
+        acc, scale = 0, 1  # after i steps acc is q^(i-1) times the Horner value, scale q^i
+        for c in reversed(self.nums):
+            acc = acc * p + c * scale
+            scale *= q
+        value = Fraction(acc * q, self.den * scale)
+        return value.numerator if value.denominator == 1 else value
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+            a[i] += c
+        return UniPoly._over(a, den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly._over([-c for c in self.nums], self.den)
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+            return UniPoly._over([c * other.numerator for c in self.nums], self.den * other.denominator)
+        out = [0] * max(len(self.nums) + len(other.nums) - 1, 0)
+        for i, a in enumerate(self.nums):
+            for j, b in enumerate(other.nums):
                 out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly._over(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def nonneg(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
+        return all(c >= 0 for c in self.nums)
+
+    def _reduced(self) -> Iterator[tuple[int, int]]:
+        """Each coefficient in lowest terms, as (numerator, denominator)."""
+        den = self.den
+        for c in self.nums:
+            g = gcd(c, den)
+            yield c // g, den // g
 
     def coeff_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        return [str(a) if b == 1 else f"{a}/{b}" for a, b in self._reduced()]
 
     @classmethod
     def from_coeff_strings(cls, items: Sequence[str]) -> "UniPoly":
         return cls([Fraction(s) for s in items])
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
-            if c == 0:
+        for power, (a, b) in reversed(list(enumerate(self._reduced()))):
+            if a == 0:
                 continue
+            mag = str(abs(a)) if b == 1 else f"{abs(a)}/{b}"
             if power == 0:
-                term = str(abs(c))
+                term = mag
             else:
-                mag = abs(c)
-                head = "" if mag == 1 else f"{mag}*"
+                head = "" if mag == "1" else f"{mag}*"
                 term = f"{head}k" if power == 1 else f"{head}k^{power}"
             if not parts:
-                parts.append(term if c > 0 else f"-{term}")
+                parts.append(term if a > 0 else f"-{term}")
             else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+                parts.append(f"+ {term}" if a > 0 else f"- {term}")
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
@@ -151,26 +195,27 @@ def interpolate(samples: Sequence[tuple[int, int]]) -> UniPoly:
     Newton's forward differences: P(k) is the sum over i of the i-th
     difference of the samples at k0 times binom(k - k0, i).  D! binom(k -
     k0, i) is D!/i! times a falling factorial, a polynomial with integer
-    coefficients, so integer samples are summed in integers and divided by
-    D! once.  Rational samples work the same way.
+    coefficients, so integer samples are summed in integers and the sums
+    are the numerators over D!.  Rational samples are first put over their
+    common denominator s, and the sums are then over s D!.
     """
     if not samples:
         raise ValueError("need at least one sample")
     k0 = samples[0][0]
     if any(k != k0 + i for i, (k, _) in enumerate(samples)):
         raise ValueError("samples must be at consecutive dilations, in order")
-    diffs = [v for _, v in samples]
+    scale = lcm(*(v.denominator for _, v in samples))
+    diffs = [v.numerator * (scale // v.denominator) for _, v in samples]
     degree = len(diffs) - 1
-    scale = factorial(degree)
     coeffs = [0] * len(diffs)
-    basis = [scale]  # D!/i! (k - k0)(k - k0 - 1)...(k - k0 - i + 1), low degree first
+    basis = [factorial(degree)]  # D!/i! (k - k0)(k - k0 - 1)...(k - k0 - i + 1), low degree first
     for i in range(len(diffs)):
         if i:  # times k - (k0 + i - 1), over i, which divides D!/(i-1)!
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
             basis = [(low - (k0 + i - 1) * high) // i for low, high in zip([0] + basis, basis + [0])]
         for j, b in enumerate(basis):
             coeffs[j] += diffs[0] * b
-    return UniPoly([Fraction(c, scale) for c in coeffs])
+    return UniPoly._over(coeffs, scale * factorial(degree))
 
 
 def ehrhart_gt_product(lam: Sequence[int], n: int | None = None) -> UniPoly:
@@ -526,17 +571,6 @@ def flag_sequences(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def check_flag(b: Sequence[int], n: int) -> tuple[int, ...]:
-    b = tuple(b)
-    if len(b) != n:
-        raise ValueError("flag length must equal n")
-    if any(b[i] < i + 1 or b[i] > n for i in range(n)):
-        raise ValueError(f"flag {b!r} out of range")
-    if any(b[i] > b[i + 1] for i in range(n - 1)):
-        raise ValueError(f"flag {b!r} must be nondecreasing")
-    return b
-
-
 def determinant_formula(lam: Sequence[int], b: Sequence[int]) -> UniPoly:
     """det( binom(k*lam_i + b_i - i, b_i - j) ) as an exact polynomial in k.
 
@@ -545,10 +579,19 @@ def determinant_formula(lam: Sequence[int], b: Sequence[int]) -> UniPoly:
     degree at most B = sum(b_i - 1).  It is interpolated from its values at
     k = 0..B, each an integer determinant (`_det`).  There the upper
     argument k*lam_i + b_i - i is >= 0, as b_i >= i, and the binomial
-    polynomial's value is math.comb, 0 when b_i - j exceeds it."""
+    polynomial's value is math.comb, 0 when b_i - j exceeds it.
+
+    b must be a flag sequence of length n = len(lam) (see flag_sequences),
+    else ValueError."""
     lam = check_partition(lam)
     n = len(lam)
-    b = check_flag(b, n)
+    b = tuple(b)
+    if len(b) != n:
+        raise ValueError("flag length must equal n")
+    if any(b[i] < i + 1 or b[i] > n for i in range(n)):
+        raise ValueError(f"flag {b!r} out of range")
+    if any(b[i] > b[i + 1] for i in range(n - 1)):
+        raise ValueError(f"flag {b!r} must be nondecreasing")
 
     def value(k: int) -> int:
         return _det([

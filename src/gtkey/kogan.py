@@ -145,15 +145,6 @@ def key_faces(n: int, sigma) -> tuple[KoganFace, ...]:
     return enumerate_reduced_faces(n, tau)
 
 
-def face_points(lam, face: KoganFace, k: int = 1) -> list[GTPattern]:
-    """Lattice points of the k-th dilate of GT(lambda) lying on the face."""
-    return list(lattice.enumerate_points(lattice.gt_spec(lam, n=face.n), k, faces=[face.cells]))
-
-
-def face_count(lam, face: KoganFace, k: int = 1) -> int:
-    return lattice.count_points(lattice.gt_spec(lam, n=face.n), k, faces=[face.cells])
-
-
 def complex_spec(lam, sigma):
     """The polytope and the face cell sets whose union is the key complex."""
     sigma = check_permutation(sigma)

@@ -19,20 +19,22 @@ bottom-up as in gtcore); a point lies in the union when it satisfies every
 cell of some face.  The mask has a bit per face whose cells hold so far.
 `faces=None` is the whole polytope and `faces=[]` the empty set.
 
-A polytope is laid out for the sweep once (`_layout`): the validation,
-the row widths, the face bits, the constant entries, the strict shifts of
-the interior and the emptiness checks are the same at every dilation
-k >= 1, and each bound of the k-th dilate is k times its value at k = 1
-plus a shift, so a dilation only rescales them (`_sweep`).  The layouts
-are kept in a memo of a few entries, as many as one Ehrhart fit
-alternates between.  One choice rule (`_choices`) gives the values an
-entry takes from a state, and three drivers expand it.  Counting expands
-each state's choices in a plain loop into an integer tally per state of
-the next step.  Counting the relative interior is the same sweep, each
-strict inequality x < y taken as x <= y - 1 by the shifted bounds
-(count_points).  Weight counting is the same loop with weight tallies: a
-row's pending component, the row above's sum less its own, is added at its
-end.  Enumeration chains a lazy generator per entry, a depth-first walk
+A polytope is laid out for the sweep once (`_layout`), in one pass over
+its rows: the validation, the row widths, the face bits, the constant
+entries, the emptiness checks and the bounds are the same at every
+dilation k >= 1, and each bound of the k-th dilate is k times its value at
+k = 1, so a dilation only rescales them (`_sweep`) and k = 1 uses them as
+they are.  The relative interior is the same rows with shifted bounds,
+each strict inequality x < y taken as x <= y - 1, and the same pass lays
+out those shifts: an object's counts and interior counts share one layout,
+read off the one list of entry intervals (`_intervals`) that `dimension`
+reads too.  The layouts are kept in a memo of a few entries.  One choice
+rule (`_choices`) gives the values an entry takes from a state, and three
+drivers expand it.  Counting expands each state's choices in a plain loop
+into an integer tally per state of the next step, of the polytope or of
+its relative interior (count_points).  Weight counting is the same loop
+with weight tallies: a row's pending component, the row above's sum less
+its own, is added at its end.  Enumeration chains a lazy generator per entry, a depth-first walk
 yielding each point once in canonical order (entries read top row first).
 """
 
@@ -42,7 +44,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .combinat import check_partition, contains, pad
 from .gtcore import GTPattern, Pattern, SkewGTPattern
@@ -127,22 +129,19 @@ def skew_spec(lam, mu=(), weight=None, n: int | None = None) -> PolytopeSpec:
     return PolytopeSpec(lam, bottom=mu, weight=None if weight is None else pad(weight, n, "weight"), n=n)
 
 
-def _intervals(spec: PolytopeSpec) -> list[list[tuple[int, int]]]:
+@lru_cache(maxsize=4)
+def _intervals(spec: PolytopeSpec) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each row l = 1..n-1 between the marked ones, bottom-up, the
     interval [max(mu_j, lambda_{j+n-l}), min(lambda_j, mu_{j-l})] of each
-    entry j, a missing index imposing nothing."""
+    entry j, a missing index imposing nothing.  `dimension` and `_layout`
+    both read them, so an object's bound and its sweep share one copy."""
     lam, n, m = spec.top, spec.n, spec.m
     mu = spec.bottom or (0,) * m
-    return [
-        [
-            (
-                max(mu[j], lam[j + n - level] if j + n - level < m else 0),
-                min(lam[j], mu[j - level] if j >= level else lam[j]),
-            )
-            for j in range(m)
-        ]
-        for level in range(1, n)
-    ]
+    tail = lam + (0,) * n  # lambda_i, and 0 past its end
+    # floors max(mu_j, tail_{j+n-l}); ceilings min(lambda_j, mu_{j-l}), lambda_j alone for j < l
+    return tuple(
+        tuple(zip(map(max, mu, tail[n - level :]), map(min, lam, lam[:level] + mu))) for level in range(1, n)
+    )
 
 
 def dimension(spec: PolytopeSpec, faces: Optional[Iterable[Cells]] = None) -> int:
@@ -241,36 +240,45 @@ def _edges(n: int) -> tuple[tuple[int, int], ...]:
 # --- the sweep: laid out once per polytope, rescaled per dilation ---------------
 
 class _Layout(NamedTuple):
-    """A polytope laid out for the sweep (`_layout`), every number that a
-    dilation scales kept at k = 1: the top row as the starting profile, the
-    bottom row mu, the mask of all the faces, whether the polytope is empty
-    at every k >= 1 and, for each row between them, top-down, its entries
-    left to right as (j, lo, raise_lo, hi, lower_hi, below, over, cut, ceil,
-    shift, drop, free, target).  A bound at k is k * lo + raise_lo,
-    k * hi + lower_hi, k * ceil + shift or k * target; `ceil` and `target`
-    are None where they bound nothing (see `_choices`)."""
+    """A polytope laid out for the sweep (`_layout`) at k = 1: the top row
+    as the starting profile, the bottom row mu, the mask of all the faces,
+    whether the polytope is empty at every k >= 1, and for each row between
+    them, top-down, its entries left to right as `_choices` takes them,
+    (j, lo, hi, 0, 0, cut, ceil, drop, free, target).  At k each of lo, hi,
+    ceil and target is k times its value here.
+
+    `strict` turns the rows into those of the relative interior: for each
+    entry the shifts (raise_lo, lower_hi, below, over, shift), the bounds
+    at k being k * lo + raise_lo, k * hi + lower_hi and k * ceil + shift,
+    and v >= s[j+1] + below, v <= s[j] - over.  It is None in a layout with
+    faces or a weight, which has no interior count."""
 
     start: tuple[int, ...]
     mu: tuple[int, ...]
     mask: int
     empty: bool
     rows: tuple[tuple[tuple, ...], ...]
+    strict: Optional[tuple[tuple[tuple[int, int, int, int, int], ...], ...]]
 
 
 @lru_cache(maxsize=4)
-def _layout(spec: PolytopeSpec, faces: Optional[tuple[Cells, ...]], interior: bool) -> _Layout:
-    """Validate `spec`, `faces` and `interior` and lay out the sweep.
+def _layout(spec: PolytopeSpec, faces: Optional[tuple[Cells, ...]]) -> _Layout:
+    """Validate `spec` and `faces` and lay out the sweep of the polytope
+    and of its relative interior, in one pass over its rows.
 
     Nothing here depends on the dilation k >= 1: the row widths, the face
     bits, which entries are constant, the strict shifts and the emptiness
     checks read the same off every dilate, and its bounds are k times those
-    of the first.  The memo is small: it holds what one object's fit
-    alternates between (its counts and its interior counts), not every
-    polytope a process has counted."""
+    of the first.  An entry is constant when its interval of `_intervals`
+    is a point, and in the interior an inequality is strict unless both its
+    entries are constant, so the interior is the same rows with shifted
+    bounds.  A cap on s[j+1] that only the interior needs is kept in the
+    plain rows too, where it caps nothing.  The memo is small: one object's
+    fit uses one layout (its counts and its interior counts), and the memo
+    does not keep every polytope a process has counted."""
     if faces is not None and spec.kind != "triangular":
         raise ValueError("faces only apply to triangular polytopes")
-    if interior and (faces is not None or spec.weight is not None):
-        raise ValueError("an interior count takes no faces and no weight")
+    has_interior = faces is None and spec.weight is None
     faces = (frozenset(),) if faces is None else faces
     n, m = spec.n, spec.m
     mu = spec.bottom or (0,) * m  # GT(lambda) is the skew polytope over 0...0
@@ -294,75 +302,81 @@ def _layout(spec: PolytopeSpec, faces: Optional[tuple[Cells, ...]], interior: bo
         targets = list(accumulate(spec.weight, initial=sum(mu)))
         empty |= targets.pop() != sum(spec.top)  # weight incompatible with the top row
 
-    if interior:  # fixed[level][j]: entry j of that row is constant, as the marked rows are
-        fixed = [[True] * m] + [[lo >= hi for lo, hi in row] for row in _intervals(spec)] + [[True] * m]
-
     cap = max(spec.top)
-    rows, free, above = [], ends.get(-1, 0), None
+    rows, strict, free = [], [], ends.get(-1, 0)
+    above = None  # the row above's ceilings and their interior shifts
+    up = (True,) * m  # which entries of the row above are constant: the top row is marked
+    intervals = _intervals(spec) if has_interior else ()
     for level in range(n - 1, 0, -1):
-        width = widths[level]
-        los = list(mu[:width])  # x_{l,j} >= mu_j
-        his = [mu[j - level] if j >= level else cap for j in range(width)]  # x_{l,j} <= mu_{j-l}
-        raise_lo, lower_hi = [0] * width, [0] * width
-        opens = [(0, 0)] * width  # 1 where v >= s[j+1], v <= s[j] are strict
-        if interior:  # an inequality is strict unless both its entries are constant
-            row, up = fixed[level], fixed[level + 1]
-            opens = [
-                (int(j + 1 < m and not (row[j] and up[j + 1])), int(not (row[j] and up[j])))
-                for j in range(width)
-            ]
+        width, span = widths[level], range(widths[level])
+        his = [mu[j - level] if j >= level else cap for j in span]  # x_{l,j} <= mu_{j-l}; lo is mu_j
+        raise_lo = lower_hi = below = over = [0] * width
+        if has_interior:
+            row = [lo >= hi for lo, hi in intervals[level - 1]]
             # no step sweeps the constant entries below a free entry j: mu under
             # row 1, where x_{0,j} = mu_j and x_{0,j-1} = mu_{j-1} bound it, and
             # the zero tail x_{l-1,j} = 0 = mu_j past the width of row l-1
-            for j in (j for j in range(width) if not row[j]):
-                if level == 1 or j >= widths[level - 1]:
-                    raise_lo[j] = 1
-                if level == 1 and j >= 1:
-                    lower_hi[j] = -1
+            raise_lo = [int(not row[j] and (level == 1 or j >= widths[level - 1])) for j in span]
+            lower_hi = [-int(not row[j] and level == 1 and j >= 1) for j in span]
+            # 1 where v >= s[j+1], v <= s[j] are strict
+            below = [int(j + 1 < m and not (row[j] and up[j + 1])) for j in span]
+            over = [int(not (row[j] and up[j])) for j in span]
+            up = row
+        shift = [lower_hi[j] + over[j] for j in range(1, width)] + [0]  # of the cap on s[j+1]
         entries = []
-        for j in range(width):
+        for j in span:
             free |= ends.get(first[level] + j, 0)
-            ceil = shift = None
+            ceil = None
             if j + 1 < width and above:  # the cap on s[j+1], bound by entry j+1 alone
-                ceil, shift = his[j + 1], lower_hi[j + 1] + opens[j + 1][1]
+                ceil = his[j + 1]
                 top, top_shift = above[j + 1]  # s[j+1] <= k * top + top_shift
-                if ceil >= top and ceil + shift >= top + top_shift:
+                if ceil >= top and ceil + shift[j] >= top + top_shift:
                     ceil = None  # at no k >= 1 below what s[j+1] can be
             cut = (width if j + 1 < width else widths[level - 1]) + 1
-            entries.append((
-                j, los[j], raise_lo[j], his[j], lower_hi[j], *opens[j], cut, ceil, shift,
-                need[level][j], free, targets[level],
-            ))
+            entries.append((j, mu[j], his[j], 0, 0, cut, ceil, need[level][j], free, targets[level]))
         rows.append(tuple(entries))
+        if has_interior:
+            strict.append(tuple(zip(raise_lo, lower_hi, below, over, shift)))
         above = list(zip(his, lower_hi))
-    return _Layout((spec.top + (0,))[: widths[-1] + 1], mu, (1 << len(faces)) - 1, empty, tuple(rows))
+    start = (spec.top + (0,))[: widths[-1] + 1]
+    return _Layout(start, mu, (1 << len(faces)) - 1, empty, tuple(rows), tuple(strict) if has_interior else None)
 
 
 def _sweep(
     spec: PolytopeSpec, k: int, faces: Optional[Iterable[Cells]], interior: bool = False
-) -> tuple[tuple[int, ...], tuple[int, ...], int, list[list[tuple]]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], int, Sequence[Sequence[tuple]]]:
     """The k-th dilate set up for the sweep: `_layout`'s start, mu and mask
-    and its rows of entries (j, lo, hi, below, over, cut, ceil, drop, free,
-    target) for `_choices`, every bound rescaled to k.  With `interior` only
-    the relative interior is kept (count_points)."""
+    and its rows of entries for `_choices`, every bound rescaled to k.
+    With `interior` only the relative interior is kept (count_points), by
+    the layout's strict shifts."""
     k = operator.index(k)
     if k < 0:
         raise ValueError("dilation factor must be >= 0")
-    faces = None if faces is None else tuple(frozenset(f) for f in faces)
-    lay = _layout(spec, faces, interior)
-    if k == 0:  # 0P is the zero point: in every face, and nothing is strict in a point
-        lay = _layout(spec, faces, False)
+    lay = _layout(spec, None if faces is None else tuple(frozenset(f) for f in faces))
+    if interior and lay.strict is None:
+        raise ValueError("an interior count takes no faces and no weight")
     mask = 0 if lay.empty and k else lay.mask
-    rows = [
-        [
-            (
-                j, k * lo + raise_lo, k * hi + lower_hi, below, over, cut,
-                None if ceil is None else k * ceil + shift, drop, free, None if target is None else k * target,
-            )
-            for j, lo, raise_lo, hi, lower_hi, below, over, cut, ceil, shift, drop, free, target in row
+    if interior and k:  # 0P is the zero point: nothing is strict in a point
+        rows = [
+            [
+                (j, k * lo + raise_lo, k * hi + lower_hi, below, over, cut,
+                 None if ceil is None else k * ceil + shift, drop, free, None)
+                for (j, lo, hi, _, _, cut, ceil, drop, free, _), (raise_lo, lower_hi, below, over, shift)
+                in zip(row, shifts)
+            ]
+            for row, shifts in zip(lay.rows, lay.strict)
         ]
-        for row in lay.rows
-    ]
+    elif k == 1:
+        return lay.start, lay.mu, mask, lay.rows
+    else:
+        rows = [
+            [
+                (j, k * lo, k * hi, 0, 0, cut, None if ceil is None else k * ceil, drop, free,
+                 None if target is None else k * target)
+                for j, lo, hi, _, _, cut, ceil, drop, free, target in row
+            ]
+            for row in lay.rows
+        ]
     return tuple(k * x for x in lay.start), tuple(k * x for x in lay.mu), mask, rows
 
 

@@ -252,3 +252,40 @@ def flag_determinant(lam, b):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def fraction_horner(coeffs, k):
+    """The value at k of the polynomial with these coefficients (low degree
+    first), by Horner's rule in Fractions."""
+    from fractions import Fraction
+
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * Fraction(k) + Fraction(c)
+    return acc
+
+
+def fraction_poly_text(coeffs):
+    """(coefficient strings, display string) of the polynomial in k with
+    these coefficients, low degree first: each coefficient as str() of its
+    Fraction, trailing zeros dropped, and the display string highest degree
+    first, "c*k^p" terms joined by "+ " and "- ", a unit coefficient
+    dropped, "0" for the zero polynomial."""
+    from fractions import Fraction
+
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    terms = []
+    for power in range(len(cs) - 1, -1, -1):
+        c = cs[power]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if power == 0:
+            term = str(mag)
+        else:
+            term = ("" if mag == 1 else f"{mag}*") + ("k" if power == 1 else f"k^{power}")
+        sign = "" if c > 0 else "-"
+        terms.append(f"{sign}{term}" if not terms else f"{'+' if c > 0 else '-'} {term}")
+    return [str(c) for c in cs], " ".join(terms) or "0"

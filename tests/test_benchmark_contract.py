@@ -1,0 +1,51 @@
+"""What the benchmark in perfbench/ uses of the package.
+
+The tier-1 suite does not collect perfbench/, so a change to the package
+that breaks the benchmark would otherwise show only as a failed benchmark
+run.  These tests check that every function the layer tracer wraps exists,
+and that the names the benchmark child calls still work together.
+"""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from gtkey import ehrhart, kogan
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace", PERFBENCH / "layertrace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TARGETS = _layertrace()._TARGETS
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_every_traced_function_exists(name):
+    module, attr, _, _ = TARGETS[name]
+    assert callable(getattr(importlib.import_module(f"gtkey.{module}"), attr))
+
+
+def test_the_benchmark_child_finds_what_it_calls():
+    # counted, not timed, by the tracer
+    assert callable(kogan.face_type)
+    # read before the first timed call
+    assert kogan._reduced_faces.cache_info().currsize >= 0
+    # the scan workload: objects, fits, then the report as `gtkey scan` writes it
+    ranges = {"max_shape": [2, 1], "n": 2}
+    objects = list(ehrhart.scan_objects("skew_gt", ranges))
+    results = [ehrhart.ehrhart_of(obj) for obj in objects]
+    report = ehrhart.ScanReport(family="skew_gt", ranges=dict(ranges))
+    report.entries.extend(ehrhart.ScanEntry(r) for r in results)
+    assert json.loads(json.dumps(report.to_json(), indent=2))["checked"] == len(objects) > 0
+    assert report.status == 0
+    answers = [[obj.key(), r.poly.coeff_strings(), r.valid] for obj, r in zip(objects, results)]
+    assert all(valid for _, _, valid in answers)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from gtkey.ehrhart import (
     skew_weight_object,
 )
 from gtkey.kogan import KoganFace
-from oracles import flag_determinant, lagrange, leibniz_det
+from oracles import flag_determinant, fraction_horner, fraction_poly_text, lagrange, leibniz_det
 
 
 def test_unipoly_basics():
@@ -40,6 +41,141 @@ def test_unipoly_basics():
     assert str(q) == "-k + 1/2"
     assert (p * q)(5) == p(5) * q(5)
     assert UniPoly.from_coeff_strings(p.coeff_strings()) == p
+
+
+def _random_coeffs(rng):
+    """Coefficient lists with zeros, trailing zeros, signs, and integral or
+    rational entries, as ints, Fractions or both."""
+    pick = rng.choice([
+        lambda: 0,
+        lambda: rng.randint(-9, 9),
+        lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 24)),
+        lambda: Fraction(rng.randint(-10**15, 10**15), rng.choice([1, 2, 720, 40320, 10**12 + 39])),
+    ])
+    coeffs = [pick() for _ in range(rng.randint(0, 8))]
+    return coeffs + [0] * rng.randint(0, 2)
+
+
+def test_unipoly_is_its_fraction_coefficients_in_lowest_terms():
+    rng = random.Random(18)
+    for _ in range(400):
+        coeffs = _random_coeffs(rng)
+        fractions = [Fraction(c) for c in coeffs]
+        while fractions and fractions[-1] == 0:
+            fractions.pop()
+        p = UniPoly(coeffs)
+        assert p.coeffs == tuple(fractions)
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+        assert p.degree() == len(fractions) - 1
+        assert p.is_zero() == (not fractions)
+        assert p.nonneg() == all(c >= 0 for c in fractions)
+        # built by other routes: Fractions, strings, integer sums, arithmetic
+        same = [
+            UniPoly(fractions),
+            UniPoly.from_coeff_strings(p.coeff_strings()),
+            interpolate([(k, fraction_horner(fractions, k)) for k in range(-3, -3 + len(fractions) + 2)]),
+            p + UniPoly(),
+            (p * 7) * Fraction(1, 7),
+            -(-p),
+            p * UniPoly((1,)),
+        ]
+        for q in same:
+            assert q == p and hash(q) == hash(p), (coeffs, q)
+        assert (p + UniPoly((1,)) == p) is False
+        assert p - p == UniPoly()
+        assert UniPoly() == UniPoly((0, Fraction(0))) and hash(UniPoly()) == hash(UniPoly((0,)))
+
+
+def test_unipoly_value_is_the_fraction_horner_value():
+    rng = random.Random(181)
+    points = [0, 1, 2, 7, -1, -2, -13, 10**9, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 1)]
+    for _ in range(200):
+        coeffs = _random_coeffs(rng)
+        p = UniPoly(coeffs)
+        for k in points + [Fraction(rng.randint(-99, 99), rng.randint(1, 30))]:
+            value = p(k)
+            assert value == fraction_horner(coeffs, k), (coeffs, k)
+            # an int exactly when the value is integral
+            assert type(value) is (int if fraction_horner(coeffs, k).denominator == 1 else Fraction)
+
+
+def test_unipoly_text_matches_the_fraction_coefficients():
+    rng = random.Random(1818)
+    for _ in range(400):
+        coeffs = _random_coeffs(rng)
+        p = UniPoly(coeffs)
+        strings, text = fraction_poly_text(coeffs)
+        assert p.coeff_strings() == strings
+        assert str(p) == text
+        assert repr(p) == f"UniPoly({text})"
+    fixed = [
+        ((), [], "0"),
+        ((0, 0), [], "0"),
+        ((1, -1), ["1", "-1"], "-k + 1"),
+        ((Fraction(-1, 2), 0, Fraction(3, 2), -1, 0), ["-1/2", "0", "3/2", "-1"], "-k^3 + 3/2*k^2 - 1/2"),
+        ((0, Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)), ["0", "1/6", "1/2", "1/3"], "1/3*k^3 + 1/2*k^2 + 1/6*k"),
+        ((-4, 2, -1), ["-4", "2", "-1"], "-k^2 + 2*k - 4"),
+    ]
+    for coeffs, strings, text in fixed:
+        assert UniPoly(coeffs).coeff_strings() == strings
+        assert str(UniPoly(coeffs)) == text
+
+
+def test_interpolate_stays_exact_on_rational_samples():
+    rng = random.Random(8)
+    for _ in range(100):
+        coeffs = _random_coeffs(rng)
+        k0 = rng.randint(-6, 6)
+        extra = rng.randint(0, 3)  # samples past the degree add nothing
+        samples = [(k, fraction_horner(coeffs, k)) for k in range(k0, k0 + len(coeffs) + 1 + extra)]
+        poly = interpolate(samples)
+        assert poly == UniPoly(coeffs)
+        assert all(poly(k) == v for k, v in samples)
+        assert poly.den > 0 and math.gcd(poly.den, *poly.nums) == 1
+
+
+# Cache lines as written before coefficients were held over one denominator.
+_STORED_CACHE_LINES = [
+    '{"degree_bound": 6, "empty": false, "nonneg": true, "object": {"family": "skew", "lambda": [3, 2, 1], '
+    '"mu": [2, 1, 0], "n": 3}, "poly": ["1", "9/2", "33/4", "63/8", "33/8", "9/8", "1/8"], "poly_str": '
+    '"1/8*k^6 + 9/8*k^5 + 33/8*k^4 + 63/8*k^3 + 33/4*k^2 + 9/2*k + 1", "samples": [[0, "1"], [1, "27"], '
+    '[2, "216"], [3, "1000"], [4, "3375"], [5, "9261"], [6, "21952"]], "valid": true, "verify_points": '
+    '[[1, "27", true], [-1, "0", true], [-2, "0", true]]}',
+    '{"degree_bound": 3, "empty": false, "nonneg": true, "object": {"family": "gt", "lambda": [2, 1, 0]}, '
+    '"poly": ["1", "3", "3", "1"], "poly_str": "k^3 + 3*k^2 + 3*k + 1", "samples": [[0, "1"], [1, "8"], '
+    '[2, "27"], [3, "64"]], "valid": true, "verify_points": [[1, "8", true], [-1, "0", true], [-2, "-1", true]]}',
+    '{"degree_bound": 2, "empty": false, "nonneg": true, "object": {"cells": [[2, 2], [3, 1], [3, 2], [3, 3]], '
+    '"family": "kogan_face", "lambda": [4, 3, 3, 2]}, "poly": ["1", "3/2", "1/2"], "poly_str": '
+    '"1/2*k^2 + 3/2*k + 1", "samples": [[0, "1"], [1, "3"], [2, "6"]], "valid": true, "verify_points": '
+    '[[3, "10", true], [4, "15", true]]}',
+    '{"degree_bound": 0, "empty": true, "nonneg": true, "object": {"family": "skew", "lambda": [2, 2, 2], '
+    '"mu": [0, 0, 0], "n": 2}, "poly": [], "poly_str": "0", "samples": [[0, "1"]], "valid": true, '
+    '"verify_points": [[1, "0", true], [-1, "0", true], [-2, "0", true]]}',
+]
+
+
+def test_a_stored_cache_line_is_still_a_hit(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    text = "".join(line + "\n" for line in _STORED_CACHE_LINES)
+    path.write_text(text)
+    objects = [
+        skew_object((3, 2, 1), (2, 1)),
+        gt_object((2, 1, 0)),
+        kogan_face_object((4, 3, 3, 2), KoganFace(4, frozenset({(2, 2), (3, 1), (3, 2), (3, 3)}))),
+        skew_object((2, 2, 2), (), n=2),
+    ]
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("a cache hit counts nothing")
+
+    monkeypatch.setattr(lattice, "count_points", no_count)
+    monkeypatch.setattr(ehrhart, "_jacobi_trudi", no_count)
+    cache = ResultCache(path)
+    for obj, line in zip(objects, _STORED_CACHE_LINES):
+        result = ehrhart_of(obj, cache=cache)
+        assert json.dumps(result.to_json(), sort_keys=True) == line
+    assert cache.bad_lines == [] and path.read_text() == text
 
 
 def test_interpolate_fixtures():
@@ -226,6 +362,20 @@ def test_determinant_flag_validation():
         determinant_formula((2, 1, 0), (1, 1, 3))  # b_2 < 2
     with pytest.raises(ValueError):
         determinant_formula((2, 1, 0), (1, 2, 4))  # above n
+
+
+def test_determinant_flag_errors_name_the_fault():
+    cases = [
+        ((2, 1, 3, 3), "flag length must equal n"),
+        ((2, 1), "flag length must equal n"),
+        ((2, 1, 3), "flag (2, 1, 3) out of range"),  # b_2 < 2
+        ((1, 2, 4), "flag (1, 2, 4) out of range"),  # above n
+        ([3, 2, 3], "flag (3, 2, 3) must be nondecreasing"),
+    ]
+    for b, message in cases:
+        with pytest.raises(ValueError) as info:
+            determinant_formula((2, 1, 0), b)
+        assert str(info.value) == message, b
 
 
 def test_flag_sequences_catalan():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gtkey import cli, kogan, verify
+from gtkey import cli, kogan, lattice, verify
 from gtkey.combinat import avoids_pattern, longest_element, multiply, perm_length
 from gtkey.kogan import (
     KoganFace,
@@ -13,9 +13,7 @@ from gtkey.kogan import (
     complex_count,
     complex_points,
     enumerate_reduced_faces,
-    face_count,
     face_is_reduced,
-    face_points,
     face_type,
     face_word,
     key_faces,
@@ -133,19 +131,20 @@ def test_depicted_kempf_faces_n4():
 def test_single_face_of_full_equalities():
     face = KoganFace(4, frozenset(all_cells(4)))
     for lam in [(4, 3, 3, 2), (2, 1, 0, 0)]:
-        pts = face_points(lam, face)
+        pts = list(lattice.enumerate_points(lattice.gt_spec(lam, n=face.n), faces=[face.cells]))
         assert len(pts) == 1
 
 
 def test_face_points_worked_example():
     face = KoganFace(4, frozenset({(2, 2), (3, 1), (3, 2), (3, 3)}))
-    pts = face_points((4, 3, 3, 2), face)
+    spec = lattice.gt_spec((4, 3, 3, 2), n=face.n)
+    pts = list(lattice.enumerate_points(spec, faces=[face.cells]))
     assert [p.rows for p in pts] == [
         ((3,), (3, 3), (4, 3, 3), (4, 3, 3, 2)),
         ((3,), (4, 3), (4, 3, 3), (4, 3, 3, 2)),
         ((4,), (4, 3), (4, 3, 3), (4, 3, 3, 2)),
     ]
-    assert face_count((4, 3, 3, 2), face) == 3
+    assert lattice.count_points(spec, faces=[face.cells]) == 3
 
 
 def test_complex_points_gtkey():

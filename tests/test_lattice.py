@@ -376,9 +376,12 @@ def _interior_by_filter(spec, k):
 
 def test_interior_count_matches_a_filter_of_the_points():
     # every GT spec in (3,2,1,0) and skew spec in (3,2,1), n = 1..4, k = 1..3,
-    # with GT(3,1,1,0), whose interior is not that of GT(k lambda - 2 rho)
+    # with GT(3,1,1,0), whose interior is not that of GT(k lambda - 2 rho);
+    # and skew specs in (2,2,2), n = 3, where an entry pinned by equal parts of
+    # mu bounds a free entry of the row above, strictly (e.g. 222/11 at k = 2)
     specs = [gt_spec(lam) for lam in _box((3, 2, 1, 0))]
     specs += [skew_spec(lam, mu, n=n) for lam in _box((3, 2, 1)) for mu in _box(lam) for n in range(1, 5)]
+    specs += [skew_spec(lam, mu, n=3) for lam in _box((2, 2, 2)) for mu in _box(lam)]
     for spec in specs:
         for k in (1, 2, 3):
             assert count_points(spec, k, interior=True) == _interior_by_filter(spec, k), (spec, k)
