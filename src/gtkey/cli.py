@@ -88,52 +88,34 @@ def _parse_ranges(text: str | None) -> dict:
     return ranges
 
 
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2), byte for byte, without the pure-Python
-    encoder an indent makes json use: strings go through json's own C
-    escaper, a list of plain ints is joined in one go, and a `MultiPoly` is
-    written as its `to_json()` would be, without building that list."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None or isinstance(value, (int, float)):  # null, true, false, numbers
-        return json.dumps(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        head, tail = "{", "}"
-        items = (f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in value.items())
-    elif isinstance(value, (list, tuple)):
-        head, tail = "[", "]"
-        if all(type(v) is int for v in value):
-            items = map(str, value)
-        else:
-            items = (_json_text(v, inner) for v in value)
-    elif isinstance(value, polyops.MultiPoly):
-        # the {"coeff", "exp"} dicts of to_json(), written straight from the
-        # sorted terms: one join per term, from strings fixed by the depth
-        head, tail = "[", "]"
-        deep, deeper = inner + "  ", inner + "    "
-        start, end = f'{{\n{deep}"coeff": "', f"\n{inner}}}"
-        if value.nvars:
-            exp, sep, close = f'",\n{deep}"exp": [\n{deeper}', f",\n{deeper}", f"\n{deep}]{end}"
-            items = [f"{start}{c!s}{exp}{sep.join(map(str, e))}{close}" for e, c in value.sorted_terms()]
-        else:
-            exp = f'",\n{deep}"exp": []{end}'
-            items = [f"{start}{c!s}{exp}" for _, c in value.sorted_terms()]
-        value = items  # empty exactly when the polynomial is zero
+_indented = json.JSONEncoder(indent=2).encode  # the bytes of json.dumps(v, indent=2)
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2), byte for byte.  A dict payload with a
+    `MultiPoly` among its values is written item by item: the polynomial as
+    its to_json() terms (`_terms_text`), any other value by json, two more
+    spaces after each newline (a JSON string holds no raw newline)."""
+    if not isinstance(payload, dict) or not any(isinstance(v, polyops.MultiPoly) for v in payload.values()):
+        return _indented(payload)
+    nested = lambda v: _terms_text(v) if isinstance(v, polyops.MultiPoly) else _indented(v).replace("\n", "\n  ")
+    return "{\n  " + ",\n  ".join(f"{_quote(k)}: {nested(v)}" for k, v in payload.items()) + "\n}"
+
+
+def _terms_text(poly) -> str:
+    """The {"coeff", "exp"} dicts of poly.to_json(), [] for the zero
+    polynomial, as a value one level deep in json.dumps(indent=2), written
+    straight from the sorted terms: one join per term, from strings fixed
+    by the depth."""
+    inner, deep, deeper = " " * 4, " " * 6, " " * 8
+    start, end = f'{{\n{deep}"coeff": "', f"\n{inner}}}"
+    if poly.nvars:
+        exp, sep, close = f'",\n{deep}"exp": [\n{deeper}', f",\n{deeper}", f"\n{deep}]{end}"
+        items = [f"{start}{c!s}{exp}{sep.join(map(str, e))}{close}" for e, c in poly.sorted_terms()]
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not value:
-        return head + tail
-    return f"{head}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{tail}"
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: a scalar key becomes its JSON text, quoted."""
-    if isinstance(key, str):
-        return _quote(key)
-    if key is None or isinstance(key, (int, float)):
-        return _quote(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        exp = f'",\n{deep}"exp": []{end}'
+        items = [f"{start}{c!s}{exp}" for _, c in poly.sorted_terms()]
+    return f"[\n{inner}" + f",\n{inner}".join(items) + "\n  ]" if items else "[]"
 
 
 def _emit(args, payload, header, rows, lines) -> None:

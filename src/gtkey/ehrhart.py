@@ -293,9 +293,6 @@ class CountedObject:
     def check(self, k: int) -> int:
         return (self.checker or self.counter)(k)
 
-    def degree_bound(self) -> int:
-        return self.bound
-
     def key(self) -> str:
         return json.dumps(self.desc, sort_keys=True, separators=(",", ":"))
 
@@ -328,16 +325,12 @@ def skew_object(lam, mu=(), n: int | None = None) -> CountedObject:
 
 def gt_weight_object(lam, mu, n: int | None = None) -> CountedObject:
     spec = lattice.gt_spec(lam, weight=mu, n=n)
-    return CountedObject(
-        {"family": "gt_weight", "lambda": list(spec.top), "mu": list(spec.weight)},
-        lambda k: lattice.count_points(spec, k),
-        lattice.dimension(spec),
-    )
+    return _swept_object({"family": "gt_weight", "lambda": list(spec.top), "mu": list(spec.weight)}, spec)
 
 
 def skew_weight_object(lam, mu, nu, n: int | None = None) -> CountedObject:
     spec = lattice.skew_spec(lam, mu, weight=nu, n=n)
-    return CountedObject(
+    return _swept_object(
         {
             "family": "skew_weight",
             "lambda": list(spec.top),
@@ -345,8 +338,7 @@ def skew_weight_object(lam, mu, nu, n: int | None = None) -> CountedObject:
             "nu": list(spec.weight),
             "n": spec.n,
         },
-        lambda k: lattice.count_points(spec, k),
-        lattice.dimension(spec),
+        spec,
     )
 
 
@@ -354,21 +346,22 @@ def key_complex_object(lam, sigma) -> CountedObject:
     sigma = check_permutation(sigma)
     lam = pad(check_partition(lam), len(sigma))
     desc = {"family": "key_complex", "lambda": list(lam), "sigma": list(sigma)}
-    return _faces_object(desc, *kogan.complex_spec(lam, sigma))
+    return _swept_object(desc, *kogan.complex_spec(lam, sigma))
 
 
 def kogan_face_object(lam, face: kogan.KoganFace) -> CountedObject:
     lam = pad(check_partition(lam), face.n)
-    return _faces_object(
+    return _swept_object(
         {"family": "kogan_face", "lambda": list(lam), "cells": [list(c) for c in face.sorted_cells()]},
         lattice.gt_spec(lam, n=face.n),
         [face.cells],
     )
 
 
-def _faces_object(desc: dict, spec: lattice.PolytopeSpec, faces: list) -> CountedObject:
-    """The union of `faces` in `spec`, built once and counted at each k;
-    its bound is the largest dimension of a face, which is the degree."""
+def _swept_object(desc: dict, spec: lattice.PolytopeSpec, faces: list | None = None) -> CountedObject:
+    """`spec`, or the union of `faces` in it, counted by the lattice sweep
+    alone at each k; its bound is `lattice.dimension`, for faces the
+    largest dimension of a face, which is the degree."""
     return CountedObject(desc, lambda k: lattice.count_points(spec, k, faces), lattice.dimension(spec, faces))
 
 
@@ -541,7 +534,7 @@ def ehrhart_of(
     """Sample, interpolate and verify the Ehrhart polynomial of a family
     (see _fit); a cache entry is used only when it passes the cache's
     check."""
-    D = obj.degree_bound() if degree_bound is None else degree_bound
+    D = obj.bound if degree_bound is None else degree_bound
     if D < 0:
         raise ValueError("degree bound must be >= 0")
     if cache is not None:
@@ -557,18 +550,10 @@ def ehrhart_of(
 # --- determinant formula and flag sequences ------------------------------------
 
 def flag_sequences(n: int) -> list[tuple[int, ...]]:
-    """Nondecreasing b_1 <= ... <= b_n <= n with b_i >= i; Catalan many."""
-    out = []
-
-    def rec(i: int, prev: int, acc: tuple[int, ...]):
-        if i > n:
-            out.append(acc)
-            return
-        for b in range(max(prev, i), n + 1):
-            rec(i + 1, b, acc + (b,))
-
-    rec(1, 1, ())
-    return out
+    """Nondecreasing b_1 <= ... <= b_n <= n with b_i >= i, in lexicographic
+    order; Catalan many."""
+    flags = itertools.combinations_with_replacement(range(1, n + 1), n)
+    return [b for b in flags if all(x >= i for i, x in enumerate(b, 1))]
 
 
 def determinant_formula(lam: Sequence[int], b: Sequence[int]) -> UniPoly:
@@ -712,24 +697,18 @@ def scan_objects(family: str, ranges: dict) -> Iterator[CountedObject]:
             raise ValueError(f"scan {family}: {key} must be one integer >= {floor}, not {value!r}")
         return value
 
-    if family == "skew_gt":
+    if family in ("skew_gt", "skew_kostka"):
         shape = _max_shape(ranges)
         n = integer("n", len(shape))
         for lam in partitions_in_box(shape):
             if not any(lam):
                 continue
             for mu in partitions_in_box(lam):
-                yield skew_object(pad(lam, n), pad(mu, n), n=n)
-    elif family == "skew_kostka":
-        shape = _max_shape(ranges)
-        n = integer("n", len(shape))
-        for lam in partitions_in_box(shape):
-            if not any(lam):
-                continue
-            for mu in partitions_in_box(lam):
-                size = sum(lam) - sum(mu)
-                for nu in compositions(size, n):
-                    yield skew_weight_object(pad(lam, n), pad(mu, n), nu, n=n)
+                if family == "skew_gt":
+                    yield skew_object(pad(lam, n), pad(mu, n), n=n)
+                else:
+                    for nu in compositions(sum(lam) - sum(mu), n):
+                        yield skew_weight_object(pad(lam, n), pad(mu, n), nu, n=n)
     elif family == "stretched_kostka":
         max_size, max_rows = integer("max_size", 6), integer("max_rows", 4)
         for m in range(1, max_size + 1):

@@ -71,38 +71,35 @@ def _polys(draw):
 
 
 _POLYS = _polys() | st.builds(polyops.MultiPoly.zero, st.integers(min_value=0, max_value=4))
-_VALUES_WITH_POLYS = st.recursive(
-    _JSON_SCALARS | _POLYS,
-    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
-    | st.dictionaries(_JSON_TEXT | st.integers(), inner, max_size=4),
-    max_leaves=12,
-)
+# a key or Schur payload: a dict with str keys whose values may be polynomials
+_PAYLOADS_WITH_POLYS = st.dictionaries(_JSON_TEXT, _JSON_VALUES | _POLYS, max_size=6)
 
 
-def _polys_as_json(value):
-    """`value` with every polynomial replaced by its to_json() terms."""
-    if isinstance(value, polyops.MultiPoly):
-        return value.to_json()
-    if isinstance(value, dict):
-        return {k: _polys_as_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_polys_as_json(v) for v in value]
-    return value
+def _polys_as_json(payload):
+    """`payload` with every polynomial value replaced by its to_json() terms."""
+    return {k: v.to_json() if isinstance(v, polyops.MultiPoly) else v for k, v in payload.items()}
 
 
 @settings(max_examples=200, deadline=None)
-@given(_VALUES_WITH_POLYS)
-def test_json_writer_writes_a_polynomial_as_json_dumps_writes_its_terms(value):
-    assert cli._json_text(value) == json.dumps(_polys_as_json(value), indent=2)
+@given(_PAYLOADS_WITH_POLYS)
+def test_json_writer_writes_a_polynomial_as_json_dumps_writes_its_terms(payload):
+    assert cli._json_text(payload) == json.dumps(_polys_as_json(payload), indent=2)
 
 
 def test_json_writer_polynomial_edge_cases():
     zero, constant = polyops.MultiPoly.zero(3), polyops.MultiPoly(0, {(): Fraction(-1, 2)})
     big = polyops.MultiPoly(2, {(1, 0): -(10**30), (0, 2): 7})
-    assert cli._json_text(zero) == "[]"
+    assert cli._json_text({"p": zero}) == '{\n  "p": []\n}'
     assert cli._json_text({"p": constant}) == '{\n  "p": [\n    {\n      "coeff": "-1/2",\n      "exp": []\n    }\n  ]\n}'
-    for value in (big, [big, zero], {"a": [constant, {"b": big}]}):
-        assert cli._json_text(value) == json.dumps(_polys_as_json(value), indent=2)
+    for payload in ({"big": big, "zero": zero}, {"a": [1, {"b": None}], "p": big, "c": constant, "s": "x\ny"}):
+        assert cli._json_text(payload) == json.dumps(_polys_as_json(payload), indent=2)
+
+
+def test_json_writer_refuses_a_polynomial_below_the_top_level_or_bare():
+    poly = polyops.MultiPoly(2, {(1, 0): 1})
+    for value in (poly, [poly], {"a": [poly]}, {"a": {"b": poly}}, {"p": poly, "q": [poly]}):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

@@ -379,10 +379,15 @@ def test_determinant_flag_errors_name_the_fault():
 
 
 def test_flag_sequences_catalan():
-    for n in range(1, 6):
+    # flag_match returns the first match, so the order is part of the contract
+    for n in range(8):
         flags = flag_sequences(n)
         assert len(flags) == catalan(n)
         assert len(set(flags)) == len(flags)
+        assert flags == sorted(flags)
+        for b in flags:
+            assert len(b) == n and all(b[i] <= b[i + 1] for i in range(n - 1)), b
+            assert all(n >= x >= i for i, x in enumerate(b, 1)), b
 
 
 def test_flag_match_s3():
