@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
-from typing import Callable, Iterator, Optional, Sequence
+from math import comb, factorial, gcd, lcm, prod
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import kogan, lattice
 from .combinat import (
@@ -49,12 +50,15 @@ from .combinat import (
 
 
 class UniPoly:
-    """Dense univariate polynomial over the rationals, low degree first.
+    """Dense univariate polynomial over the rationals, low degree first: a
+    value with no arithmetic, evaluated at integer k.
 
     It is held as integer numerators `nums` over one positive common
     denominator `den`, in lowest terms (no prime divides `den` and every
     numerator) and without trailing zeros, so equal polynomials have equal
-    fields.  `coeffs` gives the coefficients as Fractions."""
+    fields.  `coeffs` gives the coefficients as Fractions.  It is built from
+    its coefficients (`UniPoly(coeffs)`, `from_coeff_strings`), from
+    samples (`interpolate`) or from linear factors (`linear_product`)."""
 
     __slots__ = ("nums", "den")
 
@@ -65,28 +69,18 @@ class UniPoly:
 
     @classmethod
     def _over(cls, nums: list[int], den: int) -> "UniPoly":
-        """The polynomial with integer numerators `nums` over `den` != 0."""
+        """The polynomial with integer numerators `nums` over `den` > 0."""
         poly = cls.__new__(cls)
         poly._hold(nums, den)
         return poly
 
     def _hold(self, nums: list[int], den: int) -> None:
-        """Keep nums/den without trailing zeros and in lowest terms over a
-        positive denominator."""
+        """Keep nums/den, den > 0, without trailing zeros and in lowest
+        terms."""
         while nums and not nums[-1]:
             nums.pop()
         g = gcd(den, *nums)
-        if den < 0:
-            g = -g
         self.nums, self.den = tuple(c // g for c in nums), den // g
-
-    @classmethod
-    def constant(cls, value) -> "UniPoly":
-        return cls((value,))
-
-    @classmethod
-    def linear(cls, constant, slope) -> "UniPoly":
-        return cls((constant, slope))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -98,51 +92,16 @@ class UniPoly:
     def degree(self) -> int:
         return len(self.nums) - 1
 
-    def __call__(self, k) -> int | Fraction:
-        """The value at an integer or rational k: Horner's rule on the
-        numerators, divided by the denominator once; an int when the value
-        is integral, else a Fraction."""
-        if isinstance(k, int):
-            acc = 0
-            for c in reversed(self.nums):
-                acc = acc * k + c
-            whole, rest = divmod(acc, self.den)
-            return Fraction(acc, self.den) if rest else whole
-        k = Fraction(k)
-        p, q = k.numerator, k.denominator
-        acc, scale = 0, 1  # after i steps acc is q^(i-1) times the Horner value, scale q^i
+    def __call__(self, k: int) -> int | Fraction:
+        """The value at an integer k: Horner's rule on the numerators,
+        divided by the denominator once; an int when the value is integral,
+        else a Fraction."""
+        k = operator.index(k)
+        acc = 0
         for c in reversed(self.nums):
-            acc = acc * p + c * scale
-            scale *= q
-        value = Fraction(acc * q, self.den * scale)
-        return value.numerator if value.denominator == 1 else value
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        den = lcm(self.den, other.den)
-        a = [c * (den // self.den) for c in self.nums]
-        b = [c * (den // other.den) for c in other.nums]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] += c
-        return UniPoly._over(a, den)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly._over([-c for c in self.nums], self.den)
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly._over([c * other.numerator for c in self.nums], self.den * other.denominator)
-        out = [0] * max(len(self.nums) + len(other.nums) - 1, 0)
-        for i, a in enumerate(self.nums):
-            for j, b in enumerate(other.nums):
-                out[i + j] += a * b
-        return UniPoly._over(out, self.den * other.den)
-
-    __rmul__ = __mul__
+            acc = acc * k + c
+        whole, rest = divmod(acc, self.den)
+        return Fraction(acc, self.den) if rest else whole
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.nums == other.nums and self.den == other.den
@@ -218,19 +177,24 @@ def interpolate(samples: Sequence[tuple[int, int]]) -> UniPoly:
     return UniPoly._over(coeffs, scale * factorial(degree))
 
 
+def linear_product(scale: Fraction | int, factors: Iterable[tuple[int, int]]) -> UniPoly:
+    """scale times the product of the factors c + a*k, given as pairs (c, a),
+    expanded coefficient by coefficient in Fractions."""
+    coeffs = [Fraction(scale)]
+    for c, a in factors:
+        coeffs = [c * low + a * high for low, high in zip(coeffs + [0], [0] + coeffs)]
+    return UniPoly(coeffs)
+
+
 def ehrhart_gt_product(lam: Sequence[int], n: int | None = None) -> UniPoly:
-    """Closed product formula for the Ehrhart polynomial of GT(lambda)."""
+    """Closed product formula for the Ehrhart polynomial of GT(lambda): the
+    product over i < j of (j - i + (lambda_i - lambda_j) k) / (j - i)."""
     lam = check_partition(lam)
     if n is not None:
         lam = pad(lam, n)
-    n = len(lam)
-    poly = UniPoly.constant(1)
-    denom = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            poly = poly * UniPoly.linear(j - i, lam[i] - lam[j])
-            denom *= j - i
-    return poly * Fraction(1, denom)
+    pairs = list(itertools.combinations(range(len(lam)), 2))
+    scale = Fraction(1, prod(j - i for i, j in pairs))
+    return linear_product(scale, [(j - i, lam[i] - lam[j]) for i, j in pairs])
 
 
 def _det(matrix: Sequence[Sequence[int]]) -> int:
@@ -262,8 +226,12 @@ def _jacobi_trudi(spec: lattice.PolytopeSpec, k: int) -> int:
     det[h_{k(lambda_i - mu_j) - i + j}(1^n)] (Jacobi-Trudi; Macdonald,
     Symmetric Functions I.5), where h_r(1^n) = binom(r + n - 1, n - 1) is
     the number of multisets of r elements of n, and 0 for r < 0.  At k = 0
-    the matrix is unitriangular; when a column of lambda/mu is longer than
-    n the determinant is 0 at every k >= 1, as is the polytope's count."""
+    the matrix is unitriangular, so its determinant 1 is not taken: 0P is
+    one point for every spec, empty ones too.  When a column of lambda/mu
+    is longer than n the determinant is 0 at every k >= 1, as is the
+    polytope's count."""
+    if not k:
+        return 1
     lam, n = spec.top, spec.n
     mu = spec.bottom or (0,) * len(lam)
     return _det([
@@ -369,13 +337,20 @@ def _swept_object(desc: dict, spec: lattice.PolytopeSpec, faces: list | None = N
 
 @dataclass
 class EhrhartResult:
+    """The fit of an object's counts (`_fit`): its samples (k, L(k)), the
+    interpolated polynomial, and its checks (k, L(k), whether the
+    polynomial gives L(k)).  `nonneg` and `valid` are read off those."""
+
     object: dict
     degree_bound: int
     samples: list[tuple[int, int]]
     poly: UniPoly
     verify_points: list[tuple[int, int, bool]]
-    nonneg: bool
     empty: bool = False
+
+    @property
+    def nonneg(self) -> bool:
+        return self.poly.nonneg()
 
     @property
     def valid(self) -> bool:
@@ -393,18 +368,6 @@ class EhrhartResult:
             "valid": self.valid,
             "empty": self.empty,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EhrhartResult":
-        return cls(
-            object=obj["object"],
-            degree_bound=obj["degree_bound"],
-            samples=[(int(k), int(v)) for k, v in obj["samples"]],
-            poly=UniPoly.from_coeff_strings(obj["poly"]),
-            verify_points=[(int(k), int(v), bool(ok)) for k, v, ok in obj["verify_points"]],
-            nonneg=obj["nonneg"],
-            empty=obj.get("empty", False),
-        )
 
 
 # Families sampled by the Jacobi-Trudi determinant and checked by the sweep,
@@ -447,7 +410,6 @@ def _fit(desc: dict, D: int, count: Callable[[int], int], check: Callable[[int],
         samples=samples,
         poly=poly,
         verify_points=[(k, v, poly(k) == v) for k, v in checks],
-        nonneg=poly.nonneg(),
         empty=empty,
     )
 
@@ -456,12 +418,15 @@ class ResultCache:
     """Append-only JSON-lines store keyed by the canonical object descriptor.
 
     A line that is not a readable entry is skipped and its number kept in
-    `bad_lines`.  A stored entry is returned only when fitting its own
-    stored counts under the object's `_plan` gives back exactly that entry
-    (samples, polynomial, verification points and flags), so a line written
-    under another plan is a miss too; a miss is recomputed and appended,
-    and on the next load the later line wins.  A path that cannot be read
-    or appended to raises ValueError naming it.
+    `bad_lines`.  A stored entry is read back as its counts alone, the
+    values of its samples and verification points.  They are refitted
+    under the object's `_plan` and the caller's descriptor, and the result
+    is returned only when it gives back exactly that entry (samples,
+    polynomial, verification points and flags), so a line written under
+    another plan is a miss too.  The result reports the object as the
+    caller gave it, not as the line stores it (with sorted keys).  A miss
+    is recomputed and appended, and on the next load the later line wins.
+    A path that cannot be read or appended to raises ValueError naming it.
     """
 
     def __init__(self, path):
@@ -498,10 +463,10 @@ class ResultCache:
         if hit is None:
             return None
         try:
-            stored = EhrhartResult.from_json(hit)
-            checks = {k: v for k, v, _ in stored.verify_points}
-            result = _fit(stored.object, degree_bound, dict(stored.samples).__getitem__, checks.__getitem__)
-        except (ValueError, KeyError, TypeError, ZeroDivisionError):
+            samples = {int(k): int(v) for k, v in hit["samples"]}
+            checks = {int(k): int(v) for k, v, _ in hit["verify_points"]}
+            result = _fit(desc, degree_bound, samples.__getitem__, checks.__getitem__)
+        except (ValueError, KeyError, TypeError):
             result = None
         if result is None or result.to_json() != hit:
             del self.entries[key]

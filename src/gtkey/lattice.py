@@ -23,12 +23,12 @@ A polytope is laid out for the sweep once (`_layout`), in one pass over
 its rows: the validation, the row widths, the face bits, the constant
 entries, the emptiness checks and the bounds are the same at every
 dilation k >= 1, and each bound of the k-th dilate is k times its value at
-k = 1, so a dilation only rescales them (`_sweep`) and k = 1 uses them as
-they are.  The relative interior is the same rows with shifted bounds,
-each strict inequality x < y taken as x <= y - 1, and the same pass lays
-out those shifts: an object's counts and interior counts share one layout,
-read off the one list of entry intervals (`_intervals`) that `dimension`
-reads too.  The layouts are kept in a memo of a few entries.  One choice
+k = 1, so a dilation only rescales them (`_sweep`).  The relative
+interior is the same rows with shifted bounds, each strict inequality
+x < y taken as x <= y - 1, and the same pass lays out those shifts: an
+object's counts and interior counts share one layout, read off the one
+list of entry intervals (`_intervals`) that `dimension` reads too.  The
+layouts are kept in a memo of a few entries.  One choice
 rule (`_choices`) gives the values an entry takes from a state, and three
 drivers expand it.  Counting expands each state's choices in a plain loop
 into an integer tally per state of the next step, of the polytope or of
@@ -43,7 +43,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .combinat import check_partition, contains, pad
@@ -347,8 +347,10 @@ def _sweep(
 ) -> tuple[tuple[int, ...], tuple[int, ...], int, Sequence[Sequence[tuple]]]:
     """The k-th dilate set up for the sweep: `_layout`'s start, mu and mask
     and its rows of entries for `_choices`, every bound rescaled to k.
-    With `interior` only the relative interior is kept (count_points), by
-    the layout's strict shifts."""
+    With `interior` only the relative interior is kept (count_points): at
+    k >= 1 the layout's strict shifts are added to the bounds.  Otherwise
+    the shifts added are zero: a plain count has none, and 0P is the zero
+    point, where nothing is strict."""
     k = operator.index(k)
     if k < 0:
         raise ValueError("dilation factor must be >= 0")
@@ -356,27 +358,16 @@ def _sweep(
     if interior and lay.strict is None:
         raise ValueError("an interior count takes no faces and no weight")
     mask = 0 if lay.empty and k else lay.mask
-    if interior and k:  # 0P is the zero point: nothing is strict in a point
-        rows = [
-            [
-                (j, k * lo + raise_lo, k * hi + lower_hi, below, over, cut,
-                 None if ceil is None else k * ceil + shift, drop, free, None)
-                for (j, lo, hi, _, _, cut, ceil, drop, free, _), (raise_lo, lower_hi, below, over, shift)
-                in zip(row, shifts)
-            ]
-            for row, shifts in zip(lay.rows, lay.strict)
+    strict = lay.strict if interior and k else repeat(repeat((0,) * 5))
+    rows = [
+        [
+            (j, k * lo + raise_lo, k * hi + lower_hi, below, over, cut,
+             None if ceil is None else k * ceil + shift, drop, free, None if target is None else k * target)
+            for (j, lo, hi, _, _, cut, ceil, drop, free, target), (raise_lo, lower_hi, below, over, shift)
+            in zip(row, shifts)
         ]
-    elif k == 1:
-        return lay.start, lay.mu, mask, lay.rows
-    else:
-        rows = [
-            [
-                (j, k * lo, k * hi, 0, 0, cut, None if ceil is None else k * ceil, drop, free,
-                 None if target is None else k * target)
-                for j, lo, hi, _, _, cut, ceil, drop, free, target in row
-            ]
-            for row in lay.rows
-        ]
+        for row, shifts in zip(lay.rows, strict)
+    ]
     return tuple(k * x for x in lay.start), tuple(k * x for x in lay.mu), mask, rows
 
 

@@ -79,10 +79,8 @@ def key_closed_form(row: dict, a: int, b: int) -> MultiPoly:
 
 
 def key_ehrhart_closed_form(row: dict, a: int, b: int) -> UniPoly:
-    poly = UniPoly.constant(Fraction(row["scale"]))
-    for f in row["factors"]:
-        poly = poly * UniPoly.linear(f["c"], f["a"] * a + f["b"] * b)
-    return poly
+    factors = [(f["c"], f["a"] * a + f["b"] * b) for f in row["factors"]]
+    return ehrhart.linear_product(Fraction(row["scale"]), factors)
 
 
 # --- suites -------------------------------------------------------------------

@@ -49,3 +49,16 @@ def test_the_benchmark_child_finds_what_it_calls():
     assert report.status == 0
     answers = [[obj.key(), r.poly.coeff_strings(), r.valid] for obj, r in zip(objects, results)]
     assert all(valid for _, _, valid in answers)
+
+
+def test_a_result_offers_what_the_benchmark_reads():
+    # the tracer's info on an ehrhart_of call, and the child's answer line
+    obj = ehrhart.skew_object((3, 2, 1), (2, 1), n=3)
+    result = ehrhart.ehrhart_of(obj)
+    info = TARGETS["ehrhart.ehrhart_of"][2]
+    assert info((obj,), {}, result) == (len(result.samples) + len(result.verify_points), 6)
+    assert result.poly.degree() == 6
+    assert result.poly.coeff_strings() == ["1", "9/2", "33/4", "63/8", "33/8", "9/8", "1/8"]
+    assert [k for k, _ in result.samples] == list(range(7))
+    assert [(k, ok) for k, _, ok in result.verify_points] == [(1, True), (-1, True), (-2, True)]
+    assert result.valid is True

@@ -506,6 +506,28 @@ def test_readme_command_exits_zero(capsys, line):
     assert capsys.readouterr().out
 
 
+# every README line that reads a cache, and two whose objects a cache line
+# stores with its keys sorted: a kogan_face (cells) and a skew_weight (nu)
+CACHED_COMMANDS = list(dict.fromkeys([
+    *(line for line in README_COMMANDS if line.split()[1] in ("ehrhart", "scan", "verify")),
+    'gtkey ehrhart --object kogan-face --lambda 4,3,3,2 --cells "2,2;3,1;3,2;3,3"',
+    'gtkey scan --family skew_kostka --ranges "max_shape=2,1;n=2"',
+]))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("line", CACHED_COMMANDS)
+def test_a_warm_cache_run_prints_what_the_cold_run_printed(tmp_path, capsys, monkeypatch, line, fmt):
+    monkeypatch.delenv("GTKEY_CACHE", raising=False)
+    path = tmp_path / "cache.jsonl"
+    argv = [*shlex.split(line)[1:], "--format", fmt, "--cache", str(path)]
+    cold = run_cli(capsys, *argv)
+    stored = path.read_bytes()
+    assert cold[1] and stored
+    assert run_cli(capsys, *argv) == cold
+    assert path.read_bytes() == stored
+
+
 def test_weights_need_not_be_partitions(capsys):
     assert run_cli(capsys, "points", "--lambda", "2,1,0", "--nu", "0,1,2", "--count-only") == (0, "1\n")
     code, out = run_cli(capsys, "scan", "--family", "skew_kostka", "--ranges", "max_shape=2,1;n=2", "--format", "json")
@@ -806,9 +828,13 @@ def test_degree_bound_above_the_dimension_fits_and_below_fails(capsys, argv):
     ["scan", "--family", "skew_gt", "--ranges", "max_shape=3,2,1;n=3"],
 ])
 def test_planted_wrong_determinant_entry_exits_two(capsys, monkeypatch, argv):
-    # one entry of every Jacobi-Trudi matrix off by one: the samples are
-    # wrong at every k, and the sweep's checks disagree with them on every
-    # object, also where the error vanishes at k = -1 and -2
+    # one entry of every Jacobi-Trudi matrix taken (k >= 1) off by one: the
+    # sweep's checks disagree with the samples on every object whose samples
+    # it changes, also where the error vanishes at k = -1 and -2; where it
+    # changes no sample the result is the correct one
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    clean = json.loads(out)
     real = ehrhart._det
 
     def planted(matrix):
@@ -821,7 +847,12 @@ def test_planted_wrong_determinant_entry_exits_two(capsys, monkeypatch, argv):
     assert code == cli.VIOLATION
     payload = json.loads(out)
     if argv[0] == "scan":
-        assert len(payload["verification_failures"]) == payload["checked"] == 83
+        assert payload["checked"] == clean["checked"] == 83
+        flagged = [r for r, c in zip(payload["results"], clean["results"]) if r["samples"] != c["samples"]]
+        assert flagged and payload["verification_failures"] == flagged
+        for result, right in zip(payload["results"], clean["results"]):
+            if result["samples"] == right["samples"]:
+                assert result == right and result["valid"]
     else:
         assert payload["valid"] is False
 

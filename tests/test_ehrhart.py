@@ -39,8 +39,10 @@ def test_unipoly_basics():
     assert UniPoly((0, 0)).is_zero()
     q = UniPoly((Fraction(1, 2), -1))
     assert str(q) == "-k + 1/2"
-    assert (p * q)(5) == p(5) * q(5)
     assert UniPoly.from_coeff_strings(p.coeff_strings()) == p
+    for k in (Fraction(1, 2), Fraction(4, 2), 0.5):  # a value at integers only
+        with pytest.raises(TypeError):
+            p(k)
 
 
 def _random_coeffs(rng):
@@ -70,34 +72,46 @@ def test_unipoly_is_its_fraction_coefficients_in_lowest_terms():
         assert p.degree() == len(fractions) - 1
         assert p.is_zero() == (not fractions)
         assert p.nonneg() == all(c >= 0 for c in fractions)
-        # built by other routes: Fractions, strings, integer sums, arithmetic
+        # built by other routes: Fractions, strings, integer sums
         same = [
             UniPoly(fractions),
             UniPoly.from_coeff_strings(p.coeff_strings()),
             interpolate([(k, fraction_horner(fractions, k)) for k in range(-3, -3 + len(fractions) + 2)]),
-            p + UniPoly(),
-            (p * 7) * Fraction(1, 7),
-            -(-p),
-            p * UniPoly((1,)),
         ]
         for q in same:
             assert q == p and hash(q) == hash(p), (coeffs, q)
-        assert (p + UniPoly((1,)) == p) is False
-        assert p - p == UniPoly()
         assert UniPoly() == UniPoly((0, Fraction(0))) and hash(UniPoly()) == hash(UniPoly((0,)))
 
 
 def test_unipoly_value_is_the_fraction_horner_value():
     rng = random.Random(181)
-    points = [0, 1, 2, 7, -1, -2, -13, 10**9, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 1)]
+    points = [0, 1, 2, 7, -1, -2, -13, 10**9]
     for _ in range(200):
         coeffs = _random_coeffs(rng)
         p = UniPoly(coeffs)
-        for k in points + [Fraction(rng.randint(-99, 99), rng.randint(1, 30))]:
+        for k in points:
             value = p(k)
             assert value == fraction_horner(coeffs, k), (coeffs, k)
             # an int exactly when the value is integral
             assert type(value) is (int if fraction_horner(coeffs, k).denominator == 1 else Fraction)
+
+
+def test_linear_product_is_the_fraction_product_of_its_factors():
+    rng = random.Random(20)
+    cases = [
+        (1, []),
+        (Fraction(-3, 4), []),
+        (2, [(3, 0), (-1, 0)]),
+        (Fraction(1, 6), [(-2, 1), (1, 3), (0, 2)]),
+    ]
+    for _ in range(200):
+        scale = rng.choice([1, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 30))])
+        factors = [(rng.randint(-5, 5), rng.choice([0, rng.randint(-4, 4)])) for _ in range(rng.randint(0, 6))]
+        cases.append((scale, factors))
+    for scale, factors in cases:
+        poly = ehrhart.linear_product(scale, factors)
+        for k in range(-3, 9):
+            assert poly(k) == scale * math.prod(c + a * k for c, a in factors), (scale, factors, k)
 
 
 def test_unipoly_text_matches_the_fraction_coefficients():
@@ -439,14 +453,6 @@ def test_scan_smoke():
         scan("nonsense", {})
 
 
-def test_result_json_round_trip():
-    result = ehrhart_of(gt_object((2, 1, 0)))
-    again = EhrhartResult.from_json(result.to_json())
-    assert again.poly == result.poly
-    assert again.samples == result.samples
-    assert again.valid == result.valid
-
-
 def test_cache_round_trip(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResultCache(path)
@@ -480,7 +486,17 @@ def _drop_sample(entry):
     entry["samples"].pop()
 
 
-@pytest.mark.parametrize("edit", [_edit_poly, _edit_verify_flag, _edit_nonneg, _drop_sample])
+def _edit_poly_zero_denominator(entry):
+    entry["poly"][0] = "1/0"
+
+
+def _edit_poly_not_a_number(entry):
+    entry["poly"][0] = "x"
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_poly, _edit_verify_flag, _edit_nonneg, _drop_sample, _edit_poly_zero_denominator, _edit_poly_not_a_number,
+])
 def test_cache_entry_that_does_not_fit_its_counts_is_recomputed(tmp_path, edit):
     path = tmp_path / "cache.jsonl"
     obj = gt_object((2, 1, 0))
@@ -660,7 +676,7 @@ def _recounted_after(path, obj, old):
 def _line_under(obj, ks, extra):
     samples = [(k, obj.count(k)) for k in ks]
     poly = interpolate(samples)
-    return EhrhartResult(obj.desc, obj.bound, samples, poly, [(k, obj.count(k), True) for k in extra], poly.nonneg())
+    return EhrhartResult(obj.desc, obj.bound, samples, poly, [(k, obj.count(k), True) for k in extra])
 
 
 def test_cache_entry_under_the_positive_plan_is_a_miss(tmp_path):
