@@ -322,7 +322,22 @@ def cmd_points(args) -> int:
     return 0
 
 
+# The options each ehrhart object reads besides --lambda and --n; it takes
+# none of the others.
+_EHRHART_OPTIONS = {
+    "gt": (),
+    "skew": ("mu",),
+    "gt-weight": ("mu",),
+    "skew-weight": ("mu", "nu"),
+    "key-complex": ("sigma",),
+    "kogan-face": ("cells",),
+}
+
+
 def _ehrhart_object(args) -> ehrhart.CountedObject:
+    for option in ("mu", "nu", "sigma", "cells"):
+        if getattr(args, option) is not None and option not in _EHRHART_OPTIONS[args.object]:
+            raise CliError(f"ehrhart --object {args.object} takes no --{option}")
     lam = parse_partition(args.lam)
     if args.object == "gt":
         return ehrhart.gt_object(lam, n=args.n)
@@ -342,13 +357,12 @@ def _ehrhart_object(args) -> ehrhart.CountedObject:
         if args.sigma is None:
             raise CliError("key-complex needs --sigma")
         return ehrhart.key_complex_object(lam, _sigma_of_size_n(args, "ehrhart --object key-complex"))
-    if args.object == "kogan-face":
-        if args.cells is None:
-            raise CliError("kogan-face needs --cells \"i,j;i,j;...\"")
-        n = args.n or len(lam)
-        face = kogan.KoganFace(n, _parse_cells(args.cells))
-        return ehrhart.kogan_face_object(lam, face)
-    raise CliError(f"unknown object {args.object!r}")
+    # kogan-face, the last of the parser's choices
+    if args.cells is None:
+        raise CliError("kogan-face needs --cells \"i,j;i,j;...\"")
+    n = args.n or len(lam)
+    face = kogan.KoganFace(n, _parse_cells(args.cells))
+    return ehrhart.kogan_face_object(lam, face)
 
 
 def cmd_ehrhart(args) -> int:
@@ -471,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--object",
         required=True,
-        choices=["gt", "skew", "gt-weight", "skew-weight", "key-complex", "kogan-face"],
+        choices=list(_EHRHART_OPTIONS),
     )
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu")

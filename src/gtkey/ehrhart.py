@@ -11,21 +11,21 @@ number of free classes once its cells merge entries, and a key complex's
 the largest among its faces (`lattice.dimension` with faces); both are
 the degree.
 
-The object's family picks the dilations (`_plan`); every family is
-sampled at k = 0..D.  A GT or skew GT polytope P is counted by two
-independent methods.  Its samples are its Jacobi-Trudi determinant,
-s_{k lambda/k mu}(1^n) as an integer determinant (`_jacobi_trudi`).  Its
-checks are lattice sweeps: the count at k = 1, and at k = -1 and -2 the
-value L(-k) = (-1)^d times the number of lattice points in the relative
-interior of kP by Ehrhart-Macdonald reciprocity (Macdonald 1971;
-Beck-Robins, Computing the Continuous Discretely, ch. 4), d the exact
-dimension.  So its result is valid only when the two methods agree.  Key
-complexes, Kogan faces and weighted objects are counted by the sweep
-alone and checked at D+1 and D+2.  Both plans check at two consecutive
-dilations, one even and one odd: a single extra point cannot distinguish
-a period-2 quasi-polynomial from an honest polynomial.  A verification
-mismatch never raises; it is recorded on the result and surfaced by
-scans and the CLI.
+Each object states its dilations when it is built (`CountedObject`);
+every object is sampled at k = 0..D.  A GT or skew GT polytope P is
+counted by two independent methods.  Its samples are its Jacobi-Trudi
+determinant, s_{k lambda/k mu}(1^n) as an integer determinant
+(`_jacobi_trudi`).  Its checks are lattice sweeps: the count at k = 1,
+and at k = -1 and -2 the value L(-k) = (-1)^d times the number of
+lattice points in the relative interior of kP by Ehrhart-Macdonald
+reciprocity (Macdonald 1971; Beck-Robins, Computing the Continuous
+Discretely, ch. 4), d the exact dimension.  So its result is valid only
+when the two methods agree.  Key complexes, Kogan faces and weighted
+objects are counted by the sweep alone and checked at D+1 and D+2.  Both
+plans check at two consecutive dilations, one even and one odd: a single
+extra point cannot distinguish a period-2 quasi-polynomial from an
+honest polynomial.  A verification mismatch never raises; it is recorded
+on the result and surfaced by scans and the CLI.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -244,41 +244,40 @@ def _jacobi_trudi(spec: lattice.PolytopeSpec, k: int) -> int:
 
 @dataclass(frozen=True)
 class CountedObject:
-    """A lattice-point counting family with a dilation parameter and a
-    proved upper bound on the degree of its counting function.  `counter`
-    gives the value at every k of the family's `_plan`, negative k too;
-    `checker`, when given, gives it by an independent method, and the
-    fit's checks are its counts (`check`)."""
+    """A lattice-point counting family with a dilation parameter, a proved
+    upper bound on the degree of its counting function, and its own plan:
+    for a degree bound D its fit samples `count` at k = 0..D and checks
+    `check` at the dilations `checks(D)`, which may be negative."""
 
     desc: dict
-    counter: Callable[[int], int]
     bound: int
-    checker: Optional[Callable[[int], int]] = None
-
-    def count(self, k: int) -> int:
-        return self.counter(k)
-
-    def check(self, k: int) -> int:
-        return (self.checker or self.counter)(k)
+    count: Callable[[int], int]
+    check: Callable[[int], int]
+    checks: Callable[[int], tuple[int, ...]]
 
     def key(self) -> str:
         return json.dumps(self.desc, sort_keys=True, separators=(",", ":"))
 
 
 def _polytope_object(desc: dict, spec: lattice.PolytopeSpec) -> CountedObject:
-    """An unweighted spec, counted by two independent methods.  Its checker
-    is the lattice sweep, giving L(k) at every integer k: the count of kP
-    at k >= 0, and (-1)^d times the count of the relative interior of |k|P
-    at k < 0 by reciprocity, d the exact dimension `lattice.dimension`
-    proves, whatever degree bound the fit is given.  Its counter is the
-    Jacobi-Trudi determinant at k >= 0 (`_jacobi_trudi`) and the sweep at
-    k < 0."""
+    """An unweighted spec, counted by two independent methods.  Its samples
+    are the Jacobi-Trudi determinant (`_jacobi_trudi`).  Its checks are the
+    lattice sweep at k = 1, -1 and -2, giving L(k): the count of kP at
+    k >= 0, and (-1)^d times the count of the relative interior of |k|P at
+    k < 0 by reciprocity, d the exact dimension `lattice.dimension` proves,
+    whatever degree bound the fit is given.  The check at 1 compares the
+    two methods at a sample, and those at -1 and -2 the interpolant with
+    the sweep's interior counts: a sample wrong at one k, or a degree bound
+    below the degree, moves the interpolant at -1.  A wrong determinant
+    entry errs at every k, by a polynomial that often vanishes at -1 and
+    -2 (an Ehrhart polynomial of a smaller polytope with no interior
+    points); at 1 it does not."""
     d = lattice.dimension(spec)
 
     def sweep(k: int) -> int:
         return lattice.count_points(spec, k) if k >= 0 else (-1) ** d * lattice.count_points(spec, -k, interior=True)
 
-    return CountedObject(desc, lambda k: _jacobi_trudi(spec, k) if k >= 0 else sweep(k), d, sweep)
+    return CountedObject(desc, d, lambda k: _jacobi_trudi(spec, k), sweep, lambda D: (1, -1, -2))
 
 
 def gt_object(lam, n: int | None = None) -> CountedObject:
@@ -328,9 +327,13 @@ def kogan_face_object(lam, face: kogan.KoganFace) -> CountedObject:
 
 def _swept_object(desc: dict, spec: lattice.PolytopeSpec, faces: list | None = None) -> CountedObject:
     """`spec`, or the union of `faces` in it, counted by the lattice sweep
-    alone at each k; its bound is `lattice.dimension`, for faces the
-    largest dimension of a face, which is the degree."""
-    return CountedObject(desc, lambda k: lattice.count_points(spec, k, faces), lattice.dimension(spec, faces))
+    alone and checked at D+1 and D+2; its bound is `lattice.dimension`, for
+    faces the largest dimension of a face, which is the degree."""
+
+    def sweep(k: int) -> int:
+        return lattice.count_points(spec, k, faces)
+
+    return CountedObject(desc, lattice.dimension(spec, faces), sweep, sweep, lambda D: (D + 1, D + 2))
 
 
 # --- interpolation with verification ------------------------------------------
@@ -370,42 +373,23 @@ class EhrhartResult:
         }
 
 
-# Families sampled by the Jacobi-Trudi determinant and checked by the sweep,
-# which counts them at k < 0 by reciprocity (`_polytope_object`).
-_RECIPROCAL = ("gt", "skew")
-
-
-def _plan(desc: dict, D: int) -> tuple[range, tuple[int, ...]]:
-    """The dilations an object of this family is sampled at and checked at
-    for the degree bound D: k = 0..D, then D+1 and D+2, or 1, -1 and -2 for
-    a family checked by the sweep.  There the check at 1 compares the two
-    methods at a sample, and those at -1 and -2 the interpolant with the
-    sweep's interior counts: a sample wrong at one k, or a degree bound
-    below the degree, moves the interpolant at -1.  A wrong determinant
-    entry errs at every k, by a polynomial that often vanishes at -1 and
-    -2 (an Ehrhart polynomial of a smaller polytope with no interior
-    points); at 1 it does not."""
-    return range(D + 1), (1, -1, -2) if desc["family"] in _RECIPROCAL else (D + 1, D + 2)
-
-
-def _fit(desc: dict, D: int, count: Callable[[int], int], check: Callable[[int], int]) -> EhrhartResult:
-    """Interpolate the counts at the samples of `_plan` and compare the
-    polynomial with the checker's counts at its checks.  A check at k < 0
-    is stored as the value L(k) the checker gives, so every count is a
-    point of the polynomial.
+def _fit(obj: CountedObject, D: int) -> EhrhartResult:
+    """Interpolate the object's counts at k = 0..D and compare the
+    polynomial with its check counts at `obj.checks(D)`.  A check at k < 0
+    is stored as the value L(k) the check gives, so every count is a point
+    of the polynomial.
 
     The k = 0 sample of a dilated specification is always the single zero
     pattern, so an empty polytope would poison the fit; if every sample and
     verification count at k != 0 vanishes the honest answer is the zero
     polynomial and the object is marked empty.
     """
-    ks, extra = _plan(desc, D)
-    samples = [(k, count(k)) for k in ks]
-    checks = [(k, check(k)) for k in extra]
+    samples = [(k, obj.count(k)) for k in range(D + 1)]
+    checks = [(k, obj.check(k)) for k in obj.checks(D)]
     empty = all(v == 0 for k, v in samples + checks if k)
     poly = UniPoly() if empty else interpolate(samples)
     return EhrhartResult(
-        object=desc,
+        object=obj.desc,
         degree_bound=D,
         samples=samples,
         poly=poly,
@@ -419,9 +403,9 @@ class ResultCache:
 
     A line that is not a readable entry is skipped and its number kept in
     `bad_lines`.  A stored entry is read back as its counts alone, the
-    values of its samples and verification points.  They are refitted
-    under the object's `_plan` and the caller's descriptor, and the result
-    is returned only when it gives back exactly that entry (samples,
+    values of its samples and verification points.  They are refitted as
+    the caller's object with those counts in place of its own, and the
+    result is returned only when it gives back exactly that entry (samples,
     polynomial, verification points and flags), so a line written under
     another plan is a miss too.  The result reports the object as the
     caller gave it, not as the line stores it (with sorted keys).  A miss
@@ -457,15 +441,15 @@ class ResultCache:
             separators=(",", ":"),
         )
 
-    def get(self, desc: dict, degree_bound: int) -> Optional[EhrhartResult]:
-        key = self._key({"object": desc, "degree_bound": degree_bound})
+    def get(self, obj: CountedObject, degree_bound: int) -> Optional[EhrhartResult]:
+        key = self._key({"object": obj.desc, "degree_bound": degree_bound})
         hit = self.entries.get(key)
         if hit is None:
             return None
         try:
             samples = {int(k): int(v) for k, v in hit["samples"]}
             checks = {int(k): int(v) for k, v, _ in hit["verify_points"]}
-            result = _fit(desc, degree_bound, samples.__getitem__, checks.__getitem__)
+            result = _fit(replace(obj, count=samples.__getitem__, check=checks.__getitem__), degree_bound)
         except (ValueError, KeyError, TypeError):
             result = None
         if result is None or result.to_json() != hit:
@@ -503,10 +487,10 @@ def ehrhart_of(
     if D < 0:
         raise ValueError("degree bound must be >= 0")
     if cache is not None:
-        hit = cache.get(obj.desc, D)
+        hit = cache.get(obj, D)
         if hit is not None:
             return hit
-    result = _fit(obj.desc, D, obj.count, obj.check)
+    result = _fit(obj, D)
     if cache is not None:
         cache.put(result)
     return result

@@ -528,6 +528,33 @@ def test_a_warm_cache_run_prints_what_the_cold_run_printed(tmp_path, capsys, mon
     assert path.read_bytes() == stored
 
 
+# the commands whose cache lines golden/cache.jsonl holds, written by an
+# earlier version: one per ehrhart object, and a gt under --degree-bound
+GOLDEN_CACHE_COMMANDS = [
+    "gtkey ehrhart --object gt --lambda 3,1,0",
+    "gtkey ehrhart --object gt --lambda 3,1,0 --degree-bound 5",
+    "gtkey ehrhart --object skew --lambda 3,2,1 --mu 2,1",
+    "gtkey ehrhart --object gt-weight --lambda 3,2,1,0 --mu 2,2,1,1",
+    "gtkey ehrhart --object skew-weight --lambda 3,3,1 --mu 2 --nu 2,2,1",
+    'gtkey ehrhart --object key-complex --lambda 2,1,0,0 --sigma "[2,4,3,1]"',
+    'gtkey ehrhart --object kogan-face --lambda 4,3,3,2 --cells "2,2;3,1;3,2;3,3"',
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_a_golden_cache_file_is_all_hits(tmp_path, capsys, monkeypatch, fmt):
+    # a cache line keeps its meaning across versions: every stored line is a
+    # hit (nothing is appended), and it prints what a run with no cache prints
+    monkeypatch.delenv("GTKEY_CACHE", raising=False)
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes((GOLDEN / "cache.jsonl").read_bytes())
+    assert len(path.read_text().splitlines()) == len(GOLDEN_CACHE_COMMANDS)
+    for line in GOLDEN_CACHE_COMMANDS:
+        argv = [*shlex.split(line)[1:], "--format", fmt]
+        assert run_cli(capsys, *argv, "--cache", str(path)) == run_cli(capsys, *argv), line
+    assert path.read_bytes() == (GOLDEN / "cache.jsonl").read_bytes()
+
+
 def test_weights_need_not_be_partitions(capsys):
     assert run_cli(capsys, "points", "--lambda", "2,1,0", "--nu", "0,1,2", "--count-only") == (0, "1\n")
     code, out = run_cli(capsys, "scan", "--family", "skew_kostka", "--ranges", "max_shape=2,1;n=2", "--format", "json")
@@ -766,6 +793,24 @@ def test_ehrhart_key_complex_rejects_a_different_n(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: ehrhart --object key-complex: --n 5 differs from the size 2 of sigma\n"
+
+
+_UNREAD_VALUES = {"--mu": "1", "--nu": "1,1,1", "--sigma": "[2,1,3]", "--cells": "1,1"}
+
+
+@pytest.mark.parametrize("argv, option", [
+    pytest.param(argv, option, id=f"{argv[2]}{option}")
+    for argv in SWEEP_ARGVS if argv[0] == "ehrhart"
+    for option in _UNREAD_VALUES if option not in argv
+])
+def test_ehrhart_rejects_an_option_its_object_does_not_read(capsys, tmp_path, monkeypatch, argv, option):
+    # as points --sigma rejects --nu and --mu; the argv without it exits 0
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, option, _UNREAD_VALUES[option]]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ehrhart --object {argv[2]} takes no {option}\n"
+    assert cli.main(argv) == 0
 
 
 @pytest.mark.parametrize("lam", ["2,1", "2,1,0"])

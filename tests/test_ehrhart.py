@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -267,7 +268,7 @@ def test_a_sample_wrong_at_one_dilation_is_flagged_at_minus_one():
     obj = skew_object((3, 2, 1), (2, 1), n=3)
     assert ehrhart_of(obj).valid
     for wrong in range(obj.bound + 1):
-        planted = ehrhart.CountedObject(obj.desc, lambda k: obj.count(k) + (k == wrong), obj.bound, obj.checker)
+        planted = replace(obj, count=lambda k: obj.count(k) + (k == wrong))
         result = ehrhart_of(planted)
         assert [(k, ok) for k, _, ok in result.verify_points][1] == (-1, False), wrong
 
@@ -301,6 +302,36 @@ def test_kogan_face_object():
     result = ehrhart_of(kogan_face_object((4, 3, 3, 2), face))
     assert result.valid and result.nonneg
     assert result.poly(1) == 3
+
+
+_ONE_OF_EACH = {
+    "gt": lambda: gt_object((2, 1, 0)),
+    "skew": lambda: skew_object((3, 2, 1), (2, 1), n=3),
+    "gt_weight": lambda: gt_weight_object((2, 1), (1, 1, 1)),
+    "skew_weight": lambda: skew_weight_object((2, 2, 1), (2, 1), (1, 1, 0)),
+    "key_complex": lambda: key_complex_object((3, 2, 0), (2, 1, 3)),
+    "kogan_face": lambda: kogan_face_object((4, 3, 3, 2), KoganFace(4, frozenset({(2, 2), (3, 1), (3, 2), (3, 3)}))),
+}
+
+
+@pytest.mark.parametrize("above", [None, 2], ids=["own_bound", "bound_plus_2"])
+@pytest.mark.parametrize("family", _ONE_OF_EACH)
+def test_each_object_states_the_dilations_it_is_checked_at(family, above):
+    # gt and skew are checked by the sweep at 1, -1, -2, the others at D+1,
+    # D+2 for the degree bound D the fit is given; a wrong count at any
+    # check dilation makes the fit invalid
+    obj = _ONE_OF_EACH[family]()
+    assert obj.desc["family"] == family
+    bound = None if above is None else obj.bound + above
+    result = ehrhart_of(obj, degree_bound=bound)
+    D = result.degree_bound
+    checks = (1, -1, -2) if family in ("gt", "skew") else (D + 1, D + 2)
+    assert result.valid and not result.empty
+    assert [k for k, _ in result.samples] == list(range(D + 1))
+    assert tuple(k for k, _, _ in result.verify_points) == checks == obj.checks(D)
+    for c in checks:
+        planted = replace(obj, check=lambda k: obj.check(k) + (k == c))
+        assert not ehrhart_of(planted, degree_bound=bound).valid, c
 
 
 def test_empty_weight_object_reports_zero_poly():
@@ -460,9 +491,8 @@ def test_cache_round_trip(tmp_path):
     first = ehrhart_of(obj, cache=cache)
     # a fresh cache instance reads the stored line and skips recounting
     calls = []
-    counting = ehrhart.CountedObject(
-        obj.desc, lambda k: calls.append(k) or 10**9, obj.bound
-    )
+    stub = lambda k: calls.append(k) or 10**9
+    counting = replace(obj, count=stub, check=stub)
     cache2 = ResultCache(path)
     hit = ehrhart_of(counting, cache=cache2)
     assert not calls
@@ -510,7 +540,7 @@ def test_cache_entry_that_does_not_fit_its_counts_is_recomputed(tmp_path, edit):
     assert again.to_json() == right.to_json()
     # the recomputed entry is appended, and the later line wins on load
     assert len(path.read_text().splitlines()) == 2
-    assert ResultCache(path).get(obj.desc, right.degree_bound).to_json() == right.to_json()
+    assert ResultCache(path).get(obj, right.degree_bound).to_json() == right.to_json()
 
 
 def test_cache_skips_unreadable_lines(tmp_path):
@@ -520,7 +550,7 @@ def test_cache_skips_unreadable_lines(tmp_path):
     path.write_text('{"object": \n' + path.read_text() + '[1, 2]\n{"poly": []}\n\n"x"\n')
     cache = ResultCache(path)
     assert cache.bad_lines == [1, 3, 4, 6]
-    assert cache.get(obj.desc, right.degree_bound).to_json() == right.to_json()
+    assert cache.get(obj, right.degree_bound).to_json() == right.to_json()
 
 
 def test_degree_bound_override():
@@ -619,6 +649,13 @@ def test_dimension_bounds_the_degree_of_every_scan_object(family, ranges):
         assert obj.bound <= _hand_written_bound(obj.desc), obj.desc
 
 
+def _recording(obj, calls):
+    """obj, appending the k of each of its counts and checks to calls."""
+    return replace(
+        obj, count=lambda k: calls.append(k) or obj.count(k), check=lambda k: calls.append(k) or obj.check(k)
+    )
+
+
 def test_cache_entry_under_another_degree_bound_is_a_miss(tmp_path):
     # a line stored under the old bound n*m = 9 is not returned for the
     # dimension bound 6; the result is recomputed at k = 0..6, 1, -1, -2 and appended
@@ -627,14 +664,14 @@ def test_cache_entry_under_another_degree_bound_is_a_miss(tmp_path):
     old = ehrhart_of(obj, degree_bound=9, cache=ResultCache(path))
     assert old.degree_bound == 9 and obj.bound == 6
     calls = []
-    counting = ehrhart.CountedObject(obj.desc, lambda k: calls.append(k) or obj.count(k), obj.bound)
+    counting = _recording(obj, calls)
     result = ehrhart_of(counting, cache=ResultCache(path))
     assert calls == [0, 1, 2, 3, 4, 5, 6, 1, -1, -2]
     assert result.to_json() == ehrhart_of(obj).to_json()
     assert result.degree_bound == 6 and result.poly == old.poly
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [line["degree_bound"] for line in lines] == [9, 6]
-    assert ResultCache(path).get(obj.desc, 6).to_json() == result.to_json()
+    assert ResultCache(path).get(obj, 6).to_json() == result.to_json()
 
 
 def test_key_complex_cache_entry_under_the_old_bound_is_a_miss(tmp_path):
@@ -646,14 +683,14 @@ def test_key_complex_cache_entry_under_the_old_bound_is_a_miss(tmp_path):
     old = ehrhart_of(obj, degree_bound=2, cache=ResultCache(path))
     assert old.valid and old.degree_bound == 2 and obj.bound == 1
     calls = []
-    counting = ehrhart.CountedObject(obj.desc, lambda k: calls.append(k) or obj.count(k), obj.bound)
+    counting = _recording(obj, calls)
     result = ehrhart_of(counting, cache=ResultCache(path))
     assert calls == [0, 1, 2, 3]
     assert result.to_json() == ehrhart_of(obj).to_json()
     assert result.degree_bound == 1 and result.poly == old.poly and result.poly.degree() == 1
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [line["degree_bound"] for line in lines] == [2, 1]
-    assert ResultCache(path).get(obj.desc, 1).to_json() == result.to_json()
+    assert ResultCache(path).get(obj, 1).to_json() == result.to_json()
 
 
 def _recounted_after(path, obj, old):
@@ -663,20 +700,21 @@ def _recounted_after(path, obj, old):
     assert old.valid and old.poly == ehrhart_of(obj).poly
     path.write_text(json.dumps(old.to_json(), sort_keys=True) + "\n")
     calls = []
-    counting = ehrhart.CountedObject(obj.desc, lambda k: calls.append(k) or obj.count(k), obj.bound)
+    counting = _recording(obj, calls)
     result = ehrhart_of(counting, cache=ResultCache(path))
     assert calls == list(range(obj.bound + 1)) + [1, -1, -2]
     assert result.to_json() == ehrhart_of(obj).to_json()
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines == [old.to_json(), result.to_json()]
-    assert ResultCache(path).get(obj.desc, obj.bound).to_json() == result.to_json()
+    assert ResultCache(path).get(obj, obj.bound).to_json() == result.to_json()
     return result
 
 
 def _line_under(obj, ks, extra):
-    samples = [(k, obj.count(k)) for k in ks]
+    count = lambda k: obj.count(k) if k >= 0 else obj.check(k)
+    samples = [(k, count(k)) for k in ks]
     poly = interpolate(samples)
-    return EhrhartResult(obj.desc, obj.bound, samples, poly, [(k, obj.count(k), True) for k in extra])
+    return EhrhartResult(obj.desc, obj.bound, samples, poly, [(k, count(k), True) for k in extra])
 
 
 def test_cache_entry_under_the_positive_plan_is_a_miss(tmp_path):
