@@ -13,7 +13,6 @@ import functools
 import io
 import itertools
 import json
-import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -149,13 +148,12 @@ def _term_rows(poly) -> list:
 
 
 def _open_cache(args) -> ehrhart.ResultCache | None:
-    path = os.environ.get("GTKEY_CACHE") or args.cache
-    if not path:
+    if not args.cache:
         return None
-    cache = ehrhart.ResultCache(path)
+    cache = ehrhart.ResultCache(args.cache)
     if cache.bad_lines:
         lines = ", ".join(str(n) for n in cache.bad_lines)
-        print(f"warning: cache {path}: skipped unreadable line(s) {lines}", file=sys.stderr)
+        print(f"warning: cache {args.cache}: skipped unreadable line(s) {lines}", file=sys.stderr)
     return cache
 
 
@@ -408,11 +406,10 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cache = _open_cache(args)
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     all_checks = []
     for name in names:
-        for check in verify.run_suite(name, cache=cache):
+        for check in verify.run_suite(name):
             all_checks.append((name, check))
     ok = all(c.ok for _, c in all_checks)
     payload = {"suites": names, "ok": ok, "checks": [dict(c.to_json(), suite=name) for name, c in all_checks]}
@@ -439,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, cache=False):
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--out", help="write output to a file instead of stdout")
-        if cache:  # only the subcommands that interpolate read it
+        if cache:  # only ehrhart and scan read it
             p.add_argument("--cache", help="JSON-lines cache for interpolation results")
 
     p = sub.add_parser("key", help="key polynomial by operators, faces, or both")
@@ -501,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=["skew_gt", "stretched_kostka", "skew_kostka", "key_complex"],
+        choices=list(ehrhart.SCAN_RANGE_KEYS),
     )
     p.add_argument("--ranges", help='bounds, e.g. "n=3;max_shape=3,2,1" or "max_size=6;max_rows=4"')
     common(p, cache=True)
@@ -513,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=sorted(verify.SUITES) + ["all"],
     )
-    common(p, cache=True)
+    common(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

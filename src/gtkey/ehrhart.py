@@ -536,18 +536,17 @@ def determinant_formula(lam: Sequence[int], b: Sequence[int]) -> UniPoly:
     return interpolate([(k, value(k)) for k in range(sum(b) - n + 1)])
 
 
-def flag_match(
-    lam: Sequence[int], sigma: Sequence[int], cache: ResultCache | None = None
-) -> Optional[tuple[int, ...]]:
+def flag_match(lam: Sequence[int], sigma: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Search the flag sequences for one whose determinant polynomial equals
-    the interpolated Ehrhart polynomial of the key complex; None reports a
-    failed search (which would contradict the flagged-Schur correspondence
-    and deserves attention, so callers should not swallow it)."""
+    the Ehrhart polynomial of the key complex, interpolated afresh (no cache
+    is read); None reports a failed search (which would contradict the
+    flagged-Schur correspondence and deserves attention, so callers should
+    not swallow it)."""
     sigma = check_permutation(sigma)
     if not avoids_pattern(sigma, (2, 3, 1)):
         raise ValueError("flag matching applies to 231-avoiding permutations")
     lam = pad(check_partition(lam), len(sigma))
-    target = ehrhart_of(key_complex_object(lam, sigma), cache=cache).poly
+    target = ehrhart_of(key_complex_object(lam, sigma)).poly
     for b in flag_sequences(len(sigma)):
         if determinant_formula(lam, b) == target:
             return b
@@ -610,10 +609,10 @@ class ScanReport:
         }
 
 
-_SCAN_RANGE_KEYS = {
+SCAN_RANGE_KEYS = {
     "skew_gt": ("max_shape", "n"),
-    "skew_kostka": ("max_shape", "n"),
     "stretched_kostka": ("max_size", "max_rows"),
+    "skew_kostka": ("max_shape", "n"),
     "key_complex": ("n", "max_part"),
 }
 
@@ -630,7 +629,7 @@ def scan_objects(family: str, ranges: dict) -> Iterator[CountedObject]:
     A range key the family does not read raises ValueError, and so does an
     integer key that is not one integer at or above its floor: n >= 1,
     max_size, max_rows and max_part >= 0."""
-    keys = _SCAN_RANGE_KEYS.get(family)
+    keys = SCAN_RANGE_KEYS.get(family)
     if keys is None:
         raise ValueError(f"unknown scan family {family!r}")
     unknown = sorted(set(ranges) - set(keys))

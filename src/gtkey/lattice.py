@@ -486,20 +486,19 @@ def weight_counts(
             for (s, m), tally in states.items():
                 head, rest, up, eq, off, a, b = _choices(entry, s, m)
                 for v in range(a, b + 1):
-                    swept.setdefault((head + (v,) + rest, eq if v == up else off), []).append(tally)
-            states = {state: _merged(tallies) for state, tallies in swept.items()}
+                    state = head + (v,) + rest, eq if v == up else off
+                    into = swept.get(state)
+                    if into is None:  # a copy: later tallies are added into it
+                        swept[state] = dict(tally)
+                        continue
+                    for w, count in tally.items():
+                        into[w] = into.get(w, 0) + count
+            states = swept
         for (s, m), tally in states.items():  # each profile is a whole row
             t = sum(s) - base
             states[s, m] = {(t, w[0] - t) + w[1:]: count for w, count in tally.items()}
-    return _merged(list(states.values()))
-
-
-def _merged(tallies: list[dict]) -> dict:
-    """The sum of the tallies, sharing the one tally when there is only one."""
-    if len(tallies) == 1:
-        return tallies[0]
-    out: dict = {}
-    for tally in tallies:
+    total: dict = {}
+    for tally in states.values():
         for w, count in tally.items():
-            out[w] = out.get(w, 0) + count
-    return out
+            total[w] = total.get(w, 0) + count
+    return total

@@ -154,7 +154,7 @@ def suite_example_gtkey() -> list[Check]:
     return checks
 
 
-def suite_table1(cache: ehrhart.ResultCache | None = None) -> list[Check]:
+def suite_table1() -> list[Check]:
     """The five bundled skew Ehrhart polynomials, including row coincidences."""
     rows = _load("skew_ehrhart_table.json")
     polys = {}
@@ -164,9 +164,7 @@ def suite_table1(cache: ehrhart.ResultCache | None = None) -> list[Check]:
             polys[row["label"]] = UniPoly.from_coeff_strings(row["coeffs"])
     for row in rows:
         expected = polys[row.get("same_as", row["label"])]
-        result = ehrhart.ehrhart_of(
-            ehrhart.skew_object(tuple(row["lambda"]), tuple(row["mu"]), n=3), cache=cache
-        )
+        result = ehrhart.ehrhart_of(ehrhart.skew_object(tuple(row["lambda"]), tuple(row["mu"]), n=3))
         checks.append(
             Check(
                 f"skew {row['label']}",
@@ -197,7 +195,7 @@ def suite_table2() -> list[Check]:
     return checks
 
 
-def suite_table3(cache: ehrhart.ResultCache | None = None) -> list[Check]:
+def suite_table3() -> list[Check]:
     """S_3 key-complex Ehrhart polynomials against the bundled closed forms;
     the longest element additionally matches the product formula."""
     rows = _load("key_ehrhart_table_s3.json")["rows"]
@@ -210,9 +208,7 @@ def suite_table3(cache: ehrhart.ResultCache | None = None) -> list[Check]:
             for b in range(4):
                 lam = (a + b, a, 0)
                 expected = key_ehrhart_closed_form(row, a, b)
-                result = ehrhart.ehrhart_of(
-                    ehrhart.key_complex_object(lam, sigma), cache=cache
-                )
+                result = ehrhart.ehrhart_of(ehrhart.key_complex_object(lam, sigma))
                 if result.poly != expected or not result.valid:
                     ok = False
                     bad = f"a={a} b={b}: {result.poly}"
@@ -242,7 +238,7 @@ def suite_weyl() -> list[Check]:
     return checks
 
 
-def suite_determinant(cache: ehrhart.ResultCache | None = None) -> list[Check]:
+def suite_determinant() -> list[Check]:
     """Binomial determinant matches the key-complex Ehrhart polynomial for
     231-avoiding permutations in S_3; flag sequences are Catalan-many."""
     checks = []
@@ -258,7 +254,7 @@ def suite_determinant(cache: ehrhart.ResultCache | None = None) -> list[Check]:
         for sigma in itertools.permutations((1, 2, 3)):
             if not avoids_pattern(sigma, (2, 3, 1)):
                 continue
-            flag = ehrhart.flag_match(lam, sigma, cache=cache)
+            flag = ehrhart.flag_match(lam, sigma)
             if flag is None:
                 ok = False
                 bad = f"sigma={sigma}"
@@ -276,13 +272,12 @@ SUITES = {
 }
 
 
-def run_suite(name: str, cache: ehrhart.ResultCache | None = None) -> list[Check]:
+def run_suite(name: str) -> list[Check]:
+    """Run one suite from scratch: every suite recomputes what it checks and
+    reads no cache."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    fn = SUITES[name]
-    if name in ("table1", "table3", "determinant"):
-        return fn(cache=cache)
-    return fn()
+    return SUITES[name]()
 
 
 def kempf_fixture_faces() -> list[tuple[frozenset, tuple[int, ...]]]:

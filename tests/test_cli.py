@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtkey import cli, ehrhart, kogan, lattice, polyops
+from gtkey import cli, ehrhart, kogan, lattice, polyops, verify
 from gtkey.combinat import partitions_in_box
 from gtkey.ehrhart import compositions
 
@@ -212,19 +213,35 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["count"] == "2"
 
 
-def test_cache_env_override(tmp_path, capsys, monkeypatch):
-    cache_path = tmp_path / "cache.jsonl"
-    monkeypatch.setenv("GTKEY_CACHE", str(cache_path))
-    code, _ = run_cli(capsys, "ehrhart", "--object", "gt", "--lambda", "2,1,0", "--format", "json")
-    assert code == 0
-    assert cache_path.exists()
-    lines = [l for l in cache_path.read_text().splitlines() if l.strip()]
+def test_the_cache_is_the_one_the_command_line_names(tmp_path, capsys, monkeypatch):
+    # the environment names no cache: only --cache does
+    named, other = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    monkeypatch.setenv("GTKEY_CACHE", str(other))
+    argv = ["ehrhart", "--object", "gt", "--lambda", "2,1,0", "--format", "json"]
+    uncached = run_cli(capsys, *argv)
+    assert uncached[0] == 0
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(capsys, *argv, "--cache", str(named)) == uncached
+    assert not other.exists()
+    lines = [l for l in named.read_text().splitlines() if l.strip()]
     assert len(lines) == 1
-    # second run reuses the entry instead of appending a duplicate
-    code, _ = run_cli(capsys, "ehrhart", "--object", "gt", "--lambda", "2,1,0", "--format", "json")
-    assert code == 0
-    lines = [l for l in cache_path.read_text().splitlines() if l.strip()]
-    assert len(lines) == 1
+    # a second run reuses the entry instead of appending a duplicate
+    assert run_cli(capsys, *argv, "--cache", str(named)) == uncached
+    assert [l for l in named.read_text().splitlines() if l.strip()] == lines
+
+
+def test_no_module_reads_the_environment():
+    # every input is on the command line: an environment variable is a
+    # hidden one, which could hand `verify` a cache in place of a recount
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {node.attr} if isinstance(node, ast.Attribute) else set()
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            found += [f"{path.name}:{node.lineno} {name}" for name in sorted(names & readers)]
+    assert found == []
 
 
 def test_corrupt_cache_line_is_skipped_with_a_warning(tmp_path, capsys):
@@ -509,7 +526,7 @@ def test_readme_command_exits_zero(capsys, line):
 # every README line that reads a cache, and two whose objects a cache line
 # stores with its keys sorted: a kogan_face (cells) and a skew_weight (nu)
 CACHED_COMMANDS = list(dict.fromkeys([
-    *(line for line in README_COMMANDS if line.split()[1] in ("ehrhart", "scan", "verify")),
+    *(line for line in README_COMMANDS if line.split()[1] in ("ehrhart", "scan")),
     'gtkey ehrhart --object kogan-face --lambda 4,3,3,2 --cells "2,2;3,1;3,2;3,3"',
     'gtkey scan --family skew_kostka --ranges "max_shape=2,1;n=2"',
 ]))
@@ -517,8 +534,7 @@ CACHED_COMMANDS = list(dict.fromkeys([
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("line", CACHED_COMMANDS)
-def test_a_warm_cache_run_prints_what_the_cold_run_printed(tmp_path, capsys, monkeypatch, line, fmt):
-    monkeypatch.delenv("GTKEY_CACHE", raising=False)
+def test_a_warm_cache_run_prints_what_the_cold_run_printed(tmp_path, capsys, line, fmt):
     path = tmp_path / "cache.jsonl"
     argv = [*shlex.split(line)[1:], "--format", fmt, "--cache", str(path)]
     cold = run_cli(capsys, *argv)
@@ -526,6 +542,20 @@ def test_a_warm_cache_run_prints_what_the_cold_run_printed(tmp_path, capsys, mon
     assert cold[1] and stored
     assert run_cli(capsys, *argv) == cold
     assert path.read_bytes() == stored
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("line", [line for line in README_COMMANDS if line.split()[1] == "verify"])
+def test_a_second_verify_run_prints_what_the_first_printed(tmp_path, capsys, monkeypatch, line, fmt):
+    # verify recounts every time and stores nothing: no file appears in the
+    # working directory or where GTKEY_CACHE points
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GTKEY_CACHE", str(tmp_path / "cache.jsonl"))
+    argv = [*shlex.split(line)[1:], "--format", fmt]
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and first[1]
+    assert run_cli(capsys, *argv) == first
+    assert list(tmp_path.iterdir()) == []
 
 
 # the commands whose cache lines golden/cache.jsonl holds, written by an
@@ -542,10 +572,9 @@ GOLDEN_CACHE_COMMANDS = [
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_a_golden_cache_file_is_all_hits(tmp_path, capsys, monkeypatch, fmt):
+def test_a_golden_cache_file_is_all_hits(tmp_path, capsys, fmt):
     # a cache line keeps its meaning across versions: every stored line is a
     # hit (nothing is appended), and it prints what a run with no cache prints
-    monkeypatch.delenv("GTKEY_CACHE", raising=False)
     path = tmp_path / "cache.jsonl"
     path.write_bytes((GOLDEN / "cache.jsonl").read_bytes())
     assert len(path.read_text().splitlines()) == len(GOLDEN_CACHE_COMMANDS)
@@ -671,7 +700,6 @@ def _malformed(argv):
 @pytest.mark.parametrize("argv", SWEEP_ARGVS, ids=lambda argv: "-".join(argv[:3]))
 def test_malformed_values_exit_without_a_traceback(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)  # --out and --cache values are file names
-    monkeypatch.delenv("GTKEY_CACHE", raising=False)
     assert cli.main(argv) == 0
     for bad in _malformed(argv):
         assert cli.main(bad) in (0, 1, 2), bad
@@ -762,6 +790,7 @@ def test_text_and_csv_output(capsys, name, fmt):
     ["kostka", "--lambda", "2,1", "--mu", "1,1,1"],
     ["faces", "--n", "2"],
     ["points", "--lambda", "2,1", "--count-only"],
+    ["verify", "--suite", "weyl"],
 ])
 def test_cache_is_a_usage_error_where_nothing_reads_it(capsys, argv):
     assert cli.main([*argv, "--cache", "/no/such/dir/c"]) == cli.USAGE_ERROR
@@ -900,6 +929,28 @@ def test_planted_wrong_determinant_entry_exits_two(capsys, monkeypatch, argv):
                 assert result == right and result["valid"]
     else:
         assert payload["valid"] is False
+
+
+def test_verify_recounts_what_a_cache_in_the_environment_holds(tmp_path, capsys, monkeypatch):
+    # verify reads no cache: the clean table1 fits, in a file GTKEY_CACHE
+    # names, cannot hide a wrong determinant entry from it
+    path = tmp_path / "cache.jsonl"
+    cache = ehrhart.ResultCache(path)
+    for row in verify._load("skew_ehrhart_table.json"):
+        cache.put(ehrhart.ehrhart_of(ehrhart.skew_object(tuple(row["lambda"]), tuple(row["mu"]), n=3)))
+    assert path.read_text()
+    monkeypatch.setenv("GTKEY_CACHE", str(path))
+    real = ehrhart._det
+
+    def planted(matrix):
+        matrix = [list(row) for row in matrix]
+        matrix[0][0] += 1
+        return real(matrix)
+
+    monkeypatch.setattr(ehrhart, "_det", planted)
+    code, out = run_cli(capsys, "verify", "--suite", "table1", "--format", "json")
+    assert code == cli.VIOLATION
+    assert json.loads(out)["ok"] is False
 
 
 def test_heavy_skew_gt_scan_is_valid(capsys):
