@@ -33,10 +33,9 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import kogan, lattice
 from .combinat import (
@@ -242,8 +241,7 @@ def _jacobi_trudi(spec: lattice.PolytopeSpec, k: int) -> int:
 
 # --- counted objects ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountedObject:
+class CountedObject(NamedTuple):
     """A lattice-point counting family with a dilation parameter, a proved
     upper bound on the degree of its counting function, and its own plan:
     for a degree bound D its fit samples `count` at k = 0..D and checks
@@ -338,8 +336,7 @@ def _swept_object(desc: dict, spec: lattice.PolytopeSpec, faces: list | None = N
 
 # --- interpolation with verification ------------------------------------------
 
-@dataclass
-class EhrhartResult:
+class EhrhartResult(NamedTuple):
     """The fit of an object's counts (`_fit`): its samples (k, L(k)), the
     interpolated polynomial, and its checks (k, L(k), whether the
     polynomial gives L(k)).  `nonneg` and `valid` are read off those."""
@@ -449,7 +446,7 @@ class ResultCache:
         try:
             samples = {int(k): int(v) for k, v in hit["samples"]}
             checks = {int(k): int(v) for k, v, _ in hit["verify_points"]}
-            result = _fit(replace(obj, count=samples.__getitem__, check=checks.__getitem__), degree_bound)
+            result = _fit(obj._replace(count=samples.__getitem__, check=checks.__getitem__), degree_bound)
         except (ValueError, KeyError, TypeError):
             result = None
         if result is None or result.to_json() != hit:
@@ -575,16 +572,15 @@ def faulhaber_face(ell: int) -> UniPoly:
 
 # --- conjecture scans --------------------------------------------------------
 
-@dataclass
-class ScanEntry:
+class ScanEntry(NamedTuple):
     result: EhrhartResult
 
 
-@dataclass
 class ScanReport:
-    family: str
-    ranges: dict
-    entries: list[ScanEntry] = field(default_factory=list)
+    def __init__(self, family: str, ranges: dict):
+        self.family = family
+        self.ranges = ranges
+        self.entries: list[ScanEntry] = []
 
     @property
     def violations(self) -> list[EhrhartResult]:

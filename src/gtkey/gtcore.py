@@ -19,22 +19,61 @@ pattern and a straight tableau are the skew ones over the empty shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .combinat import check_partition, pad
 
 
-@dataclass(frozen=True)
-class _Pattern:
+class Value:
+    """An immutable value with the fields named in `_fields`, one slot each.
+
+    It equals only a value of its own class with equal fields, hashes as the
+    tuple of its fields and prints as Class(field=value, ...).  A subclass's
+    __init__ takes the fields in order, checks and normalises them and
+    stores them with `_set`; assigning to an attribute afterwards raises
+    AttributeError.
+    """
+
+    __slots__ = ("_values",)  # the fields in order, for equality and hashing
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as assignment is refused
+        return type(self), self._values
+
+
+class _Pattern(Value):
     """Integer rows, bottom-to-top; each subclass checks its own shape."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(r) for r in rows)
         self._check_shape(rows)
+        self._set(rows)
 
     @property
     def top(self) -> tuple[int, ...]:
@@ -63,6 +102,8 @@ class _Pattern:
 class GTPattern(_Pattern):
     """Triangular integer array, rows bottom-to-top."""
 
+    __slots__ = ()
+
     @staticmethod
     def _check_shape(rows) -> None:
         if not rows:
@@ -78,6 +119,8 @@ class GTPattern(_Pattern):
 
 class SkewGTPattern(_Pattern):
     """Parallelogram integer array: n+1 rows of equal length, bottom-to-top."""
+
+    __slots__ = ()
 
     @staticmethod
     def _check_shape(rows) -> None:
@@ -158,7 +201,9 @@ def _check_filling(outer, inner, rows) -> None:
         raise ValueError("tableau entries must be positive")
 
 
-class _Filling:
+class _Filling(Value):
+    __slots__ = ()
+
     def content(self, n: int) -> tuple[int, ...]:
         """Multiplicity of each value 1..n among the entries."""
         counts = [0] * n
@@ -168,19 +213,16 @@ class _Filling:
         return tuple(counts)
 
 
-@dataclass(frozen=True)
 class SSYT(_Filling):
     """Semistandard Young tableau: rows weakly increase, columns strictly."""
 
-    shape: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("shape", "rows")
 
-    def __post_init__(self):
-        shape = check_partition(self.shape)
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, shape, rows):
+        shape = check_partition(shape)
+        rows = tuple(tuple(r) for r in rows)
         _check_filling(shape, (0,) * len(shape), rows)
+        self._set(shape, rows)
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
@@ -190,22 +232,18 @@ class SSYT(_Filling):
         return cls(tuple(obj["shape"]), tuple(tuple(r) for r in obj["rows"]))
 
 
-@dataclass(frozen=True)
 class SkewSSYT(_Filling):
-    """Semistandard filling of a skew diagram outer/inner."""
+    """Semistandard filling of a skew diagram outer/inner; row r holds the
+    entries of columns inner_r+1..outer_r."""
 
-    outer: tuple[int, ...]
-    inner: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]  # entries of row r, columns inner_r+1..outer_r
+    __slots__ = _fields = ("outer", "inner", "rows")
 
-    def __post_init__(self):
-        outer = check_partition(self.outer)
-        inner = pad(check_partition(self.inner), len(outer))
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, outer, inner, rows):
+        outer = check_partition(outer)
+        inner = pad(check_partition(inner), len(outer))
+        rows = tuple(tuple(r) for r in rows)
         _check_filling(outer, inner, rows)
+        self._set(outer, inner, rows)
 
     def to_json(self) -> dict:
         return {

@@ -15,7 +15,6 @@ construction in polyops and the two are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import lattice
@@ -27,21 +26,19 @@ from .combinat import (
     perm_length,
     word_to_perm,
 )
-from .gtcore import GTPattern
+from .gtcore import GTPattern, Value
 from .polyops import MultiPoly, weight_sum
 
 
-@dataclass(frozen=True)
-class KoganFace:
-    n: int
-    cells: frozenset[tuple[int, int]]
+class KoganFace(Value):
+    __slots__ = _fields = ("n", "cells")
 
-    def __post_init__(self):
-        cells = frozenset((int(i), int(j)) for i, j in self.cells)
-        object.__setattr__(self, "cells", cells)
+    def __init__(self, n: int, cells):
+        cells = frozenset((int(i), int(j)) for i, j in cells)
         for i, j in cells:
-            if not 1 <= j <= i <= self.n - 1:
-                raise ValueError(f"cell {(i, j)} out of range for n={self.n}")
+            if not 1 <= j <= i <= n - 1:
+                raise ValueError(f"cell {(i, j)} out of range for n={n}")
+        self._set(n, cells)
 
     def sorted_cells(self) -> list[tuple[int, int]]:
         return sorted(self.cells)

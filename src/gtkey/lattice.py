@@ -41,20 +41,18 @@ yielding each point once in canonical order (entries read top row first).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .combinat import check_partition, contains, pad
-from .gtcore import GTPattern, Pattern, SkewGTPattern
+from .gtcore import GTPattern, Pattern, SkewGTPattern, Value
 
 # A face: cells (i, j) forcing x_{i,j} = x_{i+1,j}.
 Cells = frozenset
 
 
-@dataclass(frozen=True)
-class PolytopeSpec:
+class PolytopeSpec(Value):
     """A GT polytope: triangular GT(lambda) when `bottom` is None, else skew
     GT(lambda/mu) with `bottom` mu and n rows above it, optionally cut to
     the patterns of weight `weight`.
@@ -63,29 +61,25 @@ class PolytopeSpec:
     checks them.  A triangular spec's n is len(top); a skew spec needs
     n >= 1; a weight needs n non-negative entries."""
 
-    top: tuple[int, ...]
-    bottom: Optional[tuple[int, ...]] = None
-    weight: Optional[tuple[int, ...]] = None
-    n: Optional[int] = None  # rows above the bottom
+    __slots__ = _fields = ("top", "bottom", "weight", "n")  # n: rows above the bottom
 
-    def __post_init__(self):
-        object.__setattr__(self, "top", check_partition(self.top))
-        if not self.top:
+    def __init__(self, top, bottom=None, weight=None, n: int | None = None):
+        top = check_partition(top)
+        if not top:
             raise ValueError("a GT polytope needs a top row with at least one entry")
-        if self.bottom is None:
-            object.__setattr__(self, "n", len(self.top))
+        if bottom is None:
+            n = len(top)
         else:
-            bottom = pad(check_partition(self.bottom), len(self.top))
-            object.__setattr__(self, "bottom", bottom)
-            if not contains(self.top, bottom):
+            bottom = pad(check_partition(bottom), len(top))
+            if not contains(top, bottom):
                 raise ValueError("bottom row must fit inside the top row")
-            if self.n is None or self.n < 1:
-                raise ValueError(f"a skew GT polytope needs n >= 1, not n={self.n}")
-        if self.weight is not None:
-            w = tuple(self.weight)
-            if len(w) != self.n or any(x < 0 for x in w):
-                raise ValueError(f"weight must be {self.n} non-negative integers")
-            object.__setattr__(self, "weight", w)
+            if n is None or n < 1:
+                raise ValueError(f"a skew GT polytope needs n >= 1, not n={n}")
+        if weight is not None:
+            weight = tuple(weight)
+            if len(weight) != n or any(x < 0 for x in weight):
+                raise ValueError(f"weight must be {n} non-negative integers")
+        self._set(top, bottom, weight, n)
 
     @property
     def kind(self) -> str:

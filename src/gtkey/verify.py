@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from . import ehrhart, kogan, lattice, polyops
 from .combinat import avoids_pattern, catalan, partitions_in_box
@@ -20,8 +20,7 @@ from .ehrhart import UniPoly
 from .polyops import MultiPoly
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

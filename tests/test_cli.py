@@ -244,6 +244,17 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every gtkey process pays for its imports, and dataclasses with the
+    # inspect it pulls in cost about half of the CLI's start; the modules
+    # loaded before the import are left out, since site may load typing
+    script = "import sys; before = set(sys.modules); import gtkey.cli; print(*sorted(set(sys.modules) - before))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    added = set(run.stdout.split())
+    assert "gtkey.cli" in added and not {"dataclasses", "inspect"} & added
+
+
 def test_corrupt_cache_line_is_skipped_with_a_warning(tmp_path, capsys):
     cache_path = tmp_path / "cache.jsonl"
     argv = ["ehrhart", "--object", "gt", "--lambda", "2,1,0", "--format", "json", "--cache", str(cache_path)]

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -268,7 +267,7 @@ def test_a_sample_wrong_at_one_dilation_is_flagged_at_minus_one():
     obj = skew_object((3, 2, 1), (2, 1), n=3)
     assert ehrhart_of(obj).valid
     for wrong in range(obj.bound + 1):
-        planted = replace(obj, count=lambda k: obj.count(k) + (k == wrong))
+        planted = obj._replace(count=lambda k: obj.count(k) + (k == wrong))
         result = ehrhart_of(planted)
         assert [(k, ok) for k, _, ok in result.verify_points][1] == (-1, False), wrong
 
@@ -330,7 +329,7 @@ def test_each_object_states_the_dilations_it_is_checked_at(family, above):
     assert [k for k, _ in result.samples] == list(range(D + 1))
     assert tuple(k for k, _, _ in result.verify_points) == checks == obj.checks(D)
     for c in checks:
-        planted = replace(obj, check=lambda k: obj.check(k) + (k == c))
+        planted = obj._replace(check=lambda k: obj.check(k) + (k == c))
         assert not ehrhart_of(planted, degree_bound=bound).valid, c
 
 
@@ -472,6 +471,16 @@ def test_faulhaber():
         assert all(f(k) == faulhaber_sum(ell, k) for k in range(6))
 
 
+def test_a_report_starts_empty_and_a_result_is_not_empty_by_default():
+    report = ehrhart.ScanReport(family="gt", ranges={"n": 1})
+    assert (report.family, report.ranges, report.entries, report.status) == ("gt", {"n": 1}, [], 0)
+    assert ehrhart.ScanReport(family="gt", ranges={}).entries is not report.entries
+    result = EhrhartResult({"family": "gt"}, 0, [(0, 1)], UniPoly((1,)), [(1, 1, True)])
+    assert result.empty is False and result.valid and result.nonneg
+    report.entries.append(ehrhart.ScanEntry(result))
+    assert report.to_json()["checked"] == 1 and report.status == 0
+
+
 def test_scan_smoke():
     report = scan("stretched_kostka", {"max_size": 3, "max_rows": 3})
     assert report.status == 0
@@ -492,7 +501,7 @@ def test_cache_round_trip(tmp_path):
     # a fresh cache instance reads the stored line and skips recounting
     calls = []
     stub = lambda k: calls.append(k) or 10**9
-    counting = replace(obj, count=stub, check=stub)
+    counting = obj._replace(count=stub, check=stub)
     cache2 = ResultCache(path)
     hit = ehrhart_of(counting, cache=cache2)
     assert not calls
@@ -651,8 +660,8 @@ def test_dimension_bounds_the_degree_of_every_scan_object(family, ranges):
 
 def _recording(obj, calls):
     """obj, appending the k of each of its counts and checks to calls."""
-    return replace(
-        obj, count=lambda k: calls.append(k) or obj.count(k), check=lambda k: calls.append(k) or obj.check(k)
+    return obj._replace(
+        count=lambda k: calls.append(k) or obj.count(k), check=lambda k: calls.append(k) or obj.check(k)
     )
 
 

@@ -1,8 +1,11 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from gtkey import lattice
+from gtkey.kogan import KoganFace
 from gtkey.gtcore import (
     GTPattern,
     SSYT,
@@ -172,3 +175,27 @@ def test_patterns_keep_their_class_in_repr_and_equality():
     assert repr(sp) == "SkewGTPattern(rows=((0,), (1,)))"
     assert p == GTPattern(((1,),)) and hash(p) == hash(GTPattern(((1,),)))
     assert p.__eq__(sp) is NotImplemented and sp.__eq__(p) is NotImplemented
+
+
+# each value type with raw constructor arguments and the fields they
+# normalise to (padding, lists becoming tuples, a list of cells a frozenset)
+VALUES = [
+    (lattice.PolytopeSpec, ([3, 1], [1], [2, 1], 2), {"top": (3, 1), "bottom": (1, 0), "weight": (2, 1), "n": 2}),
+    (KoganFace, (3, [[2, 1], [1, 1]]), {"n": 3, "cells": frozenset({(1, 1), (2, 1)})}),
+    (GTPattern, ([[1], [2, 0]],), {"rows": ((1,), (2, 0))}),
+    (SkewGTPattern, ([[0, 0], [1, 0], [2, 1]],), {"rows": ((0, 0), (1, 0), (2, 1))}),
+    (SSYT, ([2, 1], [[1, 1], [2]]), {"shape": (2, 1), "rows": ((1, 1), (2,))}),
+    (SkewSSYT, ([2, 1], [1], [[1], [2]]), {"outer": (2, 1), "inner": (1, 0), "rows": ((1,), (2,))}),
+]
+
+
+@pytest.mark.parametrize("cls, raw, fields", VALUES, ids=[case[0].__name__ for case in VALUES])
+def test_value_types_are_immutable_and_compare_by_class_and_fields(cls, raw, fields):
+    value, by_keyword = cls(*raw), cls(**fields)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert {name: getattr(value, name) for name in fields} == fields
+    assert value == by_keyword and hash(value) == hash(by_keyword)
+    assert repr(value) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
