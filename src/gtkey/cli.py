@@ -1,8 +1,9 @@
 """Command-line surface: compute, enumerate, interpolate, scan, verify.
 
-Exit status: 0 success (and no violations), 1 usage error, 2 mathematical
-violation or verification failure.  All numeric output is exact; rationals
-print as "p/q" strings and counts as decimal strings.
+Exit status: 0 success (and no violations), 1 usage error or an input too
+large to count in memory, 2 mathematical violation or verification failure.
+All numeric output is exact; rationals print as "p/q" strings and counts as
+decimal strings.
 """
 
 from __future__ import annotations
@@ -118,11 +119,11 @@ def _terms_text(poly) -> str:
 
 
 def _emit(args, payload, header, rows, lines) -> None:
-    """Write one result in --format to --out or stdout: `payload` as JSON,
+    """Write one result in --format to --out or stdout: `payload()` as JSON,
     `header` and then `rows()` as CSV, or `lines()` as text.  Only the
     chosen format's callable runs."""
     if args.format == "json":
-        text = _json_text(payload)
+        text = _json_text(payload())
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -189,7 +190,7 @@ def cmd_key(args) -> int:
     }
     if method == "both":
         payload["methods_agree"] = agree
-    _emit(args, payload, ["coeff", "exp"], lambda: _term_rows(poly), lambda: [
+    _emit(args, lambda: payload, ["coeff", "exp"], lambda: _term_rows(poly), lambda: [
         f"key polynomial, lambda={list(lam)} sigma={list(sigma)}",
         *([f"methods agree: {agree}"] if method == "both" else []),
         str(poly),
@@ -210,7 +211,7 @@ def cmd_schur(args) -> int:
         desc = {"lambda": list(lam), "n": n}
     payload = dict(desc, terms=poly, at_ones=str(polyops.eval_ones(poly)))
     _emit(
-        args, payload, ["coeff", "exp"], lambda: _term_rows(poly),
+        args, lambda: payload, ["coeff", "exp"], lambda: _term_rows(poly),
         lambda: [str(poly), f"value at ones {payload['at_ones']}"],
     )
     return 0
@@ -229,8 +230,10 @@ def cmd_kostka(args) -> int:
         mu = parse_word(args.mu)
         value = polyops.kostka(lam, mu)
         desc = {"lambda": list(lam), "mu": list(mu)}
-    payload = {"spec": desc, "count": str(value)}
-    _emit(args, payload, ["spec", "count"], lambda: [[json.dumps(desc), str(value)]], lambda: [str(value)])
+    _emit(
+        args, lambda: {"spec": desc, "count": str(value)}, ["spec", "count"],
+        lambda: [[json.dumps(desc), str(value)]], lambda: [str(value)],
+    )
     return 0
 
 
@@ -254,7 +257,7 @@ def cmd_faces(args) -> int:
     ]
     cells = lambda r: ";".join(f"{i},{j}" for i, j in r["cells"])
     _emit(
-        args, records, ["n", "cells", "word", "reduced", "type"],
+        args, lambda: records, ["n", "cells", "word", "reduced", "type"],
         lambda: [
             [r["n"], cells(r), format_word(r["word"]), r["reduced"], format_permutation(r["type"])]
             for r in records
@@ -299,8 +302,10 @@ def cmd_points(args) -> int:
         list_points = lambda: list(lattice.enumerate_points(spec, k))
     if args.count_only:
         count = str(count_points())
-        payload = {"spec": desc, "k": k, "count": count}
-        _emit(args, payload, ["spec", "k", "count"], lambda: [[json.dumps(desc), k, count]], lambda: [count])
+        _emit(
+            args, lambda: {"spec": desc, "k": k, "count": count}, ["spec", "k", "count"],
+            lambda: [[json.dumps(desc), k, count]], lambda: [count],
+        )
         return 0
     points = list_points()
     weights = [pattern_weight(p) for p in points]
@@ -308,7 +313,7 @@ def cmd_points(args) -> int:
     payload = {"spec": desc, "k": k, "count": str(len(points)), "points": records}
     monomial = polyops.MultiPoly.monomial
     _emit(
-        args, payload, ["entries_top_down", "weight", "monomial"],
+        args, lambda: payload, ["entries_top_down", "weight", "monomial"],
         lambda: [
             [" ".join(str(x) for r in reversed(p["rows"]) for x in r), " ".join(map(str, w)), str(monomial(w))]
             for p, w in zip(records, weights)
@@ -365,12 +370,13 @@ def _ehrhart_object(args) -> ehrhart.CountedObject:
 
 def cmd_ehrhart(args) -> int:
     obj = _ehrhart_object(args)
-    cache = _open_cache(args)
-    result = ehrhart.ehrhart_of(obj, degree_bound=args.degree_bound, cache=cache)
+    if args.degree_bound is not None:
+        obj = obj._replace(bound=args.degree_bound)
+    result = ehrhart.ehrhart_of(obj, cache=_open_cache(args))
     payload = result.to_json()
     flags = [payload["nonneg"], payload["valid"], payload["empty"]]
     _emit(
-        args, payload, ["object", "degree_bound", "coeffs", "nonneg", "valid", "empty"],
+        args, lambda: payload, ["object", "degree_bound", "coeffs", "nonneg", "valid", "empty"],
         lambda: [[json.dumps(payload["object"]), payload["degree_bound"], " ".join(payload["poly"]), *flags]],
         lambda: [
             f"object {json.dumps(payload['object'])}",
@@ -389,7 +395,7 @@ def cmd_scan(args) -> int:
     if not report.entries:
         raise CliError(f"scan {args.family}: ranges {json.dumps(ranges)} give no objects")
     _emit(
-        args, report.to_json(), ["object", "coeffs", "nonneg", "valid", "empty"],
+        args, report.to_json, ["object", "coeffs", "nonneg", "valid", "empty"],
         lambda: [
             [json.dumps(r.object), " ".join(r.poly.coeff_strings()), r.nonneg, r.valid, r.empty]
             for r in (e.result for e in report.entries)
@@ -414,7 +420,7 @@ def cmd_verify(args) -> int:
     ok = all(c.ok for _, c in all_checks)
     payload = {"suites": names, "ok": ok, "checks": [dict(c.to_json(), suite=name) for name, c in all_checks]}
     _emit(
-        args, payload, ["suite", "check", "ok", "detail"],
+        args, lambda: payload, ["suite", "check", "ok", "detail"],
         lambda: [[name, c.name, c.ok, c.detail] for name, c in all_checks],
         lambda: [
             f"[{'ok' if c.ok else 'FAIL'}] {name}: {c.name}" + (f"  ({c.detail})" if c.detail and not c.ok else "")
@@ -536,6 +542,10 @@ def main(argv=None) -> int:
         # a failed internal consistency check is a mathematical violation
         print(f"error: {exc}", file=sys.stderr)
         return VIOLATION if isinstance(exc, AssertionError) else USAGE_ERROR
+    except MemoryError:
+        # the lattice sweep holds a state per reachable value of an entry
+        print("error: out of memory: the input is too large to count", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -243,9 +243,10 @@ def _jacobi_trudi(spec: lattice.PolytopeSpec, k: int) -> int:
 
 class CountedObject(NamedTuple):
     """A lattice-point counting family with a dilation parameter, a proved
-    upper bound on the degree of its counting function, and its own plan:
-    for a degree bound D its fit samples `count` at k = 0..D and checks
-    `check` at the dilations `checks(D)`, which may be negative."""
+    upper bound D = `bound` on the degree of its counting function, and its
+    own plan: its fit samples `count` at k = 0..D and checks `check` at the
+    dilations `checks(D)`, which may be negative.  A fit under another
+    bound is the fit of `obj._replace(bound=...)`."""
 
     desc: dict
     bound: int
@@ -370,17 +371,21 @@ class EhrhartResult(NamedTuple):
         }
 
 
-def _fit(obj: CountedObject, D: int) -> EhrhartResult:
-    """Interpolate the object's counts at k = 0..D and compare the
-    polynomial with its check counts at `obj.checks(D)`.  A check at k < 0
-    is stored as the value L(k) the check gives, so every count is a point
-    of the polynomial.
+def _fit(obj: CountedObject) -> EhrhartResult:
+    """Interpolate the object's counts at k = 0..D, D = `obj.bound` (a
+    negative bound raises ValueError), and compare the polynomial with its
+    check counts at `obj.checks(D)`.  A check at k < 0 is stored as the
+    value L(k) the check gives, so every count is a point of the
+    polynomial.
 
     The k = 0 sample of a dilated specification is always the single zero
     pattern, so an empty polytope would poison the fit; if every sample and
     verification count at k != 0 vanishes the honest answer is the zero
     polynomial and the object is marked empty.
     """
+    D = obj.bound
+    if D < 0:
+        raise ValueError("degree bound must be >= 0")
     samples = [(k, obj.count(k)) for k in range(D + 1)]
     checks = [(k, obj.check(k)) for k in obj.checks(D)]
     empty = all(v == 0 for k, v in samples + checks if k)
@@ -396,7 +401,8 @@ def _fit(obj: CountedObject, D: int) -> EhrhartResult:
 
 
 class ResultCache:
-    """Append-only JSON-lines store keyed by the canonical object descriptor.
+    """Append-only JSON-lines store of fits, keyed by the canonical object
+    descriptor and degree bound, and read through `fit`.
 
     A line that is not a readable entry is skipped and its number kept in
     `bad_lines`.  A stored entry is read back as its counts alone, the
@@ -421,8 +427,8 @@ class ResultCache:
                     if not line:
                         continue
                     try:
-                        obj = json.loads(line)
-                        self.entries[self._key(obj)] = obj
+                        entry = json.loads(line)
+                        self.entries[self._key(entry["object"], entry["degree_bound"])] = entry
                     except (ValueError, KeyError, TypeError):
                         self.bad_lines.append(number)
         except FileNotFoundError:
@@ -431,40 +437,32 @@ class ResultCache:
             raise _unusable_cache(path, exc) from exc
 
     @staticmethod
-    def _key(obj: dict) -> str:
-        return json.dumps(
-            {"object": obj["object"], "degree_bound": obj["degree_bound"]},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+    def _key(desc: dict, bound: int) -> str:
+        return json.dumps({"object": desc, "degree_bound": bound}, sort_keys=True, separators=(",", ":"))
 
-    def get(self, obj: CountedObject, degree_bound: int) -> Optional[EhrhartResult]:
-        key = self._key({"object": obj.desc, "degree_bound": degree_bound})
+    def fit(self, obj: CountedObject) -> EhrhartResult:
+        """`_fit(obj)`, answered by its stored line when that passes the
+        check above, else fitted afresh, stored and appended."""
+        key = self._key(obj.desc, obj.bound)
         hit = self.entries.get(key)
-        if hit is None:
-            return None
-        try:
-            samples = {int(k): int(v) for k, v in hit["samples"]}
-            checks = {int(k): int(v) for k, v, _ in hit["verify_points"]}
-            result = _fit(obj._replace(count=samples.__getitem__, check=checks.__getitem__), degree_bound)
-        except (ValueError, KeyError, TypeError):
-            result = None
-        if result is None or result.to_json() != hit:
-            del self.entries[key]
-            return None
-        return result
-
-    def put(self, result: EhrhartResult) -> None:
-        obj = result.to_json()
-        key = self._key(obj)
-        if key in self.entries:
-            return
-        self.entries[key] = obj
+        if hit is not None:
+            try:
+                samples = {int(k): int(v) for k, v in hit["samples"]}
+                checks = {int(k): int(v) for k, v, _ in hit["verify_points"]}
+                result = _fit(obj._replace(count=samples.__getitem__, check=checks.__getitem__))
+            except (ValueError, KeyError, TypeError):
+                pass
+            else:
+                if result.to_json() == hit:
+                    return result
+        result = _fit(obj)
+        self.entries[key] = line = result.to_json()
         try:
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(obj, sort_keys=True) + "\n")
+                fh.write(json.dumps(line, sort_keys=True) + "\n")
         except OSError as exc:
             raise _unusable_cache(self.path, exc) from exc
+        return result
 
 
 def _unusable_cache(path, exc: OSError) -> ValueError:
@@ -472,25 +470,11 @@ def _unusable_cache(path, exc: OSError) -> ValueError:
     return ValueError(f"cache {path}: {exc.strerror or exc}")
 
 
-def ehrhart_of(
-    obj: CountedObject,
-    degree_bound: int | None = None,
-    cache: ResultCache | None = None,
-) -> EhrhartResult:
+def ehrhart_of(obj: CountedObject, cache: ResultCache | None = None) -> EhrhartResult:
     """Sample, interpolate and verify the Ehrhart polynomial of a family
     (see _fit); a cache entry is used only when it passes the cache's
     check."""
-    D = obj.bound if degree_bound is None else degree_bound
-    if D < 0:
-        raise ValueError("degree bound must be >= 0")
-    if cache is not None:
-        hit = cache.get(obj, D)
-        if hit is not None:
-            return hit
-    result = _fit(obj, D)
-    if cache is not None:
-        cache.put(result)
-    return result
+    return _fit(obj) if cache is None else cache.fit(obj)
 
 
 # --- determinant formula and flag sequences ------------------------------------

@@ -948,7 +948,7 @@ def test_verify_recounts_what_a_cache_in_the_environment_holds(tmp_path, capsys,
     path = tmp_path / "cache.jsonl"
     cache = ehrhart.ResultCache(path)
     for row in verify._load("skew_ehrhart_table.json"):
-        cache.put(ehrhart.ehrhart_of(ehrhart.skew_object(tuple(row["lambda"]), tuple(row["mu"]), n=3)))
+        ehrhart.ehrhart_of(ehrhart.skew_object(tuple(row["lambda"]), tuple(row["mu"]), n=3), cache=cache)
     assert path.read_text()
     monkeypatch.setenv("GTKEY_CACHE", str(path))
     real = ehrhart._det
@@ -999,3 +999,30 @@ def test_consecutive_calls_in_one_process_match_fresh_processes(capsys, monkeypa
         expected = fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()  # CSV keeps its \r\n
         assert (code, captured.out, captured.err) == expected, argv
     assert cli._parser.cache_info().currsize == 1
+
+
+def test_out_of_memory_ends_in_an_error_line(capsys, monkeypatch):
+    # a sweep too large for memory exits 1 with one message, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(lattice, "count_points", exhausted)
+    code = cli.main(["points", "--lambda", "2,1", "--k", "100000000000", "--count-only"])
+    captured = capsys.readouterr()
+    assert code == cli.USAGE_ERROR == 1
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: the input is too large to count\n"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_a_text_or_csv_scan_builds_no_json(capsys, monkeypatch, fmt):
+    argv = ["scan", "--family", "skew_gt", "--ranges", "max_shape=2,1;n=3", "--format", fmt]
+    expected = run_cli(capsys, *argv)
+
+    def no_json(self):
+        raise AssertionError("a text or csv scan builds no JSON")
+
+    monkeypatch.setattr(ehrhart.EhrhartResult, "to_json", no_json)
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0 and expected[1]

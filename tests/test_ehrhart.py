@@ -321,8 +321,9 @@ def test_each_object_states_the_dilations_it_is_checked_at(family, above):
     # check dilation makes the fit invalid
     obj = _ONE_OF_EACH[family]()
     assert obj.desc["family"] == family
-    bound = None if above is None else obj.bound + above
-    result = ehrhart_of(obj, degree_bound=bound)
+    if above is not None:
+        obj = obj._replace(bound=obj.bound + above)
+    result = ehrhart_of(obj)
     D = result.degree_bound
     checks = (1, -1, -2) if family in ("gt", "skew") else (D + 1, D + 2)
     assert result.valid and not result.empty
@@ -330,7 +331,7 @@ def test_each_object_states_the_dilations_it_is_checked_at(family, above):
     assert tuple(k for k, _, _ in result.verify_points) == checks == obj.checks(D)
     for c in checks:
         planted = obj._replace(check=lambda k: obj.check(k) + (k == c))
-        assert not ehrhart_of(planted, degree_bound=bound).valid, c
+        assert not ehrhart_of(planted).valid, c
 
 
 def test_empty_weight_object_reports_zero_poly():
@@ -508,6 +509,16 @@ def test_cache_round_trip(tmp_path):
     assert hit.poly == first.poly
 
 
+def _must_hit(cache, obj):
+    """The cache's fit of obj with counting that raises: a hit, or an
+    AssertionError where a miss would recount."""
+
+    def no_count(k):
+        raise AssertionError("a cache hit counts nothing")
+
+    return cache.fit(obj._replace(count=no_count, check=no_count))
+
+
 def _edit_poly(entry):
     entry["poly"][0] = "7"  # P(0) = 7 while the stored sample at k = 0 is 1
 
@@ -549,7 +560,7 @@ def test_cache_entry_that_does_not_fit_its_counts_is_recomputed(tmp_path, edit):
     assert again.to_json() == right.to_json()
     # the recomputed entry is appended, and the later line wins on load
     assert len(path.read_text().splitlines()) == 2
-    assert ResultCache(path).get(obj, right.degree_bound).to_json() == right.to_json()
+    assert _must_hit(ResultCache(path), obj).to_json() == right.to_json()
 
 
 def test_cache_skips_unreadable_lines(tmp_path):
@@ -559,18 +570,18 @@ def test_cache_skips_unreadable_lines(tmp_path):
     path.write_text('{"object": \n' + path.read_text() + '[1, 2]\n{"poly": []}\n\n"x"\n')
     cache = ResultCache(path)
     assert cache.bad_lines == [1, 3, 4, 6]
-    assert cache.get(obj, right.degree_bound).to_json() == right.to_json()
+    assert _must_hit(cache, obj).to_json() == right.to_json()
 
 
 def test_degree_bound_override():
-    result = ehrhart_of(gt_object((2, 1, 0)), degree_bound=5)
+    result = ehrhart_of(gt_object((2, 1, 0))._replace(bound=5))
     assert result.poly == ehrhart_gt_product((2, 1, 0))
-    with pytest.raises(ValueError):
-        ehrhart_of(gt_object((2, 1, 0)), degree_bound=-1)
+    with pytest.raises(ValueError, match="^degree bound must be >= 0$"):
+        ehrhart_of(gt_object((2, 1, 0))._replace(bound=-1))
 
 
 def test_underestimated_degree_bound_is_flagged_not_wrong():
-    result = ehrhart_of(gt_object((3, 2, 1)), degree_bound=1)
+    result = ehrhart_of(gt_object((3, 2, 1))._replace(bound=1))
     assert not result.valid
 
 
@@ -670,7 +681,7 @@ def test_cache_entry_under_another_degree_bound_is_a_miss(tmp_path):
     # dimension bound 6; the result is recomputed at k = 0..6, 1, -1, -2 and appended
     path = tmp_path / "cache.jsonl"
     obj = skew_object((3, 2, 1), (2, 1), n=3)
-    old = ehrhart_of(obj, degree_bound=9, cache=ResultCache(path))
+    old = ehrhart_of(obj._replace(bound=9), cache=ResultCache(path))
     assert old.degree_bound == 9 and obj.bound == 6
     calls = []
     counting = _recording(obj, calls)
@@ -680,7 +691,7 @@ def test_cache_entry_under_another_degree_bound_is_a_miss(tmp_path):
     assert result.degree_bound == 6 and result.poly == old.poly
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [line["degree_bound"] for line in lines] == [9, 6]
-    assert ResultCache(path).get(obj, 6).to_json() == result.to_json()
+    assert _must_hit(ResultCache(path), obj).to_json() == result.to_json()
 
 
 def test_key_complex_cache_entry_under_the_old_bound_is_a_miss(tmp_path):
@@ -689,7 +700,7 @@ def test_key_complex_cache_entry_under_the_old_bound_is_a_miss(tmp_path):
     # not returned, and the result is recounted at k = 0..1, 2, 3 and appended
     path = tmp_path / "cache.jsonl"
     obj = key_complex_object((1, 1, 0), (2, 3, 1))
-    old = ehrhart_of(obj, degree_bound=2, cache=ResultCache(path))
+    old = ehrhart_of(obj._replace(bound=2), cache=ResultCache(path))
     assert old.valid and old.degree_bound == 2 and obj.bound == 1
     calls = []
     counting = _recording(obj, calls)
@@ -699,7 +710,7 @@ def test_key_complex_cache_entry_under_the_old_bound_is_a_miss(tmp_path):
     assert result.degree_bound == 1 and result.poly == old.poly and result.poly.degree() == 1
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [line["degree_bound"] for line in lines] == [2, 1]
-    assert ResultCache(path).get(obj, 1).to_json() == result.to_json()
+    assert _must_hit(ResultCache(path), obj).to_json() == result.to_json()
 
 
 def _recounted_after(path, obj, old):
@@ -715,7 +726,7 @@ def _recounted_after(path, obj, old):
     assert result.to_json() == ehrhart_of(obj).to_json()
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines == [old.to_json(), result.to_json()]
-    assert ResultCache(path).get(obj, obj.bound).to_json() == result.to_json()
+    assert _must_hit(ResultCache(path), obj).to_json() == result.to_json()
     return result
 
 
