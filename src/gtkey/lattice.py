@@ -7,11 +7,16 @@ Points are built from the top row down one entry at a time, by the
 transfer-matrix method with a broken profile (Stanley, EC1 4.7).  A state
 is a face mask and a profile s: the row above with its first j entries
 replaced by the row being chosen, so entry j ranges over [s[j+1], s[j]].
-Every row obeys x_{l,j} >= mu_j and x_{l,j} <= mu_{j-l}, so row l is 0
-from entry l + l(mu) on (l(mu) nonzero parts) and only the entries before
-are swept; on row 1 they are the interlacing with mu, never swept.  The
-top row is checked once: no column of lambda/mu is longer than n.  A
-weight filter fixes each row sum, bounding an entry by what its row can add.
+Every row obeys x_{l,j} >= mu_j, x_{l,j} <= mu_{j-l} and x_{l,j} <=
+lambda_j, so row l is 0 from entry min(l + l(mu), l(lambda)) on (l(.) the
+number of nonzero parts) and only the entries before are in the profile;
+on row 1 those bounds are the interlacing with mu, never swept.  Of those,
+the sweep steps only through the entries a point can move: an entry that
+every point copies from the entry above (a constant under the same
+constant, or a cell every face holds) already stands in the profile, so
+its step, v = s[j] in every state, is left out.  The top row is checked
+once: no column of lambda/mu is longer than n.  A weight filter fixes each
+row sum, bounding an entry by what its row can add.
 
 A triangular polytope may be restricted to a union of faces, each a set of
 cells (i, j), 1 <= j <= i <= n-1, imposing x_{i,j} = x_{i+1,j} (rows
@@ -20,10 +25,11 @@ cell of some face.  The mask has a bit per face whose cells hold so far.
 `faces=None` is the whole polytope and `faces=[]` the empty set.
 
 A polytope is laid out for the sweep once (`_layout`), in one pass over
-its rows: the validation, the row widths, the face bits, the constant
-entries, the emptiness checks and the bounds are the same at every
-dilation k >= 1, and each bound of the k-th dilate is k times its value at
-k = 1, so a dilation only rescales them (`_sweep`).  The relative
+its rows: the validation, the row widths, the swept entries, the face
+bits, the constant entries, the emptiness checks and the bounds are the
+same at every dilation k >= 1, and each bound of the k-th dilate is k
+times its value at k = 1, so a dilation only rescales them (`_sweep`).
+A count at k = 0 needs no sweep: 0P is the zero point.  The relative
 interior is the same rows with shifted bounds, each strict inequality
 x < y taken as x <= y - 1, and the same pass lays out those shifts: an
 object's counts and interior counts share one layout, read off the one
@@ -43,7 +49,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 from itertools import accumulate, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .combinat import check_partition, contains, pad
 from .gtcore import GTPattern, Pattern, SkewGTPattern, Value
@@ -236,10 +242,11 @@ def _edges(n: int) -> tuple[tuple[int, int], ...]:
 class _Layout(NamedTuple):
     """A polytope laid out for the sweep (`_layout`) at k = 1: the top row
     as the starting profile, the bottom row mu, the mask of all the faces,
-    whether the polytope is empty at every k >= 1, and for each row between
-    them, top-down, its entries left to right as `_choices` takes them,
-    (j, lo, hi, 0, 0, cut, ceil, drop, free, target).  At k each of lo, hi,
-    ceil and target is k times its value here.
+    whether the polytope is empty at every k >= 1, the width of each row
+    between them, top-down, and for each of those rows its swept entries
+    left to right as `_choices` takes them, (j, lo, hi, 0, 0, cut, ceil,
+    drop, free, target).  At k each of lo, hi, ceil and target is k times
+    its value here.
 
     `strict` turns the rows into those of the relative interior: for each
     entry the shifts (raise_lo, lower_hi, below, over, shift), the bounds
@@ -251,8 +258,36 @@ class _Layout(NamedTuple):
     mu: tuple[int, ...]
     mask: int
     empty: bool
+    widths: tuple[int, ...]
     rows: tuple[tuple[tuple, ...], ...]
     strict: Optional[tuple[tuple[tuple[int, int, int, int, int], ...], ...]]
+
+
+def _swept(spec: PolytopeSpec, widths: list[int], common: Cells) -> list[list[int]]:
+    """The entries j that each row between the marked ones steps through,
+    top-down: all but those whose value every point copies from the entry
+    above.  Such a step gave v = s[j] in every state, so the profile
+    already holds the entry, and leaving the step out changes no count,
+    tally or order.  An entry is a copy when every face holds its cell, or
+    when its interval of `_intervals` is the point c and the entry above
+    is the constant c too.  In the relative interior such an entry x is
+    strict only against a free entry y above and right of it, and y < x
+    needs no step of x: y is strictly below the entry above it, whose
+    ceiling is at most c, as the constant c above x bounds it.  A row of
+    copies alone has no step: its profile is the row above's, whose entry
+    past the row's width the next step cuts off, and the drivers read the
+    row off its first `width` entries.  A weighted row keeps its last
+    entry: that step fixes the row sum exactly only when no copy follows."""
+    intervals = _intervals(spec) + (tuple((x, x) for x in spec.top),)  # the top row is marked
+    swept = []
+    for level in range(spec.n - 1, 0, -1):
+        row, up, width = intervals[level - 1], intervals[level], widths[level]
+        copies = {j for j in range(width) if row[j] == up[j] and row[j][0] == row[j][1]}  # c under c
+        keep = [j for j in range(width) if j not in copies and (level, j + 1) not in common]
+        if spec.weight is not None and width and width - 1 not in keep:
+            keep.append(width - 1)
+        swept.append(keep)
+    return swept
 
 
 @lru_cache(maxsize=4)
@@ -260,33 +295,44 @@ def _layout(spec: PolytopeSpec, faces: Optional[tuple[Cells, ...]]) -> _Layout:
     """Validate `spec` and `faces` and lay out the sweep of the polytope
     and of its relative interior, in one pass over its rows.
 
-    Nothing here depends on the dilation k >= 1: the row widths, the face
-    bits, which entries are constant, the strict shifts and the emptiness
-    checks read the same off every dilate, and its bounds are k times those
-    of the first.  An entry is constant when its interval of `_intervals`
-    is a point, and in the interior an inequality is strict unless both its
-    entries are constant, so the interior is the same rows with shifted
-    bounds.  A cap on s[j+1] that only the interior needs is kept in the
-    plain rows too, where it caps nothing.  The memo is small: one object's
-    fit uses one layout (its counts and its interior counts), and the memo
-    does not keep every polytope a process has counted."""
+    Nothing here depends on the dilation k >= 1: the row widths, the swept
+    entries, the face bits, which entries are constant, the strict shifts
+    and the emptiness checks read the same off every dilate, and its bounds
+    are k times those of the first.  A row ends where lambda's zero tail or
+    mu's begins (x_{l,j} <= lambda_j, x_{l,j} <= mu_{j-l}), and an entry
+    that every point copies from the entry above has no step (`_swept`).
+    A face's cells on such entries hold at every point of the sweep, so
+    face bits go only to the cells on swept entries.  An entry is constant
+    when its interval of `_intervals` is a point, and in the interior an
+    inequality is strict unless both its entries are constant, so the
+    interior is the same rows with shifted bounds.  A cap on s[j+1] that
+    only the interior needs is kept in the plain rows too, where it caps
+    nothing.  The memo is small: one object's fit uses one layout (its
+    counts and its interior counts), and the memo does not keep every
+    polytope a process has counted."""
     if faces is not None and spec.kind != "triangular":
         raise ValueError("faces only apply to triangular polytopes")
     has_interior = faces is None and spec.weight is None
     faces = (frozenset(),) if faces is None else faces
     n, m = spec.n, spec.m
     mu = spec.bottom or (0,) * m  # GT(lambda) is the skew polytope over 0...0
-    widths = [min(level + m - mu.count(0), m) for level in range(n)]  # before the zero tail
-    first = [sum(widths[level + 1 :]) for level in range(n)]  # sweep place of entry 0
-
-    need = [[0] * w for w in widths]  # need[level][j]: faces forcing entry j = upper[j]
-    ends: dict[int, int] = {}  # sweep place -> the faces whose last cell is there
-    for f, cells in enumerate(faces):
+    widths = [min(level + m - mu.count(0), m - spec.top.count(0)) for level in range(n)]  # before the zero tails
+    for cells in faces:
         for i, j in cells:
             if not 1 <= j <= i <= n - 1:
                 raise ValueError(f"cell {(i, j)} out of range for n={n}")
-            need[i][j - 1] |= 1 << f
-        last = max((first[i] + j - 1 for i, j in cells), default=-1)
+    common = frozenset.intersection(*faces) if faces else frozenset()
+    swept = _swept(spec, widths, common)
+    order = ((level, j) for level, keep in zip(range(n - 1, 0, -1), swept) for j in keep)
+    places = {entry: place for place, entry in enumerate(order)}  # the swept entries' sweep places
+
+    need = [0] * len(places)  # need[place]: the faces forcing that entry = upper[j]
+    ends: dict[int, int] = {}  # sweep place -> the faces whose last cell is there
+    for f, cells in enumerate(faces):
+        held = [places[i, j - 1] for i, j in cells if (i, j - 1) in places]
+        for place in held:
+            need[place] |= 1 << f
+        last = max(held, default=-1)
         ends[last] = ends.get(last, 0) | 1 << f
 
     # lambda_i > mu_{i-n}: a column of lambda/mu longer than n
@@ -300,8 +346,8 @@ def _layout(spec: PolytopeSpec, faces: Optional[tuple[Cells, ...]]) -> _Layout:
     rows, strict, free = [], [], ends.get(-1, 0)
     above = None  # the row above's ceilings and their interior shifts
     up = (True,) * m  # which entries of the row above are constant: the top row is marked
-    intervals = _intervals(spec) if has_interior else ()
-    for level in range(n - 1, 0, -1):
+    intervals = _intervals(spec)
+    for level, keep in zip(range(n - 1, 0, -1), swept):
         width, span = widths[level], range(widths[level])
         his = [mu[j - level] if j >= level else cap for j in span]  # x_{l,j} <= mu_{j-l}; lo is mu_j
         raise_lo = lower_hi = below = over = [0] * width
@@ -318,33 +364,38 @@ def _layout(spec: PolytopeSpec, faces: Optional[tuple[Cells, ...]]) -> _Layout:
             up = row
         shift = [lower_hi[j] + over[j] for j in range(1, width)] + [0]  # of the cap on s[j+1]
         entries = []
-        for j in span:
-            free |= ends.get(first[level] + j, 0)
+        for at, j in enumerate(keep):
+            place = places[level, j]
+            free |= ends.get(place, 0)
             ceil = None
-            if j + 1 < width and above:  # the cap on s[j+1], bound by entry j+1 alone
+            last = at + 1 == len(keep)
+            if not last and keep[at + 1] == j + 1 and above:  # the cap on s[j+1], bound by entry j+1 alone
                 ceil = his[j + 1]
                 top, top_shift = above[j + 1]  # s[j+1] <= k * top + top_shift
                 if ceil >= top and ceil + shift[j] >= top + top_shift:
                     ceil = None  # at no k >= 1 below what s[j+1] can be
-            cut = (width if j + 1 < width else widths[level - 1]) + 1
-            entries.append((j, mu[j], his[j], 0, 0, cut, ceil, need[level][j], free, targets[level]))
+            cut = (widths[level - 1] if last else width) + 1  # the row's last step trims the profile
+            entries.append((j, mu[j], his[j], 0, 0, cut, ceil, need[place], free, targets[level]))
         rows.append(tuple(entries))
         if has_interior:
-            strict.append(tuple(zip(raise_lo, lower_hi, below, over, shift)))
+            strict.append(tuple((raise_lo[j], lower_hi[j], below[j], over[j], shift[j]) for j in keep))
         above = list(zip(his, lower_hi))
     start = (spec.top + (0,))[: widths[-1] + 1]
-    return _Layout(start, mu, (1 << len(faces)) - 1, empty, tuple(rows), tuple(strict) if has_interior else None)
+    return _Layout(
+        start, mu, (1 << len(faces)) - 1, empty, tuple(widths[:0:-1]), tuple(rows),
+        tuple(strict) if has_interior else None,
+    )
 
 
 def _sweep(
     spec: PolytopeSpec, k: int, faces: Optional[Iterable[Cells]], interior: bool = False
-) -> tuple[tuple[int, ...], tuple[int, ...], int, Sequence[Sequence[tuple]]]:
-    """The k-th dilate set up for the sweep: `_layout`'s start, mu and mask
-    and its rows of entries for `_choices`, every bound rescaled to k.
-    With `interior` only the relative interior is kept (count_points): at
-    k >= 1 the layout's strict shifts are added to the bounds.  Otherwise
-    the shifts added are zero: a plain count has none, and 0P is the zero
-    point, where nothing is strict."""
+) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...], Iterator[list[tuple]]]:
+    """The k-th dilate set up for the sweep: `_layout`'s start, mu, mask and
+    row widths, and lazily its rows of entries for `_choices`, every bound
+    rescaled to k.  With `interior` only the relative interior is kept
+    (count_points): at k >= 1 the layout's strict shifts are added to the
+    bounds.  Otherwise the shifts added are zero: a plain count has none,
+    and 0P is the zero point, where nothing is strict."""
     k = operator.index(k)
     if k < 0:
         raise ValueError("dilation factor must be >= 0")
@@ -353,7 +404,7 @@ def _sweep(
         raise ValueError("an interior count takes no faces and no weight")
     mask = 0 if lay.empty and k else lay.mask
     strict = lay.strict if interior and k else repeat(repeat((0,) * 5))
-    rows = [
+    rows = (
         [
             (j, k * lo + raise_lo, k * hi + lower_hi, below, over, cut,
              None if ceil is None else k * ceil + shift, drop, free, None if target is None else k * target)
@@ -361,8 +412,8 @@ def _sweep(
             in zip(row, shifts)
         ]
         for row, shifts in zip(lay.rows, strict)
-    ]
-    return tuple(k * x for x in lay.start), tuple(k * x for x in lay.mu), mask, rows
+    )
+    return tuple(k * x for x in lay.start), tuple(k * x for x in lay.mu), mask, lay.widths, rows
 
 
 def _choices(entry: tuple, s: tuple[int, ...], m: int):
@@ -409,7 +460,7 @@ def enumerate_points(
     """Yield each integral pattern of the k-th dilate exactly once, in
     canonical order.  `faces` restricts a triangular polytope to the union
     of those faces."""
-    start, mu, mask, rows = _sweep(spec, k, faces)
+    start, mu, mask, widths, rows = _sweep(spec, k, faces)
 
     def chosen(states, entry):  # choosing one entry, lazily
         for (s, m), value in states:
@@ -417,19 +468,21 @@ def enumerate_points(
             for v in range(a, b + 1):
                 yield (head + (v,) + rest, eq if v == up else off), value
 
-    def complete(states, width):  # each profile is a whole row: record it
-        return (((s, m), rows + (s[:width],)) for (s, m), rows in states)
+    def complete(states, width, tail):  # each profile is a whole row: record it, zeros after
+        return (((s, m), rows + (s[:width] + tail,)) for (s, m), rows in states)
 
-    # the steps chained lazily walk depth-first; values are the rows so far
+    # the steps chained lazily walk depth-first; values are the rows so far,
+    # each as long as the pattern's: level l of a triangular one, else m
+    sizes = range(spec.n - 1, 0, -1) if spec.kind == "triangular" else repeat(spec.m)
     states: Iterable = [((start, mask), (pad(start, spec.m),))] if mask else []
-    for row in rows:
+    for row, width, size in zip(rows, widths, sizes):
         for entry in row:
             states = chosen(states, entry)
-        states = complete(states, len(row))
+        states = complete(states, width, (0,) * (size - width))
     if spec.kind == "triangular":
         yield from (GTPattern(rows[::-1]) for _, rows in states)
-    else:  # a skew pattern's rows also hold their zero tails, and mu
-        yield from (SkewGTPattern((mu,) + tuple(pad(r, spec.m) for r in rows[::-1])) for _, rows in states)
+    else:  # a skew pattern's rows also hold mu
+        yield from (SkewGTPattern((mu,) + rows[::-1]) for _, rows in states)
 
 
 def count_points(
@@ -448,7 +501,9 @@ def count_points(
     of the polytope count, not the bounds the sweep adds: on row 1 the
     floors mu_j and ceilings mu_{j-1} are the interlacing with mu, but
     elsewhere they are implied, and the 0 after a full row bounds nothing."""
-    start, _, mask, rows = _sweep(spec, k, faces, interior)
+    start, _, mask, _, rows = _sweep(spec, k, faces, interior)
+    if not k:  # 0P is the zero point, in the union when there is a face
+        return 1 if mask else 0
     states = {(start, mask): 1} if mask else {}
     for row in rows:
         for entry in row:
@@ -469,12 +524,12 @@ def weight_counts(
 ) -> dict[tuple[int, ...], int]:
     """The number of integral patterns of the k-th dilate, or of the union
     of `faces` in it, of each weight that occurs."""
-    start, mu, mask, rows = _sweep(spec, k, faces)
+    start, mu, mask, widths, rows = _sweep(spec, k, faces)
     # tally keys: (u, the weight components of the rows above the last row
     # chosen), u that row's sum less |mu|: a row ending at t adds u - t
     base = sum(mu)
     states = {(start, mask): {(sum(start) - base,): 1}} if mask else {}
-    for row in rows:
+    for row, width in zip(rows, widths):
         for entry in row:
             swept: dict = {}
             for (s, m), tally in states.items():
@@ -489,7 +544,7 @@ def weight_counts(
                         into[w] = into.get(w, 0) + count
             states = swept
         for (s, m), tally in states.items():  # each profile is a whole row
-            t = sum(s) - base
+            t = sum(s[:width]) - base
             states[s, m] = {(t, w[0] - t) + w[1:]: count for w, count in tally.items()}
     total: dict = {}
     for tally in states.values():

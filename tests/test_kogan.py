@@ -20,7 +20,7 @@ from gtkey.kogan import (
     key_via_faces,
     pattern_on_face,
 )
-from gtkey.polyops import key_via_operators
+from gtkey.polyops import eval_ones, key_via_operators
 from oracles import grid_filter_patterns, on_some_face, reduced_cell_subsets
 
 subsets_by_type = functools.lru_cache(maxsize=None)(reduced_cell_subsets)
@@ -191,6 +191,17 @@ def test_complex_count_matches_oracle_on_14_face_s5_types():
     _assert_complex_matches_oracle((1, 1, 0, 0, 0), sigmas, (1, 2))
     # here the first union is the whole polytope, the other two are not
     _assert_complex_matches_oracle((2, 1, 0, 0, 0), sigmas, (1,))
+
+
+def test_complex_count_is_the_key_polynomial_at_ones():
+    # the paper's identity, by Demazure operators alone: the key complex of
+    # sigma at dilation k has kappa_sigma(k lambda)(1^n) lattice points
+    cases = [((1, 1, 0, 0, 0), 5, range(4)), ((2, 1, 1, 0), 4, (1, 2))]
+    for lam, n, ks in cases:
+        for sigma in itertools.permutations(range(1, n + 1)):
+            for k in ks:
+                scaled = tuple(k * x for x in lam)
+                assert complex_count(lam, sigma, k) == eval_ones(key_via_operators(scaled, sigma)), (lam, sigma, k)
 
 
 def test_pattern_on_face():

@@ -398,24 +398,39 @@ def test_interior_count_takes_no_weight_and_no_faces():
 
 
 def _driver_grid():
-    """(spec, faces, interior counts checked?) over gt, skew (the empty
-    skew_spec((2,2),(0,),n=1) too), weighted and face-union specs."""
-    grid = [(gt_spec(lam), None) for lam in [(2, 1, 0), (3, 1, 1, 0), (2, 2, 0, 0), (4,)]]
+    """(spec, faces, largest k) over gt, skew (the empty
+    skew_spec((2,2),(0,),n=1) too), weighted and face-union specs, and the
+    shapes whose rows have entries the sweep does not step through."""
+    grid = [(gt_spec(lam), None, 3) for lam in [(2, 1, 0), (3, 1, 1, 0), (2, 2, 0, 0), (4,)]]
     grid += [
-        (skew_spec(lam, mu, n=n), None)
+        (skew_spec(lam, mu, n=n), None, 3)
         for lam, mu, n in [((3, 2, 1), (1,), 3), ((2, 2), (1,), 3), ((3, 1, 0), (1, 0, 0), 4), ((2, 2), (0,), 1)]
     ]
     grid += [
-        (gt_spec((3, 1, 0), weight=(1, 2, 1)), None),
-        (skew_spec((3, 2, 1), (1,), weight=(2, 1, 2)), None),
-        (gt_spec((2, 1, 0), weight=(1, 1, 2)), None),  # wrong total
-        (gt_spec((2, 2), weight=(1, 3)), None),  # right total, infeasible
+        (gt_spec((3, 1, 0), weight=(1, 2, 1)), None, 3),
+        (skew_spec((3, 2, 1), (1,), weight=(2, 1, 2)), None, 3),
+        (gt_spec((2, 1, 0), weight=(1, 1, 2)), None, 3),  # wrong total
+        (gt_spec((2, 2), weight=(1, 3)), None, 3),  # right total, infeasible
     ]
     grid += [
-        (gt_spec((2, 1, 0, 0)), [f.cells for f in key_faces(4, (2, 4, 3, 1))]),
-        (gt_spec((3, 2, 1, 0)), [{(2, 2), (3, 2)}, {(1, 1), (2, 1)}, {(1, 1), (3, 2)}]),
-        (gt_spec((2, 1, 0)), [frozenset()]),
-        (gt_spec((2, 1, 0)), []),
+        (gt_spec((2, 1, 0, 0)), [f.cells for f in key_faces(4, (2, 4, 3, 1))], 3),
+        (gt_spec((3, 2, 1, 0)), [{(2, 2), (3, 2)}, {(1, 1), (2, 1)}, {(1, 1), (3, 2)}], 3),
+        (gt_spec((2, 1, 0)), [frozenset()], 3),
+        (gt_spec((2, 1, 0)), [], 3),
+    ]
+    grid += [
+        (gt_spec((2, 2, 1, 1, 0, 0)), None, 2),  # blocks of equal parts, and a zero tail
+        (gt_spec((2, 2, 2)), None, 3),  # every row constant: no step at all
+        (skew_spec((1, 1, 0), (), n=2), None, 3),
+        (skew_spec((2, 2, 0), (1, 1, 0), n=2), None, 3),  # x_{1,1} = 1 under lambda_1 = 2: swept
+        (skew_spec((2, 2, 0), (1, 1, 0), n=3), None, 3),
+        # x_{1,0} = x_{2,0} = 1 is not swept; inside, x_{2,1} < 1 follows from x_{2,1} < lambda_1 = 1
+        (skew_spec((1, 1, 0), (1, 0, 0), n=3), None, 3),
+        (gt_spec((2, 1, 1, 0)), [key_faces(4, (3, 1, 4, 2))[0].cells], 3),  # one face: every cell common
+        (gt_spec((2, 1, 1, 0)), [f.cells for f in key_faces(4, (2, 3, 1, 4))], 3),  # a common row
+        (gt_spec((3, 2, 1, 0)), [f.cells for f in key_faces(4, (1, 3, 4, 2))], 3),  # a common column
+        (gt_spec((2, 2, 1, 0, 0), weight=(2, 1, 1, 1, 0)), None, 3),  # a weight and a zero tail
+        (gt_spec((2, 2, 2), weight=(2, 2, 2)), None, 3),
     ]
     return grid
 
@@ -424,8 +439,8 @@ def test_the_three_drivers_agree_in_any_order():
     # every count is first taken alone, each sweep laid out afresh; then all
     # of them again in one shuffled order that mixes specs, faces and k
     calls = []
-    for spec, faces in _driver_grid():
-        for k in range(4):
+    for spec, faces, top in _driver_grid():
+        for k in range(top + 1):
             calls.append((spec, faces, k, False))
             if faces is None and spec.weight is None and k:
                 calls.append((spec, faces, k, True))
@@ -436,11 +451,36 @@ def test_the_three_drivers_agree_in_any_order():
             alone[spec, str(faces), k, interior] = count_points(spec, k, interior=True)
             assert alone[spec, str(faces), k, interior] == _interior_by_filter(spec, k), (spec, k)
             continue
-        points = list(enumerate_points(spec, k, faces))
+        assert weight_counts(spec, k, faces) == _tally_weights(spec, k, faces), (spec, faces, k)
         alone[spec, str(faces), k, interior] = count_points(spec, k, faces)
-        assert alone[spec, str(faces), k, interior] == len(points) == sum(weight_counts(spec, k, faces).values())
     for spec, faces, k, interior in random.Random(14).sample(calls, len(calls)):
         assert count_points(spec, k, faces, interior) == alone[spec, str(faces), k, interior], (spec, faces, k)
+
+
+def test_an_unweighted_gt_spec_sweeps_only_its_free_entries():
+    # the constant entries of GT(lambda) are copies of the entry above (equal
+    # parts lambda_j = lambda_{j+n-l}, or the zero tail), so the sweep steps
+    # through exactly as many entries as the dimension counts; a row of
+    # constants alone has no step (GT(2,2,2) has none at all)
+    for lam in _box((3, 2, 2, 1, 0)) + [(2, 2, 2), (1, 1, 1, 1), (2, 2, 1, 1, 0, 0)]:
+        spec = gt_spec(lam)
+        assert sum(map(len, lattice._layout(spec, None).rows)) == dimension(spec), lam
+    # a skew entry is swept when its constant differs from the one above:
+    # x_{1,1} = mu_1 = 1 under lambda_1 = 2
+    spec = skew_spec((2, 2, 0), (1, 1, 0), n=2)
+    assert [[entry[0] for entry in row] for row in lattice._layout(spec, None).rows] == [[1]]
+    assert dimension(spec) == 0
+
+
+def test_zero_dilation_is_answered_after_validation():
+    # 0P is one point even for a weight whose total cannot be met, and a
+    # face union holds it when it has a face; the inputs are still checked
+    assert count_points(gt_spec((2, 1, 0), weight=(1, 1, 2)), 0) == 1
+    assert count_points(gt_spec((2, 1, 0)), 0, faces=[frozenset(), {(1, 1)}]) == 1
+    with pytest.raises(ValueError, match="no faces and no weight"):
+        count_points(gt_spec((2, 1, 0)), 0, faces=[frozenset()], interior=True)
+    with pytest.raises(ValueError, match="out of range"):
+        count_points(gt_spec((2, 1, 0)), 0, faces=[{(3, 1)}])
 
 
 def test_edge_answers_of_the_drivers():
