@@ -21,7 +21,9 @@ lattice points in the relative interior of kP by Ehrhart-Macdonald
 reciprocity (Macdonald 1971; Beck-Robins, Computing the Continuous
 Discretely, ch. 4), d the exact dimension.  So its result is valid only
 when the two methods agree.  Key complexes, Kogan faces and weighted
-objects are counted by the sweep alone and checked at D+1 and D+2.  Both
+objects are counted by the sweep alone and checked at D+1 and D+2, their
+samples and checks in one `lattice.count_dilations` call: for key
+complexes and Kogan faces that is one pass over k = 0..D+2.  Both
 plans check at two consecutive dilations, one even and one odd: a single
 extra point cannot distinguish a period-2 quasi-polynomial from an
 honest polynomial.  A verification mismatch never raises; it is recorded
@@ -244,14 +246,16 @@ def _jacobi_trudi(spec: lattice.PolytopeSpec, k: int) -> int:
 class CountedObject(NamedTuple):
     """A lattice-point counting family with a dilation parameter, a proved
     upper bound D = `bound` on the degree of its counting function, and its
-    own plan: its fit samples `count` at k = 0..D and checks `check` at the
-    dilations `checks(D)`, which may be negative.  A fit under another
-    bound is the fit of `obj._replace(bound=...)`."""
+    own plan: its fit asks `counts(range(D + 1), checks(D))` once for its
+    samples at k = 0..D and its checks at the dilations `checks(D)`, which
+    may be negative, and gets back the two lists of counts.  An object
+    counts both lists in one call however it likes: one lattice pass over
+    every dilation, or two methods.  A fit under another bound is the fit
+    of `obj._replace(bound=...)`."""
 
     desc: dict
     bound: int
-    count: Callable[[int], int]
-    check: Callable[[int], int]
+    counts: Callable[[Sequence[int], Sequence[int]], tuple[list[int], list[int]]]
     checks: Callable[[int], tuple[int, ...]]
 
     def key(self) -> str:
@@ -276,7 +280,10 @@ def _polytope_object(desc: dict, spec: lattice.PolytopeSpec) -> CountedObject:
     def sweep(k: int) -> int:
         return lattice.count_points(spec, k) if k >= 0 else (-1) ** d * lattice.count_points(spec, -k, interior=True)
 
-    return CountedObject(desc, d, lambda k: _jacobi_trudi(spec, k), sweep, lambda D: (1, -1, -2))
+    def counts(samples: Sequence[int], checks: Sequence[int]) -> tuple[list[int], list[int]]:
+        return [_jacobi_trudi(spec, k) for k in samples], [sweep(k) for k in checks]
+
+    return CountedObject(desc, d, counts, lambda D: (1, -1, -2))
 
 
 def gt_object(lam, n: int | None = None) -> CountedObject:
@@ -327,12 +334,16 @@ def kogan_face_object(lam, face: kogan.KoganFace) -> CountedObject:
 def _swept_object(desc: dict, spec: lattice.PolytopeSpec, faces: list | None = None) -> CountedObject:
     """`spec`, or the union of `faces` in it, counted by the lattice sweep
     alone and checked at D+1 and D+2; its bound is `lattice.dimension`, for
-    faces the largest dimension of a face, which is the degree."""
+    faces the largest dimension of a face, which is the degree.  Its
+    samples and checks are one `lattice.count_dilations` call: one pass
+    over k = 0..D+2 for GT(lambda) and a union of its faces (key complexes
+    and Kogan faces), one pass per k for a weighted spec."""
 
-    def sweep(k: int) -> int:
-        return lattice.count_points(spec, k, faces)
+    def counts(samples: Sequence[int], checks: Sequence[int]) -> tuple[list[int], list[int]]:
+        got = lattice.count_dilations(spec, [*samples, *checks], faces)
+        return got[: len(samples)], got[len(samples) :]
 
-    return CountedObject(desc, lattice.dimension(spec, faces), sweep, sweep, lambda D: (D + 1, D + 2))
+    return CountedObject(desc, lattice.dimension(spec, faces), counts, lambda D: (D + 1, D + 2))
 
 
 # --- interpolation with verification ------------------------------------------
@@ -374,9 +385,10 @@ class EhrhartResult(NamedTuple):
 def _fit(obj: CountedObject) -> EhrhartResult:
     """Interpolate the object's counts at k = 0..D, D = `obj.bound` (a
     negative bound raises ValueError), and compare the polynomial with its
-    check counts at `obj.checks(D)`.  A check at k < 0 is stored as the
-    value L(k) the check gives, so every count is a point of the
-    polynomial.
+    check counts at `obj.checks(D)`.  Both are asked of the object in one
+    `counts` call, so a swept object counts them in one pass.  A check at
+    k < 0 is stored as the value L(k) the check gives, so every count is a
+    point of the polynomial.
 
     The k = 0 sample of a dilated specification is always the single zero
     pattern, so an empty polytope would poison the fit; if every sample and
@@ -386,8 +398,9 @@ def _fit(obj: CountedObject) -> EhrhartResult:
     D = obj.bound
     if D < 0:
         raise ValueError("degree bound must be >= 0")
-    samples = [(k, obj.count(k)) for k in range(D + 1)]
-    checks = [(k, obj.check(k)) for k in obj.checks(D)]
+    ks, at = range(D + 1), obj.checks(D)
+    got, checked = obj.counts(ks, at)
+    samples, checks = list(zip(ks, got)), list(zip(at, checked))
     empty = all(v == 0 for k, v in samples + checks if k)
     poly = UniPoly() if empty else interpolate(samples)
     return EhrhartResult(
@@ -449,7 +462,8 @@ class ResultCache:
             try:
                 samples = {int(k): int(v) for k, v in hit["samples"]}
                 checks = {int(k): int(v) for k, v, _ in hit["verify_points"]}
-                result = _fit(obj._replace(count=samples.__getitem__, check=checks.__getitem__))
+                stored = lambda ks, at: ([samples[k] for k in ks], [checks[k] for k in at])  # noqa: E731
+                result = _fit(obj._replace(counts=stored))
             except (ValueError, KeyError, TypeError):
                 pass
             else:

@@ -37,8 +37,16 @@ list of entry intervals (`_intervals`) that `dimension` reads too.  The
 layouts are kept in a memo of a few entries.  One choice
 rule (`_choices`) gives the values an entry takes from a state, and three
 drivers expand it.  Counting expands each state's choices in a plain loop
-into an integer tally per state of the next step, of the polytope or of
-its relative interior (count_points).  Weight counting is the same loop
+(`_tally`) into an integer tally per state of the next step, of the
+polytope or of its relative interior (count_points).  The same loop counts
+several dilations at once (count_dilations).  Where no bound but the start
+row depends on k, every floor being 0, with no row target and every
+ceiling at least lambda_1 (GT(lambda) and its face unions), a profile
+started at k' lambda never exceeds k' lambda_1, so the rows of the largest
+dilation K give each smaller k' its own count: one pass sweeps every start
+row, a state's tally holding a W-bit slot per dilation, W the bit length
+of (K lambda_1 + 1) ** (number of swept entries), which bounds every slot.
+Other polytopes are swept once per k.  Weight counting is the same loop
 with weight tallies: a row's pending component, the row above's sum less
 its own, is added at its end.  Enumeration chains a lazy generator per entry, a depth-first walk
 yielding each point once in canonical order (entries read top row first).
@@ -252,7 +260,12 @@ class _Layout(NamedTuple):
     entry the shifts (raise_lo, lower_hi, below, over, shift), the bounds
     at k being k * lo + raise_lo, k * hi + lower_hi and k * ceil + shift,
     and v >= s[j+1] + below, v <= s[j] - over.  It is None in a layout with
-    faces or a weight, which has no interior count."""
+    faces or a weight, which has no interior count.
+
+    `one_pass` holds when no bound depends on k but the start row: the
+    polytope is not empty, every floor lo is 0, there is no row target,
+    and every hi and ceil is at least lambda_1, which bounds every entry
+    (`count_dilations`).  GT(lambda) and its face unions are such."""
 
     start: tuple[int, ...]
     mu: tuple[int, ...]
@@ -261,6 +274,7 @@ class _Layout(NamedTuple):
     widths: tuple[int, ...]
     rows: tuple[tuple[tuple, ...], ...]
     strict: Optional[tuple[tuple[tuple[int, int, int, int, int], ...], ...]]
+    one_pass: bool
 
 
 def _swept(spec: PolytopeSpec, widths: list[int], common: Cells) -> list[list[int]]:
@@ -381,9 +395,13 @@ def _layout(spec: PolytopeSpec, faces: Optional[tuple[Cells, ...]]) -> _Layout:
             strict.append(tuple((raise_lo[j], lower_hi[j], below[j], over[j], shift[j]) for j in keep))
         above = list(zip(his, lower_hi))
     start = (spec.top + (0,))[: widths[-1] + 1]
+    one_pass = not empty and all(
+        lo == 0 and hi >= cap and (ceil is None or ceil >= cap) and target is None
+        for row in rows for _, lo, hi, _, _, _, ceil, _, _, target in row
+    )
     return _Layout(
         start, mu, (1 << len(faces)) - 1, empty, tuple(widths[:0:-1]), tuple(rows),
-        tuple(strict) if has_interior else None,
+        tuple(strict) if has_interior else None, one_pass,
     )
 
 
@@ -504,7 +522,48 @@ def count_points(
     start, _, mask, _, rows = _sweep(spec, k, faces, interior)
     if not k:  # 0P is the zero point, in the union when there is a face
         return 1 if mask else 0
-    states = {(start, mask): 1} if mask else {}
+    return _tally({(start, mask): 1} if mask else {}, rows)
+
+
+def count_dilations(spec: PolytopeSpec, ks: Iterable[int], faces: Optional[Iterable[Cells]] = None) -> list[int]:
+    """[count_points(spec, k, faces) for k in ks], in one sweep when the
+    layout is `one_pass`, else one sweep per k.
+
+    One pass sweeps the rows of K = max(ks) from the start row k_i lambda
+    of every k_i, the count of a state being one int with a W-bit slot per
+    dilation: the start of k_i is seeded with 1 << W*i, and the slots are
+    read off the total.  Such a layout's floors are 0 and it has no row
+    target, and its ceilings and caps, at least lambda_1 at k = 1, are
+    implied from any start k' <= K: every entry of a profile started at
+    k' lambda is at most k' lambda_1, as a step keeps v <= s[j] and a cap
+    only lowers s[j+1].  So each step gives a state the same choices at
+    the rows of K as at those of its own k', states may merge across
+    dilations, and slot i sums exactly the sweep of k_i.  A slot counts
+    the choices of v, each in [0, K lambda_1], at the N swept entries that
+    lead to a state, so it never exceeds (K lambda_1 + 1) ** N < 2 ** W,
+    and no slot carries into the next."""
+    faces = None if faces is None else tuple(frozenset(f) for f in faces)
+    ks = [operator.index(k) for k in ks]
+    lay = _layout(spec, faces)
+    if not lay.one_pass or not ks or min(ks) < 0:  # count_points raises on a negative k
+        return [count_points(spec, k, faces) for k in ks]
+    top = max(ks)
+    _, _, mask, _, rows = _sweep(spec, top, faces)
+    width = ((top * lay.start[0] + 1) ** sum(map(len, lay.rows))).bit_length()
+    states: dict = {}
+    if mask:
+        for i, k in enumerate(ks):
+            state = tuple(k * x for x in lay.start), mask
+            states[state] = states.get(state, 0) + (1 << width * i)
+    total, slot = _tally(states, rows), (1 << width) - 1
+    return [total >> width * i & slot for i in range(len(ks))]
+
+
+def _tally(states: dict, rows: Iterable[list[tuple]]) -> int:
+    """The counting loop: sweep `states`, each (profile, mask) with its
+    count, through the rows of entries, and sum the counts at the end.
+    Each state's choices are added into the counts of the states they
+    lead to, so states reached along several paths merge."""
     for row in rows:
         for entry in row:
             swept: dict = {}

@@ -184,6 +184,7 @@ def test_a_stored_cache_line_is_still_a_hit(tmp_path, monkeypatch):
         raise AssertionError("a cache hit counts nothing")
 
     monkeypatch.setattr(lattice, "count_points", no_count)
+    monkeypatch.setattr(lattice, "count_dilations", no_count)
     monkeypatch.setattr(ehrhart, "_jacobi_trudi", no_count)
     cache = ResultCache(path)
     for obj, line in zip(objects, _STORED_CACHE_LINES):
@@ -261,13 +262,24 @@ def test_skew_fixture_row():
     assert result.valid and result.nonneg
 
 
+def _planted(obj, sample=None, check=None):
+    """obj with one count one too high: its sample at k = sample, or its
+    check at k = check."""
+
+    def counts(ks, at):
+        got, checked = obj.counts(ks, at)
+        return [v + (k == sample) for k, v in zip(ks, got)], [v + (k == check) for k, v in zip(at, checked)]
+
+    return obj._replace(counts=counts)
+
+
 def test_a_sample_wrong_at_one_dilation_is_flagged_at_minus_one():
     # the interpolant moves at k = -1 whichever sample k = 0..D is wrong,
     # also where the check at k = 1 compares nothing wrong
     obj = skew_object((3, 2, 1), (2, 1), n=3)
     assert ehrhart_of(obj).valid
     for wrong in range(obj.bound + 1):
-        planted = obj._replace(count=lambda k: obj.count(k) + (k == wrong))
+        planted = _planted(obj, sample=wrong)
         result = ehrhart_of(planted)
         assert [(k, ok) for k, _, ok in result.verify_points][1] == (-1, False), wrong
 
@@ -330,8 +342,34 @@ def test_each_object_states_the_dilations_it_is_checked_at(family, above):
     assert [k for k, _ in result.samples] == list(range(D + 1))
     assert tuple(k for k, _, _ in result.verify_points) == checks == obj.checks(D)
     for c in checks:
-        planted = obj._replace(check=lambda k: obj.check(k) + (k == c))
+        planted = _planted(obj, check=c)
         assert not ehrhart_of(planted).valid, c
+
+
+@pytest.mark.parametrize("above", [None, 2], ids=["own_bound", "bound_plus_2"])
+@pytest.mark.parametrize("family", ["key_complex", "kogan_face"])
+def test_a_face_union_fit_counts_every_dilation_in_one_call(family, above, monkeypatch):
+    # its samples k = 0..D and checks D+1, D+2 are one lattice call, one
+    # pass over every k, and no count of a single dilation
+    calls = []
+
+    def recorded(name):
+        count = getattr(lattice, name)
+
+        def call(spec, k, *args):
+            calls.append((name, k if name == "count_points" else list(k)))
+            return count(spec, k, *args)
+
+        return call
+
+    for name in ("count_points", "count_dilations"):
+        monkeypatch.setattr(lattice, name, recorded(name))
+    obj = _ONE_OF_EACH[family]()
+    if above is not None:
+        obj = obj._replace(bound=obj.bound + above)
+    result = ehrhart_of(obj)
+    assert result.valid and result.degree_bound == obj.bound
+    assert calls == [("count_dilations", list(range(obj.bound + 3)))]
 
 
 def test_empty_weight_object_reports_zero_poly():
@@ -501,8 +539,8 @@ def test_cache_round_trip(tmp_path):
     first = ehrhart_of(obj, cache=cache)
     # a fresh cache instance reads the stored line and skips recounting
     calls = []
-    stub = lambda k: calls.append(k) or 10**9
-    counting = obj._replace(count=stub, check=stub)
+    stub = lambda ks, at: calls.append((ks, at)) or ([10**9] * len(ks), [10**9] * len(at))
+    counting = obj._replace(counts=stub)
     cache2 = ResultCache(path)
     hit = ehrhart_of(counting, cache=cache2)
     assert not calls
@@ -513,10 +551,10 @@ def _must_hit(cache, obj):
     """The cache's fit of obj with counting that raises: a hit, or an
     AssertionError where a miss would recount."""
 
-    def no_count(k):
+    def no_count(ks, at):
         raise AssertionError("a cache hit counts nothing")
 
-    return cache.fit(obj._replace(count=no_count, check=no_count))
+    return cache.fit(obj._replace(counts=no_count))
 
 
 def _edit_poly(entry):
@@ -671,9 +709,7 @@ def test_dimension_bounds_the_degree_of_every_scan_object(family, ranges):
 
 def _recording(obj, calls):
     """obj, appending the k of each of its counts and checks to calls."""
-    return obj._replace(
-        count=lambda k: calls.append(k) or obj.count(k), check=lambda k: calls.append(k) or obj.check(k)
-    )
+    return obj._replace(counts=lambda ks, at: calls.extend([*ks, *at]) or obj.counts(ks, at))
 
 
 def test_cache_entry_under_another_degree_bound_is_a_miss(tmp_path):
@@ -731,7 +767,7 @@ def _recounted_after(path, obj, old):
 
 
 def _line_under(obj, ks, extra):
-    count = lambda k: obj.count(k) if k >= 0 else obj.check(k)
+    count = lambda k: obj.counts([k], [])[0][0] if k >= 0 else obj.counts([], [k])[1][0]
     samples = [(k, count(k)) for k in ks]
     poly = interpolate(samples)
     return EhrhartResult(obj.desc, obj.bound, samples, poly, [(k, count(k), True) for k in extra])

@@ -3,11 +3,19 @@ import random
 
 import pytest
 
-from gtkey.ehrhart import compositions
+from gtkey.ehrhart import compositions, ehrhart_gt_product
 from gtkey.gtcore import validate_pattern, weight
 from gtkey import lattice
 from gtkey.kogan import key_faces
-from gtkey.lattice import count_points, dimension, enumerate_points, gt_spec, skew_spec, weight_counts
+from gtkey.lattice import (
+    count_dilations,
+    count_points,
+    dimension,
+    enumerate_points,
+    gt_spec,
+    skew_spec,
+    weight_counts,
+)
 from oracles import affine_rank, grid_filter_patterns, reduced_cell_subsets, skew_ssyt_fillings, ssyt_fillings
 
 
@@ -437,7 +445,11 @@ def _driver_grid():
 
 def test_the_three_drivers_agree_in_any_order():
     # every count is first taken alone, each sweep laid out afresh; then all
-    # of them again in one shuffled order that mixes specs, faces and k
+    # of them again in one shuffled order that mixes specs, faces and k, and
+    # every spec's dilations at once, each k twice in a shuffled order:
+    # in one pass when no bound but the start row depends on k (GT(lambda)
+    # and its face unions at least), else one pass per k (a weight, mu's
+    # floors)
     calls = []
     for spec, faces, top in _driver_grid():
         for k in range(top + 1):
@@ -455,6 +467,28 @@ def test_the_three_drivers_agree_in_any_order():
         alone[spec, str(faces), k, interior] = count_points(spec, k, faces)
     for spec, faces, k, interior in random.Random(14).sample(calls, len(calls)):
         assert count_points(spec, k, faces, interior) == alone[spec, str(faces), k, interior], (spec, faces, k)
+    rng = random.Random(27)
+    paths = set()
+    for spec, faces, top in _driver_grid():
+        lay = lattice._layout(spec, None if faces is None else tuple(map(frozenset, faces)))
+        if spec.weight is None and spec.kind == "triangular":
+            assert lay.one_pass, spec
+        paths.add((spec.kind, spec.weight is not None, lay.one_pass))
+        ks = rng.sample(list(range(top + 1)) * 2, 2 * (top + 1))
+        expected = [alone[spec, str(faces), k, False] for k in ks]
+        assert count_dilations(spec, ks, faces) == expected, (spec, faces, ks)
+    assert {("triangular", True, False), ("skew", True, False), ("skew", False, False)} <= paths
+    assert not any(weighted and one_pass for _, weighted, one_pass in paths)
+
+
+def test_one_pass_counts_above_32_bits_exactly():
+    # GT(2,1,0,0,0) at k = 1..42 reaches 1.67e10 > 2^32: each slot is as
+    # wide as its proved bound, so no count carries into the next
+    spec = gt_spec((2, 1, 0, 0, 0))
+    poly = ehrhart_gt_product(spec.top)
+    counts = count_dilations(spec, range(42, 0, -1))
+    assert counts == [poly(k) for k in range(42, 0, -1)]
+    assert counts[0] == count_points(spec, 42) > 2**32
 
 
 def test_an_unweighted_gt_spec_sweeps_only_its_free_entries():
@@ -492,9 +526,13 @@ def test_edge_answers_of_the_drivers():
     spec = gt_spec((2, 1, 0))
     for k in range(4):
         assert count_points(spec, k, faces=[]) == 0
+    assert count_dilations(spec, []) == []
+    assert count_dilations(spec, [3, 0, 1], faces=[]) == [0, 0, 0]
     for k, error in [(-1, ValueError), (1.5, TypeError)]:
         with pytest.raises(error):
             count_points(spec, k)
+        with pytest.raises(error):
+            count_dilations(spec, [2, k])
         with pytest.raises(error):
             count_points(spec, k, interior=True)
         with pytest.raises(error):
