@@ -8,8 +8,7 @@ degree bound D, interpolated exactly from their forward differences
 interval between the marked rows is not a point, less one per independent
 row-sum equation of a weight.  A Kogan face's D is its dimension, the
 number of free classes once its cells merge entries, and a key complex's
-the largest among its faces (`lattice.dimension` with faces); both are
-the degree.
+the largest among its faces (the spec's `faces`); both are the degree.
 
 Each object states its dilations when it is built (`CountedObject`);
 every object is sampled at k = 0..D.  A GT or skew GT polytope P is
@@ -187,12 +186,10 @@ def linear_product(scale: Fraction | int, factors: Iterable[tuple[int, int]]) ->
     return UniPoly(coeffs)
 
 
-def ehrhart_gt_product(lam: Sequence[int], n: int | None = None) -> UniPoly:
+def ehrhart_gt_product(lam: Sequence[int]) -> UniPoly:
     """Closed product formula for the Ehrhart polynomial of GT(lambda): the
     product over i < j of (j - i + (lambda_i - lambda_j) k) / (j - i)."""
     lam = check_partition(lam)
-    if n is not None:
-        lam = pad(lam, n)
     pairs = list(itertools.combinations(range(len(lam)), 2))
     scale = Fraction(1, prod(j - i for i, j in pairs))
     return linear_product(scale, [(j - i, lam[i] - lam[j]) for i, j in pairs])
@@ -319,31 +316,30 @@ def key_complex_object(lam, sigma) -> CountedObject:
     sigma = check_permutation(sigma)
     lam = pad(check_partition(lam), len(sigma))
     desc = {"family": "key_complex", "lambda": list(lam), "sigma": list(sigma)}
-    return _swept_object(desc, *kogan.complex_spec(lam, sigma))
+    return _swept_object(desc, kogan.complex_spec(lam, sigma))
 
 
 def kogan_face_object(lam, face: kogan.KoganFace) -> CountedObject:
     lam = pad(check_partition(lam), face.n)
     return _swept_object(
         {"family": "kogan_face", "lambda": list(lam), "cells": [list(c) for c in face.sorted_cells()]},
-        lattice.gt_spec(lam, n=face.n),
-        [face.cells],
+        lattice.gt_spec(lam, n=face.n, faces=[face.cells]),
     )
 
 
-def _swept_object(desc: dict, spec: lattice.PolytopeSpec, faces: list | None = None) -> CountedObject:
-    """`spec`, or the union of `faces` in it, counted by the lattice sweep
-    alone and checked at D+1 and D+2; its bound is `lattice.dimension`, for
-    faces the largest dimension of a face, which is the degree.  Its
-    samples and checks are one `lattice.count_dilations` call: one pass
-    over k = 0..D+2 for GT(lambda) and a union of its faces (key complexes
-    and Kogan faces), one pass per k for a weighted spec."""
+def _swept_object(desc: dict, spec: lattice.PolytopeSpec) -> CountedObject:
+    """`spec` counted by the lattice sweep alone and checked at D+1 and D+2;
+    its bound is `lattice.dimension`, for a union of faces the largest
+    dimension of a face, which is the degree.  Its samples and checks are
+    one `lattice.count_dilations` call: one pass over k = 0..D+2 for
+    GT(lambda) and a union of its faces (key complexes and Kogan faces),
+    one pass per k for a weighted spec."""
 
     def counts(samples: Sequence[int], checks: Sequence[int]) -> tuple[list[int], list[int]]:
-        got = lattice.count_dilations(spec, [*samples, *checks], faces)
+        got = lattice.count_dilations(spec, [*samples, *checks])
         return got[: len(samples)], got[len(samples) :]
 
-    return CountedObject(desc, lattice.dimension(spec, faces), counts, lambda D: (D + 1, D + 2))
+    return CountedObject(desc, lattice.dimension(spec), counts, lambda D: (D + 1, D + 2))
 
 
 # --- interpolation with verification ------------------------------------------

@@ -142,18 +142,17 @@ def key_faces(n: int, sigma) -> tuple[KoganFace, ...]:
     return enumerate_reduced_faces(n, tau)
 
 
-def complex_spec(lam, sigma):
-    """The polytope and the face cell sets whose union is the key complex."""
+def complex_spec(lam, sigma) -> lattice.PolytopeSpec:
+    """The key complex: GT(lambda) cut to the union of the key faces."""
     sigma = check_permutation(sigma)
     n = len(sigma)
-    return lattice.gt_spec(lam, n=n), [face.cells for face in key_faces(n, sigma)]
+    return lattice.gt_spec(lam, n=n, faces=[face.cells for face in key_faces(n, sigma)])
 
 
 def complex_points(lam, sigma, k: int = 1) -> list[GTPattern]:
     """Lattice points of the key complex at dilation k, each once, in
     canonical order."""
-    spec, faces = complex_spec(lam, sigma)
-    return list(lattice.enumerate_points(spec, k, faces=faces))
+    return list(lattice.enumerate_points(complex_spec(lam, sigma), k))
 
 
 def complex_count(lam, sigma, k: int = 1) -> int:
@@ -163,10 +162,9 @@ def complex_count(lam, sigma, k: int = 1) -> int:
     the mask of faces whose equalities still hold, so no point set is ever
     materialized and no intersection is counted twice.
     """
-    spec, faces = complex_spec(lam, sigma)
-    return lattice.count_points(spec, k, faces=faces)
+    return lattice.count_points(complex_spec(lam, sigma), k)
 
 
 def key_via_faces(lam, sigma) -> MultiPoly:
     """Key polynomial: the key complex's lattice points tallied by weight."""
-    return weight_sum(*complex_spec(lam, sigma))
+    return weight_sum(complex_spec(lam, sigma))

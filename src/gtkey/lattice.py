@@ -18,17 +18,19 @@ its step, v = s[j] in every state, is left out.  The top row is checked
 once: no column of lambda/mu is longer than n.  A weight filter fixes each
 row sum, bounding an entry by what its row can add.
 
-A triangular polytope may be restricted to a union of faces, each a set of
-cells (i, j), 1 <= j <= i <= n-1, imposing x_{i,j} = x_{i+1,j} (rows
-bottom-up as in gtcore); a point lies in the union when it satisfies every
-cell of some face.  The mask has a bit per face whose cells hold so far.
-`faces=None` is the whole polytope and `faces=[]` the empty set.
+A triangular spec may restrict its polytope to a union of faces, the
+spec's `faces`, each a set of cells (i, j), 1 <= j <= i <= n-1, imposing
+x_{i,j} = x_{i+1,j} (rows bottom-up as in gtcore); a point lies in the
+union when it satisfies every cell of some face.  The mask has a bit per
+face whose cells hold so far.  `faces` None is the whole polytope and ()
+the empty set.
 
-A polytope is laid out for the sweep once (`_layout`), in one pass over
-its rows: the validation, the row widths, the swept entries, the face
-bits, the constant entries, the emptiness checks and the bounds are the
-same at every dilation k >= 1, and each bound of the k-th dilate is k
-times its value at k = 1, so a dilation only rescales them (`_sweep`).
+A spec is checked once, when it is built, and its polytope is laid out
+for the sweep once (`_layout`, a memo keyed by the spec alone), in one
+pass over its rows: the row widths, the swept entries, the face bits, the
+constant entries, the emptiness checks and the bounds are the same at
+every dilation k >= 1, and each bound of the k-th dilate is k times its
+value at k = 1, so a dilation only rescales them (`_sweep`).
 A count at k = 0 needs no sweep: 0P is the zero point.  The relative
 interior is the same rows with shifted bounds, each strict inequality
 x < y taken as x <= y - 1, and the same pass lays out those shifts: an
@@ -69,15 +71,18 @@ Cells = frozenset
 class PolytopeSpec(Value):
     """A GT polytope: triangular GT(lambda) when `bottom` is None, else skew
     GT(lambda/mu) with `bottom` mu and n rows above it, optionally cut to
-    the patterns of weight `weight`.
+    the patterns of weight `weight` and, when triangular, to the union of
+    `faces`.
 
     gt_spec and skew_spec pick n and pad lambda and the weight; this only
     checks them.  A triangular spec's n is len(top); a skew spec needs
-    n >= 1; a weight needs n non-negative entries."""
+    n >= 1; a weight needs n non-negative entries.  `faces` is None for the
+    whole polytope, else kept as a tuple of frozensets of cells in the
+    given order, each cell (i, j) with 1 <= j <= i <= n-1."""
 
-    __slots__ = _fields = ("top", "bottom", "weight", "n")  # n: rows above the bottom
+    __slots__ = _fields = ("top", "bottom", "weight", "n", "faces")  # n: rows above the bottom
 
-    def __init__(self, top, bottom=None, weight=None, n: int | None = None):
+    def __init__(self, top, bottom=None, weight=None, n: int | None = None, faces=None):
         top = check_partition(top)
         if not top:
             raise ValueError("a GT polytope needs a top row with at least one entry")
@@ -93,7 +98,15 @@ class PolytopeSpec(Value):
             weight = tuple(weight)
             if len(weight) != n or any(x < 0 for x in weight):
                 raise ValueError(f"weight must be {n} non-negative integers")
-        self._set(top, bottom, weight, n)
+        if faces is not None:
+            if bottom is not None:
+                raise ValueError("faces only apply to triangular polytopes")
+            faces = tuple(map(frozenset, faces))
+            for cells in faces:
+                for i, j in cells:
+                    if not 1 <= j <= i <= n - 1:
+                        raise ValueError(f"cell {(i, j)} out of range for n={n}")
+        self._set(top, bottom, weight, n, faces)
 
     @property
     def kind(self) -> str:
@@ -113,8 +126,9 @@ class PolytopeSpec(Value):
         return desc
 
 
-def gt_spec(lam, weight=None, n: int | None = None) -> PolytopeSpec:
-    """GT(lambda), cut to the patterns of weight `weight` when one is given.
+def gt_spec(lam, weight=None, n: int | None = None, faces=None) -> PolytopeSpec:
+    """GT(lambda), cut to the patterns of weight `weight` and to the union of
+    `faces` when they are given.
 
     It has n rows: `n` when given, else the longer of lambda and the
     weight.  Both are padded with zeros to n; dropping a nonzero part
@@ -122,7 +136,7 @@ def gt_spec(lam, weight=None, n: int | None = None) -> PolytopeSpec:
     lam = check_partition(lam)
     if n is None:
         n = max(len(lam), len(weight or ()))
-    return PolytopeSpec(pad(lam, n), weight=None if weight is None else pad(weight, n, "weight"))
+    return PolytopeSpec(pad(lam, n), weight=None if weight is None else pad(weight, n, "weight"), faces=faces)
 
 
 def skew_spec(lam, mu=(), weight=None, n: int | None = None) -> PolytopeSpec:
@@ -138,13 +152,16 @@ def skew_spec(lam, mu=(), weight=None, n: int | None = None) -> PolytopeSpec:
 
 
 @lru_cache(maxsize=4)
-def _intervals(spec: PolytopeSpec) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _intervals(
+    lam: tuple[int, ...], bottom: Optional[tuple[int, ...]], n: int
+) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each row l = 1..n-1 between the marked ones, bottom-up, the
     interval [max(mu_j, lambda_{j+n-l}), min(lambda_j, mu_{j-l})] of each
     entry j, a missing index imposing nothing.  `dimension` and `_layout`
-    both read them, so an object's bound and its sweep share one copy."""
-    lam, n, m = spec.top, spec.n, spec.m
-    mu = spec.bottom or (0,) * m
+    both read them, so an object's bound and its sweep share one copy.
+    They are keyed by a spec's rows alone, not by its weight or faces, so
+    the key complexes of one GT(lambda) share them too."""
+    mu = bottom or (0,) * len(lam)
     tail = lam + (0,) * n  # lambda_i, and 0 past its end
     # floors max(mu_j, tail_{j+n-l}); ceilings min(lambda_j, mu_{j-l}), lambda_j alone for j < l
     return tuple(
@@ -152,8 +169,8 @@ def _intervals(spec: PolytopeSpec) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-def dimension(spec: PolytopeSpec, faces: Optional[Iterable[Cells]] = None) -> int:
-    """A proved upper bound on the degree of k -> count_points(spec, k, faces).
+def dimension(spec: PolytopeSpec) -> int:
+    """A proved upper bound on the degree of k -> count_points(spec, k).
 
     The polytope is a marked order polytope, its top and bottom rows marked
     (Ardila-Bliem-Salazar, JCTA 2011), so each entry of a row between them
@@ -165,28 +182,28 @@ def dimension(spec: PolytopeSpec, faces: Optional[Iterable[Cells]] = None) -> in
     A weight subtracts one per row with a free entry: these row sums act on
     disjoint non-empty sets of free entries, so they are independent.
 
-    With `faces` (an unweighted triangular spec only, else ValueError) the
-    bound is the largest dimension of a face, 0 for no face, and it is the
-    degree: the union's count is by inclusion-exclusion a sum of Ehrhart
+    With `faces` (an unweighted spec only, else ValueError) the bound is
+    the largest dimension of a face, 0 for no face, and it is the degree:
+    the union's count is by inclusion-exclusion a sum of Ehrhart
     polynomials of faces (intersections of faces are faces), the largest
     faces' leading coefficients are positive, and GT(lambda) is integral.
     Every face holds the pattern x_{i,j} = lambda_j, so none is empty, and
     a face is the marked order polytope of the quotient that merges the
     entries its cells set equal, so its dimension is read off that quotient
     as above (`_face_dimension`)."""
-    rows = _intervals(spec)
-    if faces is None:
+    rows = _intervals(spec.top, spec.bottom, spec.n)
+    if spec.faces is None:
         bound = 0
         for row in rows:
             free = sum(lo < hi for lo, hi in row)
             bound += free - (spec.weight is not None and free > 0)
         return bound
-    if spec.kind != "triangular" or spec.weight is not None:
+    if spec.weight is not None:
         raise ValueError("faces only apply to unweighted triangular polytopes")
     # the triangle's entries, row by row bottom-up to lambda, as `_edges` numbers them
     los = [lo for level, row in enumerate(rows, 1) for lo, _ in row[:level]] + list(spec.top)
     his = [hi for level, row in enumerate(rows, 1) for _, hi in row[:level]] + list(spec.top)
-    return max((_face_dimension(spec.n, los, his, frozenset(cells)) for cells in faces), default=0)
+    return max((_face_dimension(spec.n, los, his, cells) for cells in spec.faces), default=0)
 
 
 def _face_dimension(n: int, los: list[int], his: list[int], cells: Cells) -> int:
@@ -211,9 +228,6 @@ def _face_dimension(n: int, los: list[int], his: list[int], cells: Cells) -> int
     a class whose interval is not a point to its ceilings stays in the
     face, and these moves are independent, so the free classes count the
     dimension."""
-    for i, j in cells:
-        if not 1 <= j <= i <= n - 1:
-            raise ValueError(f"cell {(i, j)} out of range for n={n}")
     root = list(range(len(los)))  # each class's top entry
     los = los[:]
     for level in range(n - 1, 0, -1):  # top-down: the entry above has its root already
@@ -292,7 +306,7 @@ def _swept(spec: PolytopeSpec, widths: list[int], common: Cells) -> list[list[in
     past the row's width the next step cuts off, and the drivers read the
     row off its first `width` entries.  A weighted row keeps its last
     entry: that step fixes the row sum exactly only when no copy follows."""
-    intervals = _intervals(spec) + (tuple((x, x) for x in spec.top),)  # the top row is marked
+    intervals = _intervals(spec.top, spec.bottom, spec.n) + (tuple((x, x) for x in spec.top),)  # the top row is marked
     swept = []
     for level in range(spec.n - 1, 0, -1):
         row, up, width = intervals[level - 1], intervals[level], widths[level]
@@ -305,9 +319,9 @@ def _swept(spec: PolytopeSpec, widths: list[int], common: Cells) -> list[list[in
 
 
 @lru_cache(maxsize=4)
-def _layout(spec: PolytopeSpec, faces: Optional[tuple[Cells, ...]]) -> _Layout:
-    """Validate `spec` and `faces` and lay out the sweep of the polytope
-    and of its relative interior, in one pass over its rows.
+def _layout(spec: PolytopeSpec) -> _Layout:
+    """Lay out the sweep of the polytope and of its relative interior, in
+    one pass over its rows.
 
     Nothing here depends on the dilation k >= 1: the row widths, the swept
     entries, the face bits, which entries are constant, the strict shifts
@@ -324,17 +338,11 @@ def _layout(spec: PolytopeSpec, faces: Optional[tuple[Cells, ...]]) -> _Layout:
     nothing.  The memo is small: one object's fit uses one layout (its
     counts and its interior counts), and the memo does not keep every
     polytope a process has counted."""
-    if faces is not None and spec.kind != "triangular":
-        raise ValueError("faces only apply to triangular polytopes")
-    has_interior = faces is None and spec.weight is None
-    faces = (frozenset(),) if faces is None else faces
+    has_interior = spec.faces is None and spec.weight is None
+    faces = (frozenset(),) if spec.faces is None else spec.faces
     n, m = spec.n, spec.m
     mu = spec.bottom or (0,) * m  # GT(lambda) is the skew polytope over 0...0
     widths = [min(level + m - mu.count(0), m - spec.top.count(0)) for level in range(n)]  # before the zero tails
-    for cells in faces:
-        for i, j in cells:
-            if not 1 <= j <= i <= n - 1:
-                raise ValueError(f"cell {(i, j)} out of range for n={n}")
     common = frozenset.intersection(*faces) if faces else frozenset()
     swept = _swept(spec, widths, common)
     order = ((level, j) for level, keep in zip(range(n - 1, 0, -1), swept) for j in keep)
@@ -360,7 +368,7 @@ def _layout(spec: PolytopeSpec, faces: Optional[tuple[Cells, ...]]) -> _Layout:
     rows, strict, free = [], [], ends.get(-1, 0)
     above = None  # the row above's ceilings and their interior shifts
     up = (True,) * m  # which entries of the row above are constant: the top row is marked
-    intervals = _intervals(spec)
+    intervals = _intervals(spec.top, spec.bottom, spec.n)
     for level, keep in zip(range(n - 1, 0, -1), swept):
         width, span = widths[level], range(widths[level])
         his = [mu[j - level] if j >= level else cap for j in span]  # x_{l,j} <= mu_{j-l}; lo is mu_j
@@ -406,7 +414,7 @@ def _layout(spec: PolytopeSpec, faces: Optional[tuple[Cells, ...]]) -> _Layout:
 
 
 def _sweep(
-    spec: PolytopeSpec, k: int, faces: Optional[Iterable[Cells]], interior: bool = False
+    spec: PolytopeSpec, k: int, interior: bool = False
 ) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...], Iterator[list[tuple]]]:
     """The k-th dilate set up for the sweep: `_layout`'s start, mu, mask and
     row widths, and lazily its rows of entries for `_choices`, every bound
@@ -417,7 +425,7 @@ def _sweep(
     k = operator.index(k)
     if k < 0:
         raise ValueError("dilation factor must be >= 0")
-    lay = _layout(spec, None if faces is None else tuple(frozenset(f) for f in faces))
+    lay = _layout(spec)
     if interior and lay.strict is None:
         raise ValueError("an interior count takes no faces and no weight")
     mask = 0 if lay.empty and k else lay.mask
@@ -470,15 +478,10 @@ def _choices(entry: tuple, s: tuple[int, ...], m: int):
     return s[:j], rest, up, free if m & free else m, free if off & free else off, a, b
 
 
-def enumerate_points(
-    spec: PolytopeSpec,
-    k: int = 1,
-    faces: Optional[Iterable[Cells]] = None,
-) -> Iterator[Pattern]:
+def enumerate_points(spec: PolytopeSpec, k: int = 1) -> Iterator[Pattern]:
     """Yield each integral pattern of the k-th dilate exactly once, in
-    canonical order.  `faces` restricts a triangular polytope to the union
-    of those faces."""
-    start, mu, mask, widths, rows = _sweep(spec, k, faces)
+    canonical order."""
+    start, mu, mask, widths, rows = _sweep(spec, k)
 
     def chosen(states, entry):  # choosing one entry, lazily
         for (s, m), value in states:
@@ -503,13 +506,8 @@ def enumerate_points(
         yield from (SkewGTPattern((mu,) + rows[::-1]) for _, rows in states)
 
 
-def count_points(
-    spec: PolytopeSpec,
-    k: int = 1,
-    faces: Optional[Iterable[Cells]] = None,
-    interior: bool = False,
-) -> int:
-    """|k.P intersect Z^d|, or of the union of `faces` in it.
+def count_points(spec: PolytopeSpec, k: int = 1, *, interior: bool = False) -> int:
+    """|k.P intersect Z^d|, P the spec's polytope or its union of faces.
 
     With `interior`, the lattice points of the relative interior of k.P,
     for a spec without a weight and without faces.  Its only implicit
@@ -519,14 +517,14 @@ def count_points(
     of the polytope count, not the bounds the sweep adds: on row 1 the
     floors mu_j and ceilings mu_{j-1} are the interlacing with mu, but
     elsewhere they are implied, and the 0 after a full row bounds nothing."""
-    start, _, mask, _, rows = _sweep(spec, k, faces, interior)
+    start, _, mask, _, rows = _sweep(spec, k, interior)
     if not k:  # 0P is the zero point, in the union when there is a face
         return 1 if mask else 0
     return _tally({(start, mask): 1} if mask else {}, rows)
 
 
-def count_dilations(spec: PolytopeSpec, ks: Iterable[int], faces: Optional[Iterable[Cells]] = None) -> list[int]:
-    """[count_points(spec, k, faces) for k in ks], in one sweep when the
+def count_dilations(spec: PolytopeSpec, ks: Iterable[int]) -> list[int]:
+    """[count_points(spec, k) for k in ks], in one sweep when the
     layout is `one_pass`, else one sweep per k.
 
     One pass sweeps the rows of K = max(ks) from the start row k_i lambda
@@ -542,13 +540,12 @@ def count_dilations(spec: PolytopeSpec, ks: Iterable[int], faces: Optional[Itera
     the choices of v, each in [0, K lambda_1], at the N swept entries that
     lead to a state, so it never exceeds (K lambda_1 + 1) ** N < 2 ** W,
     and no slot carries into the next."""
-    faces = None if faces is None else tuple(frozenset(f) for f in faces)
     ks = [operator.index(k) for k in ks]
-    lay = _layout(spec, faces)
+    lay = _layout(spec)
     if not lay.one_pass or not ks or min(ks) < 0:  # count_points raises on a negative k
-        return [count_points(spec, k, faces) for k in ks]
+        return [count_points(spec, k) for k in ks]
     top = max(ks)
-    _, _, mask, _, rows = _sweep(spec, top, faces)
+    _, _, mask, _, rows = _sweep(spec, top)
     width = ((top * lay.start[0] + 1) ** sum(map(len, lay.rows))).bit_length()
     states: dict = {}
     if mask:
@@ -576,14 +573,10 @@ def _tally(states: dict, rows: Iterable[list[tuple]]) -> int:
     return sum(states.values())
 
 
-def weight_counts(
-    spec: PolytopeSpec,
-    k: int = 1,
-    faces: Optional[Iterable[Cells]] = None,
-) -> dict[tuple[int, ...], int]:
-    """The number of integral patterns of the k-th dilate, or of the union
-    of `faces` in it, of each weight that occurs."""
-    start, mu, mask, widths, rows = _sweep(spec, k, faces)
+def weight_counts(spec: PolytopeSpec, k: int = 1) -> dict[tuple[int, ...], int]:
+    """The number of integral patterns of the k-th dilate of each weight
+    that occurs."""
+    start, mu, mask, widths, rows = _sweep(spec, k)
     # tally keys: (u, the weight components of the rows above the last row
     # chosen), u that row's sum less |mu|: a row ending at t adds u - t
     base = sum(mu)

@@ -272,12 +272,12 @@ def key_via_operators(lam: Sequence[int], sigma: Sequence[int]) -> MultiPoly:
 
 # --- tableau generating polynomials ------------------------------------------
 
-def weight_sum(spec: lattice.PolytopeSpec, faces: Iterable | None = None) -> MultiPoly:
-    """The lattice points of `spec`, or of the union of `faces` in it,
-    summed as weight monomials.  `lattice.weight_counts` maps the weight of
-    a pattern, a tuple of spec.n non-negative ints, to its positive int
-    count, in a dict of its own, so the terms are adopted unchecked."""
-    return MultiPoly._of(spec.n, lattice.weight_counts(spec, 1, faces))
+def weight_sum(spec: lattice.PolytopeSpec) -> MultiPoly:
+    """The lattice points of `spec` summed as weight monomials.
+    `lattice.weight_counts` maps the weight of a pattern, a tuple of spec.n
+    non-negative ints, to its positive int count, in a dict of its own, so
+    the terms are adopted unchecked."""
+    return MultiPoly._of(spec.n, lattice.weight_counts(spec, 1))
 
 
 def schur(lam: Sequence[int], n: int) -> MultiPoly:

@@ -3,7 +3,8 @@
 The tier-1 suite does not collect perfbench/, so a change to the package
 that breaks the benchmark would otherwise show only as a failed benchmark
 run.  These tests check that every function the layer tracer wraps exists,
-and that the names the benchmark child calls still work together.
+that the tracer reads each call's info off the arguments the package
+passes, and that the names the benchmark child calls still work together.
 """
 
 import importlib
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gtkey import ehrhart, kogan
+from gtkey import cli, ehrhart, kogan, lattice, polyops
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,3 +63,41 @@ def test_a_result_offers_what_the_benchmark_reads():
     assert [k for k, _ in result.samples] == list(range(7))
     assert [(k, ok) for k, _, ok in result.verify_points] == [(1, True), (-1, True), (-2, True)]
     assert result.valid is True
+
+
+def test_the_tracer_reads_each_info_off_the_arguments_the_package_passes(capsys):
+    # a traced run reads k and sizes by argument position: count_points's k
+    # is argument 1, complex_count's argument 2.  Every traced call here is
+    # made by the package itself, through the CLI, so a changed signature
+    # shows as an info that is not the value of the call
+    tracer = _layertrace().Tracer().install()
+    try:
+        for argv in [
+            ["points", "--lambda", "2,1,0", "--sigma", "[1,3,2]", "--k", "2", "--count-only"],
+            ["points", "--lambda", "2,1,0", "--sigma", "[1,3,2]", "--k", "2"],
+            ["points", "--lambda", "2,1,0", "--k", "3", "--count-only"],
+            ["points", "--lambda", "2,1,0", "--k", "2"],
+            ["key", "--lambda", "2,1,0", "--sigma", "[1,3,2]", "--method", "operators"],
+            ["ehrhart", "--object", "gt", "--lambda", "2,1,0"],
+        ]:
+            assert cli.main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    infos: dict = {}
+    for name, _, _, _, info in tracer.spans:
+        infos.setdefault(name, []).append(info)
+    assert {name for name, target in TARGETS.items() if target[2] is not None} <= set(infos)
+    faces = len(kogan.key_faces(3, (1, 3, 2)))
+    spec = lattice.gt_spec((2, 1, 0))
+    fit = ehrhart.ehrhart_of(ehrhart.gt_object((2, 1, 0)))
+    assert infos["kogan.complex_count"] == [2]
+    # complex_count's call, then the count at k = 3, then the gt fit's checks at 1, -1, -2
+    assert infos["lattice.count_points"] == [2, 3, 1, 1, 2]
+    assert infos["kogan.key_faces"] == [((3, (1, 3, 2)), faces)] * 2
+    assert infos["lattice.enumerate_points"] == [
+        kogan.complex_count((2, 1, 0), (1, 3, 2), 2),
+        lattice.count_points(spec, 2),
+    ]
+    assert infos["polyops.key_via_operators"] == [len(polyops.key_via_operators((2, 1, 0), (1, 3, 2)).terms)]
+    assert infos["ehrhart.ehrhart_of"] == [(len(fit.samples) + len(fit.verify_points), 3)]

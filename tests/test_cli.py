@@ -200,6 +200,14 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
     assert cli.main(["key", "--lambda", "1,2", "--sigma", "[1,2]"]) == 1  # not a partition
     capsys.readouterr()
+    # an ehrhart object missing the option it is built from
+    for argv, message in [
+        (["--object", "skew-weight", "--lambda", "2,1", "--mu", "1"], "skew-weight needs --nu"),
+        (["--object", "key-complex", "--lambda", "2,1,0"], "key-complex needs --sigma"),
+        (["--object", "kogan-face", "--lambda", "2,1,0"], 'kogan-face needs --cells "i,j;i,j;..."'),
+    ]:
+        assert cli.main(["ehrhart", *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -940,6 +948,28 @@ def test_planted_wrong_determinant_entry_exits_two(capsys, monkeypatch, argv):
                 assert result == right and result["valid"]
     else:
         assert payload["valid"] is False
+
+
+def test_a_wrong_determinant_entry_fails_the_determinant_suite(capsys, monkeypatch):
+    # the same fault planted in the flagged determinants: no flag's polynomial
+    # is the key complex's Ehrhart polynomial any more, so the search fails
+    # and the suite flags each lambda
+    assert ehrhart.flag_match((2, 1, 0), (1, 2, 3)) is not None
+    real = ehrhart._det
+
+    def planted(matrix):
+        matrix = [list(row) for row in matrix]
+        matrix[0][0] += 1
+        return real(matrix)
+
+    monkeypatch.setattr(ehrhart, "_det", planted)
+    assert ehrhart.flag_match((2, 1, 0), (1, 2, 3)) is None
+    code, out = run_cli(capsys, "verify", "--suite", "determinant")
+    assert code == cli.VIOLATION
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        f"[FAIL] determinant: determinant match lambda={lam}  (sigma=(3, 2, 1))"
+        for lam in [(2, 1, 0), (3, 1, 0), (3, 2, 0)]
+    ] + ["FAILURES PRESENT"]
 
 
 def test_verify_recounts_what_a_cache_in_the_environment_holds(tmp_path, capsys, monkeypatch):

@@ -30,7 +30,10 @@ FIG_TABLEAU_ROWS = ((1, 1, 1, 5, 5), (2, 2, 3, 6), (3, 4), (4,), (6,), ())
 def test_validate_pattern():
     assert validate_pattern(FIG_PATTERN)
     assert validate_pattern(GTPattern(((0,), (0, 0), (0, 0, 0))))
-    assert not validate_pattern(GTPattern(((3,), (2, 0))))
+    assert not validate_pattern(GTPattern(((3,), (2, 0))))  # above the entry above it
+    assert not validate_pattern(GTPattern(((0,), (2, 1))))  # below its upper-right neighbour
+    assert not validate_pattern(SkewGTPattern(((0, -1), (1, 0))))  # a negative skew entry
+    assert validate_pattern(SkewGTPattern(((0, 0), (1, 0))))
 
 
 def test_malformed_shape_raises():
@@ -138,6 +141,15 @@ def test_pattern_json_round_trip():
     assert SkewGTPattern.from_json(sp.to_json()) == sp
 
 
+def test_tableau_json_round_trip():
+    t = pattern_to_tableau(FIG_PATTERN)
+    assert t.to_json() == {"shape": [5, 4, 2, 1, 1, 0], "rows": [list(r) for r in FIG_TABLEAU_ROWS]}
+    assert SSYT.from_json(t.to_json()) == t
+    st = SkewSSYT((2, 2), (1,), ((1,), (1, 2)))
+    assert st.to_json() == {"outer": [2, 2], "inner": [1, 0], "rows": [[1], [1, 2]]}
+    assert SkewSSYT.from_json(st.to_json()) == st
+
+
 def test_pattern_str_top_row_first():
     text = str(FIG_PATTERN)
     first_line = text.splitlines()[0].split()
@@ -180,7 +192,11 @@ def test_patterns_keep_their_class_in_repr_and_equality():
 # each value type with raw constructor arguments and the fields they
 # normalise to (padding, lists becoming tuples, a list of cells a frozenset)
 VALUES = [
-    (lattice.PolytopeSpec, ([3, 1], [1], [2, 1], 2), {"top": (3, 1), "bottom": (1, 0), "weight": (2, 1), "n": 2}),
+    (
+        lattice.PolytopeSpec,
+        ([3, 1], [1], [2, 1], 2),
+        {"top": (3, 1), "bottom": (1, 0), "weight": (2, 1), "n": 2, "faces": None},
+    ),
     (KoganFace, (3, [[2, 1], [1, 1]]), {"n": 3, "cells": frozenset({(1, 1), (2, 1)})}),
     (GTPattern, ([[1], [2, 0]],), {"rows": ((1,), (2, 0))}),
     (SkewGTPattern, ([[0, 0], [1, 0], [2, 1]],), {"rows": ((0, 0), (1, 0), (2, 1))}),

@@ -131,20 +131,20 @@ def test_depicted_kempf_faces_n4():
 def test_single_face_of_full_equalities():
     face = KoganFace(4, frozenset(all_cells(4)))
     for lam in [(4, 3, 3, 2), (2, 1, 0, 0)]:
-        pts = list(lattice.enumerate_points(lattice.gt_spec(lam, n=face.n), faces=[face.cells]))
+        pts = list(lattice.enumerate_points(lattice.gt_spec(lam, n=face.n, faces=[face.cells])))
         assert len(pts) == 1
 
 
 def test_face_points_worked_example():
     face = KoganFace(4, frozenset({(2, 2), (3, 1), (3, 2), (3, 3)}))
-    spec = lattice.gt_spec((4, 3, 3, 2), n=face.n)
-    pts = list(lattice.enumerate_points(spec, faces=[face.cells]))
+    spec = lattice.gt_spec((4, 3, 3, 2), n=face.n, faces=[face.cells])
+    pts = list(lattice.enumerate_points(spec))
     assert [p.rows for p in pts] == [
         ((3,), (3, 3), (4, 3, 3), (4, 3, 3, 2)),
         ((3,), (4, 3), (4, 3, 3), (4, 3, 3, 2)),
         ((4,), (4, 3), (4, 3, 3), (4, 3, 3, 2)),
     ]
-    assert lattice.count_points(spec, faces=[face.cells]) == 3
+    assert lattice.count_points(spec) == 3
 
 
 def test_complex_points_gtkey():

@@ -274,20 +274,20 @@ def test_divide_by_difference():
 
 def test_weight_sum_adopts_what_the_constructor_accepts():
     cases = [
-        (lattice.gt_spec((3, 2, 0)), None),
-        (lattice.gt_spec((2, 1), n=4), None),
-        (lattice.skew_spec((3, 2, 1), (1,), n=3), None),
-        (lattice.skew_spec((2, 2), (0,), n=1), None),  # empty
-        (lattice.gt_spec((2, 1, 0, 0)), [f.cells for f in kogan.key_faces(4, (2, 4, 3, 1))]),
-        (lattice.gt_spec((2, 1, 0)), []),
+        lattice.gt_spec((3, 2, 0)),
+        lattice.gt_spec((2, 1), n=4),
+        lattice.skew_spec((3, 2, 1), (1,), n=3),
+        lattice.skew_spec((2, 2), (0,), n=1),  # empty
+        lattice.gt_spec((2, 1, 0, 0), faces=[f.cells for f in kogan.key_faces(4, (2, 4, 3, 1))]),
+        lattice.gt_spec((2, 1, 0), faces=[]),
     ]
-    for spec, faces in cases:
-        adopted = polyops.weight_sum(spec, faces)
-        assert adopted == MultiPoly(spec.n, lattice.weight_counts(spec, 1, faces)), (spec, faces)
+    for spec in cases:
+        adopted = polyops.weight_sum(spec)
+        assert adopted == MultiPoly(spec.n, lattice.weight_counts(spec, 1)), spec
         assert adopted.nvars == spec.n
         assert all(len(e) == spec.n and all(type(x) is int and x >= 0 for x in e) for e in adopted.terms)
         assert all(type(c) is int and c > 0 for c in adopted.terms.values())
-    assert polyops.weight_sum(cases[4][0], cases[4][1]) == kogan.key_via_faces((2, 1, 0, 0), (2, 4, 3, 1))
+    assert polyops.weight_sum(cases[4]) == kogan.key_via_faces((2, 1, 0, 0), (2, 4, 3, 1))
     assert schur((2, 1), 3) == MultiPoly(3, dict(schur((2, 1), 3).terms))
 
 
