@@ -148,16 +148,6 @@ def _term_rows(poly) -> list:
     return [[str(c), " ".join(map(str, e))] for e, c in poly.sorted_terms()]
 
 
-def _open_cache(args) -> ehrhart.ResultCache | None:
-    if not args.cache:
-        return None
-    cache = ehrhart.ResultCache(args.cache)
-    if cache.bad_lines:
-        lines = ", ".join(str(n) for n in cache.bad_lines)
-        print(f"warning: cache {args.cache}: skipped unreadable line(s) {lines}", file=sys.stderr)
-    return cache
-
-
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_key(args) -> int:
@@ -372,7 +362,7 @@ def cmd_ehrhart(args) -> int:
     obj = _ehrhart_object(args)
     if args.degree_bound is not None:
         obj = obj._replace(bound=args.degree_bound)
-    result = ehrhart.ehrhart_of(obj, cache=_open_cache(args))
+    result = ehrhart.ehrhart_of(obj)
     payload = result.to_json()
     flags = [payload["nonneg"], payload["valid"], payload["empty"]]
     _emit(
@@ -389,9 +379,8 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    cache = _open_cache(args)
     ranges = _parse_ranges(args.ranges)
-    report = ehrhart.scan(args.family, ranges, cache=cache)
+    report = ehrhart.scan(args.family, ranges)
     if not report.entries:
         raise CliError(f"scan {args.family}: ranges {json.dumps(ranges)} give no objects")
     _emit(
@@ -439,11 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cache=False):
+    def common(p):
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
         p.add_argument("--out", help="write output to a file instead of stdout")
-        if cache:  # only ehrhart and scan read it
-            p.add_argument("--cache", help="JSON-lines cache for interpolation results")
 
     p = sub.add_parser("key", help="key polynomial by operators, faces, or both")
     p.add_argument("--lambda", dest="lam", required=True, help="partition, e.g. 2,1,0,0")
@@ -497,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", help='face cells as "i,j;i,j;..."')
     p.add_argument("--n", type=_at_least_one)
     p.add_argument("--degree-bound", type=int)
-    common(p, cache=True)
+    common(p)
     p.set_defaults(func=cmd_ehrhart)
 
     p = sub.add_parser("scan", help="non-negativity scan over a family grid")
@@ -507,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(ehrhart.SCAN_RANGE_KEYS),
     )
     p.add_argument("--ranges", help='bounds, e.g. "n=3;max_shape=3,2,1" or "max_size=6;max_rows=4"')
-    common(p, cache=True)
+    common(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="run a named fixture suite")

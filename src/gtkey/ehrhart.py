@@ -345,7 +345,7 @@ def _swept_object(desc: dict, spec: lattice.PolytopeSpec) -> CountedObject:
 # --- interpolation with verification ------------------------------------------
 
 class EhrhartResult(NamedTuple):
-    """The fit of an object's counts (`_fit`): its samples (k, L(k)), the
+    """The fit of an object's counts (`ehrhart_of`): its samples (k, L(k)), the
     interpolated polynomial, and its checks (k, L(k), whether the
     polynomial gives L(k)).  `nonneg` and `valid` are read off those."""
 
@@ -378,7 +378,7 @@ class EhrhartResult(NamedTuple):
         }
 
 
-def _fit(obj: CountedObject) -> EhrhartResult:
+def ehrhart_of(obj: CountedObject) -> EhrhartResult:
     """Interpolate the object's counts at k = 0..D, D = `obj.bound` (a
     negative bound raises ValueError), and compare the polynomial with its
     check counts at `obj.checks(D)`.  Both are asked of the object in one
@@ -407,84 +407,6 @@ def _fit(obj: CountedObject) -> EhrhartResult:
         verify_points=[(k, v, poly(k) == v) for k, v in checks],
         empty=empty,
     )
-
-
-class ResultCache:
-    """Append-only JSON-lines store of fits, keyed by the canonical object
-    descriptor and degree bound, and read through `fit`.
-
-    A line that is not a readable entry is skipped and its number kept in
-    `bad_lines`.  A stored entry is read back as its counts alone, the
-    values of its samples and verification points.  They are refitted as
-    the caller's object with those counts in place of its own, and the
-    result is returned only when it gives back exactly that entry (samples,
-    polynomial, verification points and flags), so a line written under
-    another plan is a miss too.  The result reports the object as the
-    caller gave it, not as the line stores it (with sorted keys).  A miss
-    is recomputed and appended, and on the next load the later line wins.
-    A path that cannot be read or appended to raises ValueError naming it.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self.entries: dict[str, dict] = {}
-        self.bad_lines: list[int] = []
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                for number, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                        self.entries[self._key(entry["object"], entry["degree_bound"])] = entry
-                    except (ValueError, KeyError, TypeError):
-                        self.bad_lines.append(number)
-        except FileNotFoundError:
-            pass
-        except OSError as exc:
-            raise _unusable_cache(path, exc) from exc
-
-    @staticmethod
-    def _key(desc: dict, bound: int) -> str:
-        return json.dumps({"object": desc, "degree_bound": bound}, sort_keys=True, separators=(",", ":"))
-
-    def fit(self, obj: CountedObject) -> EhrhartResult:
-        """`_fit(obj)`, answered by its stored line when that passes the
-        check above, else fitted afresh, stored and appended."""
-        key = self._key(obj.desc, obj.bound)
-        hit = self.entries.get(key)
-        if hit is not None:
-            try:
-                samples = {int(k): int(v) for k, v in hit["samples"]}
-                checks = {int(k): int(v) for k, v, _ in hit["verify_points"]}
-                stored = lambda ks, at: ([samples[k] for k in ks], [checks[k] for k in at])  # noqa: E731
-                result = _fit(obj._replace(counts=stored))
-            except (ValueError, KeyError, TypeError):
-                pass
-            else:
-                if result.to_json() == hit:
-                    return result
-        result = _fit(obj)
-        self.entries[key] = line = result.to_json()
-        try:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
-        except OSError as exc:
-            raise _unusable_cache(self.path, exc) from exc
-        return result
-
-
-def _unusable_cache(path, exc: OSError) -> ValueError:
-    """A cache file that cannot be read or appended to is a usage error."""
-    return ValueError(f"cache {path}: {exc.strerror or exc}")
-
-
-def ehrhart_of(obj: CountedObject, cache: ResultCache | None = None) -> EhrhartResult:
-    """Sample, interpolate and verify the Ehrhart polynomial of a family
-    (see _fit); a cache entry is used only when it passes the cache's
-    check."""
-    return _fit(obj) if cache is None else cache.fit(obj)
 
 
 # --- determinant formula and flag sequences ------------------------------------
@@ -529,8 +451,8 @@ def determinant_formula(lam: Sequence[int], b: Sequence[int]) -> UniPoly:
 
 def flag_match(lam: Sequence[int], sigma: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Search the flag sequences for one whose determinant polynomial equals
-    the Ehrhart polynomial of the key complex, interpolated afresh (no cache
-    is read); None reports a failed search (which would contradict the
+    the Ehrhart polynomial of the key complex, counted and interpolated
+    afresh; None reports a failed search (which would contradict the
     flagged-Schur correspondence and deserves attention, so callers should
     not swallow it)."""
     sigma = check_permutation(sigma)
@@ -672,11 +594,11 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def scan(family: str, ranges: dict | None = None, cache: ResultCache | None = None) -> ScanReport:
+def scan(family: str, ranges: dict | None = None) -> ScanReport:
     """Run ehrhart_of over a family grid and report negativity/verification."""
     ranges = dict(ranges or {})
     report = ScanReport(family=family, ranges=ranges)
     for obj in scan_objects(family, ranges):
-        result = ehrhart_of(obj, cache=cache)
+        result = ehrhart_of(obj)
         report.entries.append(ScanEntry(result))
     return report

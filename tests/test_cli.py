@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtkey import cli, ehrhart, kogan, lattice, polyops, verify
+from gtkey import cli, ehrhart, kogan, lattice, polyops
 from gtkey.combinat import partitions_in_box
 from gtkey.ehrhart import compositions
 
@@ -221,23 +221,6 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["count"] == "2"
 
 
-def test_the_cache_is_the_one_the_command_line_names(tmp_path, capsys, monkeypatch):
-    # the environment names no cache: only --cache does
-    named, other = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    monkeypatch.setenv("GTKEY_CACHE", str(other))
-    argv = ["ehrhart", "--object", "gt", "--lambda", "2,1,0", "--format", "json"]
-    uncached = run_cli(capsys, *argv)
-    assert uncached[0] == 0
-    assert list(tmp_path.iterdir()) == []
-    assert run_cli(capsys, *argv, "--cache", str(named)) == uncached
-    assert not other.exists()
-    lines = [l for l in named.read_text().splitlines() if l.strip()]
-    assert len(lines) == 1
-    # a second run reuses the entry instead of appending a duplicate
-    assert run_cli(capsys, *argv, "--cache", str(named)) == uncached
-    assert [l for l in named.read_text().splitlines() if l.strip()] == lines
-
-
 def test_no_module_reads_the_environment():
     # every input is on the command line: an environment variable is a
     # hidden one, which could hand `verify` a cache in place of a recount
@@ -252,6 +235,29 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
+def test_the_package_opens_only_the_out_file_and_its_own_data():
+    # a file the package reads could hand back a stored result in place of a
+    # count: open() is only --out's writer, cli._emit, and a method named
+    # open or read_*/write_* only verify._load, which reads the bundled data
+    methods = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+    def calls(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{where}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name) and func.id == "open":
+                    yield "open()", inner
+                elif isinstance(func, ast.Attribute) and func.attr in methods:
+                    yield f".{func.attr}()", inner
+            yield from calls(child, inner)
+
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        found += calls(ast.parse(path.read_text(), str(path)), path.stem)
+    assert sorted(found) == [(".open()", "verify._load"), ("open()", "cli._emit")]
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # every gtkey process pays for its imports, and dataclasses with the
     # inspect it pulls in cost about half of the CLI's start; the modules
@@ -261,18 +267,6 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     added = set(run.stdout.split())
     assert "gtkey.cli" in added and not {"dataclasses", "inspect"} & added
-
-
-def test_corrupt_cache_line_is_skipped_with_a_warning(tmp_path, capsys):
-    cache_path = tmp_path / "cache.jsonl"
-    argv = ["ehrhart", "--object", "gt", "--lambda", "2,1,0", "--format", "json", "--cache", str(cache_path)]
-    code, out = run_cli(capsys, *argv)
-    assert code == 0
-    cache_path.write_text('{"object": \n' + cache_path.read_text() + "[1, 2]\n")
-    assert cli.main(argv) == 0
-    captured = capsys.readouterr()
-    assert json.loads(captured.out) == json.loads(out)
-    assert captured.err == f"warning: cache {cache_path}: skipped unreadable line(s) 1, 3\n"
 
 
 def test_csv_output(capsys):
@@ -419,22 +413,6 @@ def test_faces_n0_lists_the_empty_face_of_the_empty_type(capsys):
     assert json.loads(out) == [{"n": 0, "cells": [], "word": [], "reduced": True, "type": []}]
 
 
-@pytest.mark.parametrize("command", [
-    ["ehrhart", "--object", "gt", "--lambda", "2,1,0"],
-    ["scan", "--family", "stretched_kostka", "--ranges", "max_size=1;max_rows=1"],
-])
-@pytest.mark.parametrize("where", ["directory", "missing_parent"])
-def test_unusable_cache_path_exits_one(tmp_path, capsys, command, where):
-    # a directory fails on reading; a file in a missing directory reads as
-    # empty and fails on the first append
-    path = tmp_path if where == "directory" else tmp_path / "missing" / "cache.jsonl"
-    assert cli.main([*command, "--cache", str(path)]) == cli.USAGE_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: cache {path}: ")
-    assert "Traceback" not in captured.err
-
-
 @pytest.mark.parametrize("where", ["directory", "missing_parent"])
 def test_unwritable_out_path_exits_one(tmp_path, capsys, where):
     path = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
@@ -542,34 +520,12 @@ def test_readme_command_exits_zero(capsys, line):
     assert capsys.readouterr().out
 
 
-# every README line that reads a cache, and two whose objects a cache line
-# stores with its keys sorted: a kogan_face (cells) and a skew_weight (nu)
-CACHED_COMMANDS = list(dict.fromkeys([
-    *(line for line in README_COMMANDS if line.split()[1] in ("ehrhart", "scan")),
-    'gtkey ehrhart --object kogan-face --lambda 4,3,3,2 --cells "2,2;3,1;3,2;3,3"',
-    'gtkey scan --family skew_kostka --ranges "max_shape=2,1;n=2"',
-]))
-
-
-@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-@pytest.mark.parametrize("line", CACHED_COMMANDS)
-def test_a_warm_cache_run_prints_what_the_cold_run_printed(tmp_path, capsys, line, fmt):
-    path = tmp_path / "cache.jsonl"
-    argv = [*shlex.split(line)[1:], "--format", fmt, "--cache", str(path)]
-    cold = run_cli(capsys, *argv)
-    stored = path.read_bytes()
-    assert cold[1] and stored
-    assert run_cli(capsys, *argv) == cold
-    assert path.read_bytes() == stored
-
-
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("line", [line for line in README_COMMANDS if line.split()[1] == "verify"])
 def test_a_second_verify_run_prints_what_the_first_printed(tmp_path, capsys, monkeypatch, line, fmt):
     # verify recounts every time and stores nothing: no file appears in the
-    # working directory or where GTKEY_CACHE points
+    # working directory
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("GTKEY_CACHE", str(tmp_path / "cache.jsonl"))
     argv = [*shlex.split(line)[1:], "--format", fmt]
     first = run_cli(capsys, *argv)
     assert first[0] == 0 and first[1]
@@ -577,30 +533,106 @@ def test_a_second_verify_run_prints_what_the_first_printed(tmp_path, capsys, mon
     assert list(tmp_path.iterdir()) == []
 
 
-# the commands whose cache lines golden/cache.jsonl holds, written by an
-# earlier version: one per ehrhart object, and a gt under --degree-bound
-GOLDEN_CACHE_COMMANDS = [
-    "gtkey ehrhart --object gt --lambda 3,1,0",
-    "gtkey ehrhart --object gt --lambda 3,1,0 --degree-bound 5",
-    "gtkey ehrhart --object skew --lambda 3,2,1 --mu 2,1",
-    "gtkey ehrhart --object gt-weight --lambda 3,2,1,0 --mu 2,2,1,1",
-    "gtkey ehrhart --object skew-weight --lambda 3,3,1 --mu 2 --nu 2,2,1",
-    'gtkey ehrhart --object key-complex --lambda 2,1,0,0 --sigma "[2,4,3,1]"',
+# every README line that fits a polynomial, and two whose objects name their
+# keys in another order: a kogan_face (cells) and a skew_weight (nu)
+COUNTING_COMMANDS = list(dict.fromkeys([
+    *(line for line in README_COMMANDS if line.split()[1] in ("ehrhart", "scan")),
     'gtkey ehrhart --object kogan-face --lambda 4,3,3,2 --cells "2,2;3,1;3,2;3,3"',
-]
+    'gtkey scan --family skew_kostka --ranges "max_shape=2,1;n=2"',
+]))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_a_golden_cache_file_is_all_hits(tmp_path, capsys, fmt):
-    # a cache line keeps its meaning across versions: every stored line is a
-    # hit (nothing is appended), and it prints what a run with no cache prints
-    path = tmp_path / "cache.jsonl"
-    path.write_bytes((GOLDEN / "cache.jsonl").read_bytes())
-    assert len(path.read_text().splitlines()) == len(GOLDEN_CACHE_COMMANDS)
-    for line in GOLDEN_CACHE_COMMANDS:
-        argv = [*shlex.split(line)[1:], "--format", fmt]
-        assert run_cli(capsys, *argv, "--cache", str(path)) == run_cli(capsys, *argv), line
-    assert path.read_bytes() == (GOLDEN / "cache.jsonl").read_bytes()
+@pytest.mark.parametrize("line", COUNTING_COMMANDS)
+def test_a_second_counting_run_prints_what_the_first_printed(tmp_path, capsys, monkeypatch, line, fmt):
+    # every fit is counted afresh: the second run in one process meets the
+    # lattice and Kogan memos warm, prints the same, and stores nothing
+    monkeypatch.chdir(tmp_path)
+    argv = [*shlex.split(line)[1:], "--format", fmt]
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and first[1]
+    assert run_cli(capsys, *argv) == first
+    assert list(tmp_path.iterdir()) == []
+
+
+# JSON fits as an earlier version wrote them, one per ehrhart object and a gt
+# under --degree-bound: the command line still parses to the same object, and
+# its counts fit to the same polynomial, in the same form
+EARLIER_FITS = {
+    "gtkey ehrhart --object gt --lambda 3,1,0":
+        '{"degree_bound": 3, "empty": false, "nonneg": true, "object": {"family": "gt", "lambda": [3, 1, 0]}, '
+        '"poly": ["1", "9/2", "13/2", "3"], "poly_str": "3*k^3 + 13/2*k^2 + 9/2*k + 1", "samples": [[0, "1"], '
+        '[1, "15"], [2, "60"], [3, "154"]], "valid": true, "verify_points": [[1, "15", true], [-1, "0", true], '
+        '[-2, "-6", true]]}',
+    "gtkey ehrhart --object gt --lambda 3,1,0 --degree-bound 5":
+        '{"degree_bound": 5, "empty": false, "nonneg": true, "object": {"family": "gt", "lambda": [3, 1, 0]}, '
+        '"poly": ["1", "9/2", "13/2", "3"], "poly_str": "3*k^3 + 13/2*k^2 + 9/2*k + 1", "samples": [[0, "1"], '
+        '[1, "15"], [2, "60"], [3, "154"], [4, "315"], [5, "561"]], "valid": true, "verify_points": '
+        '[[1, "15", true], [-1, "0", true], [-2, "-6", true]]}',
+    "gtkey ehrhart --object skew --lambda 3,2,1 --mu 2,1":
+        '{"degree_bound": 6, "empty": false, "nonneg": true, "object": {"family": "skew", "lambda": [3, 2, 1], '
+        '"mu": [2, 1, 0], "n": 3}, "poly": ["1", "9/2", "33/4", "63/8", "33/8", "9/8", "1/8"], "poly_str": '
+        '"1/8*k^6 + 9/8*k^5 + 33/8*k^4 + 63/8*k^3 + 33/4*k^2 + 9/2*k + 1", "samples": [[0, "1"], [1, "27"], '
+        '[2, "216"], [3, "1000"], [4, "3375"], [5, "9261"], [6, "21952"]], "valid": true, "verify_points": '
+        '[[1, "27", true], [-1, "0", true], [-2, "0", true]]}',
+    "gtkey ehrhart --object gt-weight --lambda 3,2,1,0 --mu 2,2,1,1":
+        '{"degree_bound": 3, "empty": false, "nonneg": true, "object": {"family": "gt_weight", "lambda": '
+        '[3, 2, 1, 0], "mu": [2, 2, 1, 1]}, "poly": ["1", "11/6", "1", "1/6"], "poly_str": '
+        '"1/6*k^3 + k^2 + 11/6*k + 1", "samples": [[0, "1"], [1, "4"], [2, "10"], [3, "20"]], "valid": true, '
+        '"verify_points": [[4, "35", true], [5, "56", true]]}',
+    "gtkey ehrhart --object skew-weight --lambda 3,3,1 --mu 2 --nu 2,2,1":
+        '{"degree_bound": 2, "empty": false, "nonneg": true, "object": {"family": "skew_weight", "lambda": '
+        '[3, 3, 1], "mu": [2, 0, 0], "n": 3, "nu": [2, 2, 1]}, "poly": ["1", "3/2", "1/2"], "poly_str": '
+        '"1/2*k^2 + 3/2*k + 1", "samples": [[0, "1"], [1, "3"], [2, "6"]], "valid": true, "verify_points": '
+        '[[3, "10", true], [4, "15", true]]}',
+    'gtkey ehrhart --object key-complex --lambda 2,1,0,0 --sigma "[2,4,3,1]"':
+        '{"degree_bound": 3, "empty": false, "nonneg": true, "object": {"family": "key_complex", "lambda": '
+        '[2, 1, 0, 0], "sigma": [2, 4, 3, 1]}, "poly": ["1", "10/3", "7/2", "7/6"], "poly_str": '
+        '"7/6*k^3 + 7/2*k^2 + 10/3*k + 1", "samples": [[0, "1"], [1, "9"], [2, "31"], [3, "74"]], "valid": true, '
+        '"verify_points": [[4, "145", true], [5, "251", true]]}',
+    'gtkey ehrhart --object kogan-face --lambda 4,3,3,2 --cells "2,2;3,1;3,2;3,3"':
+        '{"degree_bound": 2, "empty": false, "nonneg": true, "object": {"cells": [[2, 2], [3, 1], [3, 2], [3, 3]], '
+        '"family": "kogan_face", "lambda": [4, 3, 3, 2]}, "poly": ["1", "3/2", "1/2"], "poly_str": '
+        '"1/2*k^2 + 3/2*k + 1", "samples": [[0, "1"], [1, "3"], [2, "6"]], "valid": true, "verify_points": '
+        '[[3, "10", true], [4, "15", true]]}',
+}
+
+
+@pytest.mark.parametrize("line", EARLIER_FITS)
+def test_ehrhart_prints_the_fit_an_earlier_version_wrote(capsys, line):
+    code, out = run_cli(capsys, *shlex.split(line)[1:], "--format", "json")
+    assert code == 0
+    assert json.dumps(json.loads(out), sort_keys=True) == EARLIER_FITS[line]
+
+
+# the fit of the key complex of (2,1,0), [2,3,1] as a cache line once stored
+# it, with k added to every sample and check and the polynomial refitted:
+# 3/2*k^2 + 7/2*k + 1 in place of the true 3/2*k^2 + 5/2*k + 1
+_FORGED_LINE = (
+    '{"degree_bound": 2, "empty": false, "nonneg": true, "object": {"family": "key_complex", "lambda": [2, 1, 0], '
+    '"sigma": [2, 3, 1]}, "poly": ["1", "7/2", "3/2"], "poly_str": "3/2*k^2 + 7/2*k + 1", "samples": [[0, "1"], '
+    '[1, "6"], [2, "14"]], "valid": true, "verify_points": [[3, "25", true], [4, "39", true]]}\n'
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", [
+    ["ehrhart", "--object", "key-complex", "--lambda", "2,1,0", "--sigma", "[2,3,1]"],
+    ["scan", "--family", "key_complex", "--ranges", "n=3;max_part=2"],
+], ids=["ehrhart", "scan"])
+def test_a_forged_fit_beside_the_command_changes_nothing(tmp_path, capsys, monkeypatch, argv, fmt):
+    forged, clean = tmp_path / "forged", tmp_path / "clean"
+    forged.mkdir()
+    clean.mkdir()
+    (forged / "c.jsonl").write_text(_FORGED_LINE)
+    monkeypatch.chdir(clean)
+    expected = run_cli(capsys, *argv, "--format", fmt)
+    assert expected[0] == 0 and expected[1]
+    monkeypatch.chdir(forged)
+    assert run_cli(capsys, *argv, "--format", fmt) == expected
+    assert [p.name for p in forged.iterdir()] == ["c.jsonl"]
+    assert (forged / "c.jsonl").read_text() == _FORGED_LINE
+    assert list(clean.iterdir()) == []
 
 
 def test_weights_need_not_be_partitions(capsys):
@@ -688,7 +720,7 @@ SWEEP_ARGVS = [
     ["faces", "--n", "3", "--sigma", "[1,3,2]"],
     ["points", "--lambda", "2,1", "--mu", "1", "--nu", "1,1", "--n", "2", "--k", "1"],
     ["points", "--lambda", "2,1,0", "--sigma", "[2,1,3]", "--count-only"],
-    ["ehrhart", "--object", "gt", "--lambda", "2,1", "--degree-bound", "3", "--cache", "cache.jsonl"],
+    ["ehrhart", "--object", "gt", "--lambda", "2,1", "--degree-bound", "3"],
     ["ehrhart", "--object", "skew", "--lambda", "2,1", "--mu", "1", "--n", "2"],
     ["ehrhart", "--object", "gt-weight", "--lambda", "2,1", "--mu", "1,1,1"],
     ["ehrhart", "--object", "skew-weight", "--lambda", "2,1", "--mu", "1", "--nu", "1,1", "--n", "2"],
@@ -718,7 +750,7 @@ def _malformed(argv):
 
 @pytest.mark.parametrize("argv", SWEEP_ARGVS, ids=lambda argv: "-".join(argv[:3]))
 def test_malformed_values_exit_without_a_traceback(tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.chdir(tmp_path)  # --out and --cache values are file names
+    monkeypatch.chdir(tmp_path)  # --out values are file names
     assert cli.main(argv) == 0
     for bad in _malformed(argv):
         assert cli.main(bad) in (0, 1, 2), bad
@@ -810,12 +842,17 @@ def test_text_and_csv_output(capsys, name, fmt):
     ["faces", "--n", "2"],
     ["points", "--lambda", "2,1", "--count-only"],
     ["verify", "--suite", "weyl"],
+    ["ehrhart", "--object", "gt", "--lambda", "2,1,0"],
+    ["scan", "--family", "stretched_kostka", "--ranges", "max_size=1;max_rows=1"],
 ])
-def test_cache_is_a_usage_error_where_nothing_reads_it(capsys, argv):
-    assert cli.main([*argv, "--cache", "/no/such/dir/c"]) == cli.USAGE_ERROR
+def test_cache_is_a_usage_error_where_nothing_reads_it(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--cache", "c.jsonl"]) == cli.USAGE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.endswith("error: unrecognized arguments: --cache /no/such/dir/c\n")
+    assert captured.err.endswith("error: unrecognized arguments: --cache c.jsonl\n")
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("padded, full", [
@@ -966,21 +1003,17 @@ def test_a_wrong_determinant_entry_fails_the_determinant_suite(capsys, monkeypat
     assert ehrhart.flag_match((2, 1, 0), (1, 2, 3)) is None
     code, out = run_cli(capsys, "verify", "--suite", "determinant")
     assert code == cli.VIOLATION
+    # each FAIL line names all five 231-avoiding permutations of S_3
+    sigmas = "; ".join(f"sigma={s}" for s in [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1)])
     assert [line for line in out.splitlines() if "FAIL" in line] == [
-        f"[FAIL] determinant: determinant match lambda={lam}  (sigma=(3, 2, 1))"
+        f"[FAIL] determinant: determinant match lambda={lam}  ({sigmas})"
         for lam in [(2, 1, 0), (3, 1, 0), (3, 2, 0)]
     ] + ["FAILURES PRESENT"]
 
 
-def test_verify_recounts_what_a_cache_in_the_environment_holds(tmp_path, capsys, monkeypatch):
-    # verify reads no cache: the clean table1 fits, in a file GTKEY_CACHE
-    # names, cannot hide a wrong determinant entry from it
-    path = tmp_path / "cache.jsonl"
-    cache = ehrhart.ResultCache(path)
-    for row in verify._load("skew_ehrhart_table.json"):
-        ehrhart.ehrhart_of(ehrhart.skew_object(tuple(row["lambda"]), tuple(row["mu"]), n=3), cache=cache)
-    assert path.read_text()
-    monkeypatch.setenv("GTKEY_CACHE", str(path))
+def test_a_wrong_determinant_entry_fails_the_table1_suite(capsys, monkeypatch):
+    # table1's skew polytopes are sampled by their Jacobi-Trudi determinants,
+    # which verify recounts on every run, so the planted entry shows
     real = ehrhart._det
 
     def planted(matrix):

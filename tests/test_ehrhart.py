@@ -10,7 +10,6 @@ from gtkey import ehrhart, lattice
 from gtkey.combinat import avoids_pattern, catalan, longest_element, multiply, partitions_in_box, perm_length
 from gtkey.ehrhart import (
     EhrhartResult,
-    ResultCache,
     UniPoly,
     determinant_formula,
     ehrhart_gt_product,
@@ -149,48 +148,43 @@ def test_interpolate_stays_exact_on_rational_samples():
         assert poly.den > 0 and math.gcd(poly.den, *poly.nums) == 1
 
 
-# Cache lines as written before coefficients were held over one denominator.
-_STORED_CACHE_LINES = [
-    '{"degree_bound": 6, "empty": false, "nonneg": true, "object": {"family": "skew", "lambda": [3, 2, 1], '
-    '"mu": [2, 1, 0], "n": 3}, "poly": ["1", "9/2", "33/4", "63/8", "33/8", "9/8", "1/8"], "poly_str": '
-    '"1/8*k^6 + 9/8*k^5 + 33/8*k^4 + 63/8*k^3 + 33/4*k^2 + 9/2*k + 1", "samples": [[0, "1"], [1, "27"], '
-    '[2, "216"], [3, "1000"], [4, "3375"], [5, "9261"], [6, "21952"]], "valid": true, "verify_points": '
-    '[[1, "27", true], [-1, "0", true], [-2, "0", true]]}',
-    '{"degree_bound": 3, "empty": false, "nonneg": true, "object": {"family": "gt", "lambda": [2, 1, 0]}, '
-    '"poly": ["1", "3", "3", "1"], "poly_str": "k^3 + 3*k^2 + 3*k + 1", "samples": [[0, "1"], [1, "8"], '
-    '[2, "27"], [3, "64"]], "valid": true, "verify_points": [[1, "8", true], [-1, "0", true], [-2, "-1", true]]}',
-    '{"degree_bound": 2, "empty": false, "nonneg": true, "object": {"cells": [[2, 2], [3, 1], [3, 2], [3, 3]], '
-    '"family": "kogan_face", "lambda": [4, 3, 3, 2]}, "poly": ["1", "3/2", "1/2"], "poly_str": '
-    '"1/2*k^2 + 3/2*k + 1", "samples": [[0, "1"], [1, "3"], [2, "6"]], "valid": true, "verify_points": '
-    '[[3, "10", true], [4, "15", true]]}',
-    '{"degree_bound": 0, "empty": true, "nonneg": true, "object": {"family": "skew", "lambda": [2, 2, 2], '
-    '"mu": [0, 0, 0], "n": 2}, "poly": [], "poly_str": "0", "samples": [[0, "1"]], "valid": true, '
-    '"verify_points": [[1, "0", true], [-1, "0", true], [-2, "0", true]]}',
+# Fits as written before coefficients were held over one denominator: each
+# object's counts still fit to the same polynomial, and to_json still writes
+# every coefficient, sample and check in the same form.
+_EARLIER_FITS = [
+    (
+        lambda: skew_object((3, 2, 1), (2, 1)),
+        '{"degree_bound": 6, "empty": false, "nonneg": true, "object": {"family": "skew", "lambda": [3, 2, 1], '
+        '"mu": [2, 1, 0], "n": 3}, "poly": ["1", "9/2", "33/4", "63/8", "33/8", "9/8", "1/8"], "poly_str": '
+        '"1/8*k^6 + 9/8*k^5 + 33/8*k^4 + 63/8*k^3 + 33/4*k^2 + 9/2*k + 1", "samples": [[0, "1"], [1, "27"], '
+        '[2, "216"], [3, "1000"], [4, "3375"], [5, "9261"], [6, "21952"]], "valid": true, "verify_points": '
+        '[[1, "27", true], [-1, "0", true], [-2, "0", true]]}',
+    ),
+    (
+        lambda: gt_object((2, 1, 0)),
+        '{"degree_bound": 3, "empty": false, "nonneg": true, "object": {"family": "gt", "lambda": [2, 1, 0]}, '
+        '"poly": ["1", "3", "3", "1"], "poly_str": "k^3 + 3*k^2 + 3*k + 1", "samples": [[0, "1"], [1, "8"], '
+        '[2, "27"], [3, "64"]], "valid": true, "verify_points": [[1, "8", true], [-1, "0", true], [-2, "-1", true]]}',
+    ),
+    (
+        lambda: kogan_face_object((4, 3, 3, 2), KoganFace(4, frozenset({(2, 2), (3, 1), (3, 2), (3, 3)}))),
+        '{"degree_bound": 2, "empty": false, "nonneg": true, "object": {"cells": [[2, 2], [3, 1], [3, 2], [3, 3]], '
+        '"family": "kogan_face", "lambda": [4, 3, 3, 2]}, "poly": ["1", "3/2", "1/2"], "poly_str": '
+        '"1/2*k^2 + 3/2*k + 1", "samples": [[0, "1"], [1, "3"], [2, "6"]], "valid": true, "verify_points": '
+        '[[3, "10", true], [4, "15", true]]}',
+    ),
+    (
+        lambda: skew_object((2, 2, 2), (), n=2),
+        '{"degree_bound": 0, "empty": true, "nonneg": true, "object": {"family": "skew", "lambda": [2, 2, 2], '
+        '"mu": [0, 0, 0], "n": 2}, "poly": [], "poly_str": "0", "samples": [[0, "1"]], "valid": true, '
+        '"verify_points": [[1, "0", true], [-1, "0", true], [-2, "0", true]]}',
+    ),
 ]
 
 
-def test_a_stored_cache_line_is_still_a_hit(tmp_path, monkeypatch):
-    path = tmp_path / "cache.jsonl"
-    text = "".join(line + "\n" for line in _STORED_CACHE_LINES)
-    path.write_text(text)
-    objects = [
-        skew_object((3, 2, 1), (2, 1)),
-        gt_object((2, 1, 0)),
-        kogan_face_object((4, 3, 3, 2), KoganFace(4, frozenset({(2, 2), (3, 1), (3, 2), (3, 3)}))),
-        skew_object((2, 2, 2), (), n=2),
-    ]
-
-    def no_count(*args, **kwargs):
-        raise AssertionError("a cache hit counts nothing")
-
-    monkeypatch.setattr(lattice, "count_points", no_count)
-    monkeypatch.setattr(lattice, "count_dilations", no_count)
-    monkeypatch.setattr(ehrhart, "_jacobi_trudi", no_count)
-    cache = ResultCache(path)
-    for obj, line in zip(objects, _STORED_CACHE_LINES):
-        result = ehrhart_of(obj, cache=cache)
-        assert json.dumps(result.to_json(), sort_keys=True) == line
-    assert cache.bad_lines == [] and path.read_text() == text
+@pytest.mark.parametrize("make, line", _EARLIER_FITS, ids=["skew", "gt", "kogan-face", "empty-skew"])
+def test_a_fit_is_what_an_earlier_version_wrote(make, line):
+    assert json.dumps(ehrhart_of(make()).to_json(), sort_keys=True) == line
 
 
 def test_interpolate_fixtures():
@@ -532,85 +526,6 @@ def test_scan_smoke():
         scan("nonsense", {})
 
 
-def test_cache_round_trip(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = ResultCache(path)
-    obj = gt_object((3, 2, 1))
-    first = ehrhart_of(obj, cache=cache)
-    # a fresh cache instance reads the stored line and skips recounting
-    calls = []
-    stub = lambda ks, at: calls.append((ks, at)) or ([10**9] * len(ks), [10**9] * len(at))
-    counting = obj._replace(counts=stub)
-    cache2 = ResultCache(path)
-    hit = ehrhart_of(counting, cache=cache2)
-    assert not calls
-    assert hit.poly == first.poly
-
-
-def _must_hit(cache, obj):
-    """The cache's fit of obj with counting that raises: a hit, or an
-    AssertionError where a miss would recount."""
-
-    def no_count(ks, at):
-        raise AssertionError("a cache hit counts nothing")
-
-    return cache.fit(obj._replace(counts=no_count))
-
-
-def _edit_poly(entry):
-    entry["poly"][0] = "7"  # P(0) = 7 while the stored sample at k = 0 is 1
-
-
-def _edit_verify_flag(entry):
-    entry["poly"][0] = "7"
-    entry["verify_points"] = [[k, str(int(v) + 6), True] for k, v, _ in entry["verify_points"]]
-
-
-def _edit_nonneg(entry):
-    entry["nonneg"] = not entry["nonneg"]
-
-
-def _drop_sample(entry):
-    entry["samples"].pop()
-
-
-def _edit_poly_zero_denominator(entry):
-    entry["poly"][0] = "1/0"
-
-
-def _edit_poly_not_a_number(entry):
-    entry["poly"][0] = "x"
-
-
-@pytest.mark.parametrize("edit", [
-    _edit_poly, _edit_verify_flag, _edit_nonneg, _drop_sample, _edit_poly_zero_denominator, _edit_poly_not_a_number,
-])
-def test_cache_entry_that_does_not_fit_its_counts_is_recomputed(tmp_path, edit):
-    path = tmp_path / "cache.jsonl"
-    obj = gt_object((2, 1, 0))
-    right = ehrhart_of(obj, cache=ResultCache(path))
-    entry = json.loads(path.read_text())
-    assert dict(entry["samples"])[0] == "1"
-    edit(entry)
-    path.write_text(json.dumps(entry) + "\n")
-    again = ehrhart_of(obj, cache=ResultCache(path))
-    assert again.poly == right.poly
-    assert again.to_json() == right.to_json()
-    # the recomputed entry is appended, and the later line wins on load
-    assert len(path.read_text().splitlines()) == 2
-    assert _must_hit(ResultCache(path), obj).to_json() == right.to_json()
-
-
-def test_cache_skips_unreadable_lines(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    obj = gt_object((2, 1, 0))
-    right = ehrhart_of(obj, cache=ResultCache(path))
-    path.write_text('{"object": \n' + path.read_text() + '[1, 2]\n{"poly": []}\n\n"x"\n')
-    cache = ResultCache(path)
-    assert cache.bad_lines == [1, 3, 4, 6]
-    assert _must_hit(cache, obj).to_json() == right.to_json()
-
-
 def test_degree_bound_override():
     result = ehrhart_of(gt_object((2, 1, 0))._replace(bound=5))
     assert result.poly == ehrhart_gt_product((2, 1, 0))
@@ -666,14 +581,6 @@ def test_scan_objects_rejects_keys_the_family_does_not_read(family, keys):
         next(ehrhart.scan_objects(family, {"max_prt": 1, "size": 2}))
 
 
-def test_unusable_cache_path_raises_value_error(tmp_path):
-    with pytest.raises(ValueError, match="^cache .*: Is a directory$"):
-        ResultCache(tmp_path)
-    cache = ResultCache(tmp_path / "missing" / "cache.jsonl")
-    with pytest.raises(ValueError, match="^cache .*: No such file or directory$"):
-        ehrhart.ehrhart_of(ehrhart.gt_object((1, 0)), cache=cache)
-
-
 def _hand_written_bound(desc):
     """The per-family degree bounds the dimension bound replaced; a key
     complex's was n(n-1)/2 - l(w0 sigma), capped by the dimension of GT(lambda)."""
@@ -712,87 +619,27 @@ def _recording(obj, calls):
     return obj._replace(counts=lambda ks, at: calls.extend([*ks, *at]) or obj.counts(ks, at))
 
 
-def test_cache_entry_under_another_degree_bound_is_a_miss(tmp_path):
-    # a line stored under the old bound n*m = 9 is not returned for the
-    # dimension bound 6; the result is recomputed at k = 0..6, 1, -1, -2 and appended
-    path = tmp_path / "cache.jsonl"
-    obj = skew_object((3, 2, 1), (2, 1), n=3)
-    old = ehrhart_of(obj._replace(bound=9), cache=ResultCache(path))
-    assert old.degree_bound == 9 and obj.bound == 6
+# Each fit counts its samples and checks in one call, at the dilations of
+# its plan and nothing else:
+# - skew (3,2,1)/(2,1), n = 3 at its dimension bound 6, not at the old bound
+#   n*m = 9;
+# - the key complex of (1,1,0), [2,3,1] at its faces' largest dimension 1,
+#   not at the old bound 3 - l(w0 sigma) = 2;
+# - gt (3,1,1,0) at k = 0..5 and checked at 1, -1, -2: every object was once
+#   checked at D+1, D+2, and that plan's samples were these, its checks not;
+# - skew (2,1,0)/(1), n = 3 at k = 0..4, 1, -1, -2: gt and skew objects were
+#   once sampled at k = -ceil(D/2)..floor(D/2) and checked at the next two,
+#   which for D = 4 is every count this plan needs, but as other samples.
+@pytest.mark.parametrize("make, ks", [
+    (lambda: skew_object((3, 2, 1), (2, 1), n=3), [0, 1, 2, 3, 4, 5, 6, 1, -1, -2]),
+    (lambda: key_complex_object((1, 1, 0), (2, 3, 1)), [0, 1, 2, 3]),
+    (lambda: gt_object((3, 1, 1, 0)), [0, 1, 2, 3, 4, 5, 1, -1, -2]),
+    (lambda: skew_object((2, 1, 0), (1,), n=3), [0, 1, 2, 3, 4, 1, -1, -2]),
+], ids=["skew-dimension-bound", "key-complex-face-dimension", "gt-reciprocity-checks", "skew-nonnegative-samples"])
+def test_a_fit_counts_exactly_the_dilations_of_its_plan(make, ks):
+    obj = make()
     calls = []
-    counting = _recording(obj, calls)
-    result = ehrhart_of(counting, cache=ResultCache(path))
-    assert calls == [0, 1, 2, 3, 4, 5, 6, 1, -1, -2]
+    result = ehrhart_of(_recording(obj, calls))
+    assert calls == ks
+    assert result.valid and result.poly.degree() == result.degree_bound
     assert result.to_json() == ehrhart_of(obj).to_json()
-    assert result.degree_bound == 6 and result.poly == old.poly
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [line["degree_bound"] for line in lines] == [9, 6]
-    assert _must_hit(ResultCache(path), obj).to_json() == result.to_json()
-
-
-def test_key_complex_cache_entry_under_the_old_bound_is_a_miss(tmp_path):
-    # lambda = 1,1,0, sigma = [2,3,1]: the old bound 3 - l(w0 sigma) = 2, but
-    # the complex's faces have dimension at most 1; a line stored under 2 is
-    # not returned, and the result is recounted at k = 0..1, 2, 3 and appended
-    path = tmp_path / "cache.jsonl"
-    obj = key_complex_object((1, 1, 0), (2, 3, 1))
-    old = ehrhart_of(obj._replace(bound=2), cache=ResultCache(path))
-    assert old.valid and old.degree_bound == 2 and obj.bound == 1
-    calls = []
-    counting = _recording(obj, calls)
-    result = ehrhart_of(counting, cache=ResultCache(path))
-    assert calls == [0, 1, 2, 3]
-    assert result.to_json() == ehrhart_of(obj).to_json()
-    assert result.degree_bound == 1 and result.poly == old.poly and result.poly.degree() == 1
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [line["degree_bound"] for line in lines] == [2, 1]
-    assert _must_hit(ResultCache(path), obj).to_json() == result.to_json()
-
-
-def _recounted_after(path, obj, old):
-    """Store `old`, a line of obj fitted under an earlier plan, and check
-    that the cache misses it: obj is counted at the dilations of the
-    present plan and the new line appended."""
-    assert old.valid and old.poly == ehrhart_of(obj).poly
-    path.write_text(json.dumps(old.to_json(), sort_keys=True) + "\n")
-    calls = []
-    counting = _recording(obj, calls)
-    result = ehrhart_of(counting, cache=ResultCache(path))
-    assert calls == list(range(obj.bound + 1)) + [1, -1, -2]
-    assert result.to_json() == ehrhart_of(obj).to_json()
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert lines == [old.to_json(), result.to_json()]
-    assert _must_hit(ResultCache(path), obj).to_json() == result.to_json()
-    return result
-
-
-def _line_under(obj, ks, extra):
-    count = lambda k: obj.counts([k], [])[0][0] if k >= 0 else obj.counts([], [k])[1][0]
-    samples = [(k, count(k)) for k in ks]
-    poly = interpolate(samples)
-    return EhrhartResult(obj.desc, obj.bound, samples, poly, [(k, count(k), True) for k in extra])
-
-
-def test_cache_entry_under_the_positive_plan_is_a_miss(tmp_path):
-    # a gt line written when every object was sampled at k = 0..D and checked
-    # at D+1, D+2 fits its own counts, but a gt object is now checked at
-    # k = 1, -1, -2, and the line lacks -1; it is recounted and the new one appended
-    obj = gt_object((3, 1, 1, 0))
-    D = obj.bound
-    old = _line_under(obj, range(D + 1), (D + 1, D + 2))
-    assert old.poly == ehrhart_gt_product((3, 1, 1, 0))
-    result = _recounted_after(tmp_path / "cache.jsonl", obj, old)
-    assert result.samples == old.samples and result.verify_points != old.verify_points
-
-
-def test_cache_entry_under_the_reciprocity_plan_is_a_miss(tmp_path):
-    # a skew line written when gt and skew objects were sampled at
-    # k = -ceil(D/2)..floor(D/2) and checked at the next two holds, for D = 4,
-    # every count the present plan needs; refitted under it, those counts give
-    # another entry, so the line is recounted and the new one appended
-    obj = skew_object((2, 1, 0), (1,), n=3)
-    D = obj.bound
-    assert D == 4
-    old = _line_under(obj, range(-2, 3), (3, 4))
-    result = _recounted_after(tmp_path / "cache.jsonl", obj, old)
-    assert result.poly == old.poly and result.samples != old.samples
