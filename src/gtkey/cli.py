@@ -105,16 +105,12 @@ def _json_text(payload) -> str:
 def _terms_text(poly) -> str:
     """The {"coeff", "exp"} dicts of poly.to_json(), [] for the zero
     polynomial, as a value one level deep in json.dumps(indent=2), written
-    straight from the sorted terms: one join per term, from strings fixed
-    by the depth."""
+    straight from the sorted terms: each term fills one % template, fixed
+    by the depth and by nvars."""
     inner, deep, deeper = " " * 4, " " * 6, " " * 8
-    start, end = f'{{\n{deep}"coeff": "', f"\n{inner}}}"
-    if poly.nvars:
-        exp, sep, close = f'",\n{deep}"exp": [\n{deeper}', f",\n{deeper}", f"\n{deep}]{end}"
-        items = [f"{start}{c!s}{exp}{sep.join(map(str, e))}{close}" for e, c in poly.sorted_terms()]
-    else:
-        exp = f'",\n{deep}"exp": []{end}'
-        items = [f"{start}{c!s}{exp}" for _, c in poly.sorted_terms()]
+    exp = f"[\n{deeper}" + f",\n{deeper}".join(["%d"] * poly.nvars) + f"\n{deep}]" if poly.nvars else "[]"
+    term = f'{{\n{deep}"coeff": "%s",\n{deep}"exp": {exp}\n{inner}}}'
+    items = [term % (c, *e) for e, c in poly.sorted_terms()]
     return f"[\n{inner}" + f",\n{inner}".join(items) + "\n  ]" if items else "[]"
 
 

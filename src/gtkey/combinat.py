@@ -99,24 +99,35 @@ def descents(perm: Sequence[int]) -> list[int]:
 
 
 def canonical_reduced_word(perm: Sequence[int]) -> tuple[int, ...]:
-    """Deterministic reduced word, by bubble sort on the leftmost descent.
+    """Deterministic reduced word whose letters, read from the right, are
+    each the largest letter that can come next.
+
+    The last letter is the largest i with i+1 standing left of i in perm.
+    Swapping the values i and i+1 removes one inversion, so repeating on
+    the rest sorts perm in length(perm) steps, and the letters found, read
+    backwards, multiply out to perm (word_to_perm).  apply_pi_word applies
+    the rightmost letter first, so on a partition z^lambda the operators
+    act on the smallest parts first, while the polynomial is still small.
 
     >>> canonical_reduced_word((2, 1, 3))
     (1,)
     >>> canonical_reduced_word((2, 4, 3, 1))
-    (2, 3, 2, 1)
+    (3, 2, 1, 3)
     """
-    cur = list(check_permutation(perm))
+    perm = check_permutation(perm)
+    pos = [0] * (len(perm) + 1)  # pos[v]: where value v stands
+    for at, v in enumerate(perm):
+        pos[v] = at
     letters = []
-    i = 0
-    while i < len(cur) - 1:
-        if cur[i] > cur[i + 1]:
-            letters.append(i + 1)
-            cur[i], cur[i + 1] = cur[i + 1], cur[i]
-            i = 0
+    top = i = len(perm) - 1
+    while i > 0:
+        if pos[i + 1] < pos[i]:
+            letters.append(i)
+            pos[i], pos[i + 1] = pos[i + 1], pos[i]
+            i = min(i + 1, top)  # only the pair (i+1, i+2) above i can have changed
         else:
-            i += 1
-    return tuple(letters)
+            i -= 1
+    return tuple(reversed(letters))
 
 
 def all_reduced_words(perm: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -50,7 +50,14 @@ row, a state's tally holding a W-bit slot per dilation, W the bit length
 of (K lambda_1 + 1) ** (number of swept entries), which bounds every slot.
 Other polytopes are swept once per k.  Weight counting is the same loop
 with weight tallies: a row's pending component, the row above's sum less
-its own, is added at its end.  Enumeration chains a lazy generator per entry, a depth-first walk
+its own, is added at its end.  There, with two faces or more, it also
+gives each state a canonical mask: of the live faces it keeps only those
+whose cells at the places still to be swept hold no other live face's,
+one fixed face standing for each such set of cells, or `free` when that
+set is empty.  Whether a completion lies in the union depends on the mask
+only through those sets, so states that differ in nothing else merge and
+their tallies are swept once (`weight_counts` has the proof).
+Enumeration chains a lazy generator per entry, a depth-first walk
 yielding each point once in canonical order (entries read top row first).
 """
 
@@ -575,13 +582,31 @@ def _tally(states: dict, rows: Iterable[list[tuple]]) -> int:
 
 def weight_counts(spec: PolytopeSpec, k: int = 1) -> dict[tuple[int, ...], int]:
     """The number of integral patterns of the k-th dilate of each weight
-    that occurs."""
+    that occurs.
+
+    With two faces or more, each row end replaces a state's mask by a
+    canonical one (`_row_end_masks`), so states that differ only in faces
+    imposing the same conditions ahead merge, and each tally is swept once.
+    Let R(f) be the cells of face f at the sweep places after the row.  A
+    completion of the state lies in the union iff it satisfies every cell
+    of R(f) for some live face f: `_choices` drops f's bit exactly when an
+    entry of R(f) moves off the entry above, a mask never empties, and a
+    face with R(f) empty makes the mask `free`, which no later entry drops.
+    So the completions counted depend on the mask only through the set of
+    its faces' R, and only through the minimal ones under inclusion: a
+    completion that satisfies R(f) satisfies every R(g) inside it.  Keeping
+    one fixed face for each minimal R, and `free` when R is empty, gives a
+    mask with the same completions, and merging states adds tallies that
+    the rest of the sweep treats alike.  The counting drivers merge no
+    masks: adding two int counts costs one addition, merging two weight
+    tallies costs the whole tally."""
     start, mu, mask, widths, rows = _sweep(spec, k)
+    rows = list(rows)
     # tally keys: (u, the weight components of the rows above the last row
     # chosen), u that row's sum less |mu|: a row ending at t adds u - t
     base = sum(mu)
     states = {(start, mask): {(sum(start) - base,): 1}} if mask else {}
-    for row, width in zip(rows, widths):
+    for row, width, canonical in zip(rows, widths, _row_end_masks(rows, mask)):
         for entry in row:
             swept: dict = {}
             for (s, m), tally in states.items():
@@ -595,11 +620,71 @@ def weight_counts(spec: PolytopeSpec, k: int = 1) -> dict[tuple[int, ...], int]:
                     for w, count in tally.items():
                         into[w] = into.get(w, 0) + count
             states = swept
-        for (s, m), tally in states.items():  # each profile is a whole row
+        ended: dict = {}
+        for (s, m), tally in states.items():
+            state = s, canonical(m)
+            into = ended.get(state)
+            if into is None:
+                ended[state] = tally
+                continue
+            for w, count in tally.items():
+                into[w] = into.get(w, 0) + count
+        for (s, m), tally in ended.items():  # each profile is a whole row
             t = sum(s[:width]) - base
-            states[s, m] = {(t, w[0] - t) + w[1:]: count for w, count in tally.items()}
+            ended[s, m] = {(t, w[0] - t) + w[1:]: count for w, count in tally.items()}
+        states = ended
     total: dict = {}
     for tally in states.values():
         for w, count in tally.items():
             total[w] = total.get(w, 0) + count
     return total
+
+
+def _row_end_masks(rows: list[list[tuple]], mask: int) -> list:
+    """For each row of the sweep, the map of a mask at its end to the
+    canonical mask of `weight_counts`: the faces' R, each the set of later
+    sweep places whose entry's `drop` holds the face, as bits; for each
+    minimal R among the live faces' the lowest face with that R; and the
+    faces whose R is empty, the row's `free`, when a live face has R empty.
+    With fewer than two faces every map is the identity, `int`."""
+    if not mask & (mask - 1):
+        return [int] * len(rows)
+    ahead = [0] * mask.bit_length()  # R of each face, one bit per sweep place
+    place = sum(map(len, rows))
+    maps = []
+    for row in reversed(rows):
+        groups: dict[int, int] = {}  # R -> the faces with that R
+        for f, r in enumerate(ahead):
+            groups[r] = groups.get(r, 0) | 1 << f
+        maps.append(_canonical_mask(groups))
+        for entry in reversed(row):
+            place -= 1
+            drop = entry[7]
+            for f in range(len(ahead)):
+                if drop >> f & 1:
+                    ahead[f] |= 1 << place
+    return maps[::-1]
+
+
+def _canonical_mask(groups: dict[int, int]):
+    """The canonical mask of a row end, memoised per mask: `groups` maps
+    each R to its faces."""
+    free = groups.get(0, 0)
+    memo: dict[int, int] = {}
+
+    def canonical(m: int) -> int:
+        out = memo.get(m)
+        if out is None:
+            if m & free:
+                out = free
+            else:
+                live = [r for r, faces in groups.items() if m & faces]
+                out = 0
+                for r in live:
+                    if not any(q & r == q != r for q in live):  # no live R strictly inside
+                        faces = groups[r]
+                        out |= faces & -faces
+            memo[m] = out
+        return out
+
+    return canonical

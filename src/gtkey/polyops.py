@@ -259,7 +259,13 @@ def apply_pi_word(f: MultiPoly, word: Sequence[int]) -> MultiPoly:
 
 
 def key_via_operators(lam: Sequence[int], sigma: Sequence[int]) -> MultiPoly:
-    """Key polynomial: the word of sigma applied to the monomial z^lambda."""
+    """Key polynomial: the word of sigma applied to the monomial z^lambda.
+
+    Every reduced word of sigma gives the same operator pi_sigma, so the
+    word is `canonical_reduced_word`'s, which applies the largest letter it
+    can first.  lambda is a partition, so a larger letter i acts on the
+    smaller parts lambda_i >= lambda_{i+1}: each strip of `_strips` has
+    |a - b| terms, and it stays short while the polynomial is still small."""
     sigma = check_permutation(sigma)
     n = len(sigma)
     lam = pad(check_partition(lam), n)

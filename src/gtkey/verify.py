@@ -175,65 +175,60 @@ def suite_table1() -> list[Check]:
 
 
 def suite_table2() -> list[Check]:
-    """S_3 key polynomials against the bundled closed forms, a, b in 0..3."""
+    """S_3 key polynomials against the bundled closed forms, a, b in 0..3,
+    a failing check naming every failing (a, b) in order."""
     rows = _load("key_table_s3.json")["rows"]
     checks = []
     for row in rows:
         sigma = tuple(row["sigma"])
-        ok = True
-        bad = ""
+        bad = []
         for a in range(4):
             for b in range(4):
                 lam = (a + b, a, 0)
                 expected = key_closed_form(row, a, b)
-                got = polyops.key_via_operators(lam, sigma)
-                if got != expected:
-                    ok = False
-                    bad = f"a={a} b={b}"
-        checks.append(Check(f"key closed form sigma={list(sigma)}", ok, bad))
+                if polyops.key_via_operators(lam, sigma) != expected:
+                    bad.append(f"a={a} b={b}")
+        checks.append(Check(f"key closed form sigma={list(sigma)}", not bad, "; ".join(bad)))
     return checks
 
 
 def suite_table3() -> list[Check]:
     """S_3 key-complex Ehrhart polynomials against the bundled closed forms;
-    the longest element additionally matches the product formula."""
+    the longest element additionally matches the product formula.  A
+    failing check names every failure in order."""
     rows = _load("key_ehrhart_table_s3.json")["rows"]
     checks = []
     for row in rows:
         sigma = tuple(row["sigma"])
-        ok = True
-        bad = ""
+        bad = []
         for a in range(4):
             for b in range(4):
                 lam = (a + b, a, 0)
                 expected = key_ehrhart_closed_form(row, a, b)
                 result = ehrhart.ehrhart_of(ehrhart.key_complex_object(lam, sigma))
                 if result.poly != expected or not result.valid:
-                    ok = False
-                    bad = f"a={a} b={b}: {result.poly}"
+                    bad.append(f"a={a} b={b}: {result.poly}")
                 if sigma == (3, 2, 1) and ehrhart.ehrhart_gt_product(lam) != expected:
-                    ok = False
-                    bad = f"product formula mismatch at a={a} b={b}"
-        checks.append(Check(f"key-complex Ehrhart sigma={list(sigma)}", ok, bad))
+                    bad.append(f"product formula mismatch at a={a} b={b}")
+        checks.append(Check(f"key-complex Ehrhart sigma={list(sigma)}", not bad, "; ".join(bad)))
     return checks
 
 
 def suite_weyl() -> list[Check]:
     """Dimension product formula vs enumeration vs Schur specialization,
-    over all shapes with parts <= 4 and n <= 4."""
+    over all shapes with parts <= 4 and n <= 4, a failing check naming
+    every failing lambda in order."""
     checks = []
     for n in range(1, 5):
-        ok = True
-        bad = ""
+        bad = []
         for lam in partitions_in_box((4,) * n):
             spec = lattice.gt_spec(lam)
             count = lattice.count_points(spec)
             product = ehrhart.ehrhart_gt_product(lam)(1)
             schur_ones = polyops.eval_ones(polyops.schur(lam, n))
             if not (count == product == schur_ones):
-                ok = False
-                bad = f"lambda={lam}: count={count} product={product} schur={schur_ones}"
-        checks.append(Check(f"Weyl product n={n}", ok, bad))
+                bad.append(f"lambda={lam}: count={count} product={product} schur={schur_ones}")
+        checks.append(Check(f"Weyl product n={n}", not bad, "; ".join(bad)))
     return checks
 
 

@@ -1011,6 +1011,24 @@ def test_a_wrong_determinant_entry_fails_the_determinant_suite(capsys, monkeypat
     ] + ["FAILURES PRESENT"]
 
 
+def test_a_wrong_key_at_lambda_1_two_fails_table2_at_every_such_shape(capsys, monkeypatch):
+    # the operator route made wrong for every lambda with lambda_1 = 2: of the
+    # shapes (a + b, a, 0), a and b in 0..3, that is (a, b) = (0, 2), (1, 1)
+    # and (2, 0), and each failing check names all three in order
+    real = polyops.key_via_operators
+
+    def planted(lam, sigma):
+        key = real(lam, sigma)
+        return key * 2 if lam[0] == 2 else key
+
+    monkeypatch.setattr(polyops, "key_via_operators", planted)
+    code, out = run_cli(capsys, "verify", "--suite", "table2", "--format", "json")
+    assert code == cli.VIOLATION
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 6 and not any(c["ok"] for c in checks)
+    assert {c["detail"] for c in checks} == {"a=0 b=2; a=1 b=1; a=2 b=0"}
+
+
 def test_a_wrong_determinant_entry_fails_the_table1_suite(capsys, monkeypatch):
     # table1's skew polytopes are sampled by their Jacobi-Trudi determinants,
     # which verify recounts on every run, so the planted entry shows

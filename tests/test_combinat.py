@@ -68,12 +68,16 @@ def test_canonical_reduced_word():
     assert word_to_perm(word, 3) == (3, 2, 1)
 
 
-def test_canonical_reduced_word_round_trip_up_to_s5():
-    for n in range(1, 6):
+def test_canonical_reduced_word_round_trip_up_to_s6():
+    for n in range(1, 7):
         for perm in itertools.permutations(range(1, n + 1)):
             word = canonical_reduced_word(perm)
             assert word_to_perm(word, n) == perm
             assert len(word) == perm_length(perm)
+            # the operators act on the smallest parts first: the last letter,
+            # applied first, is the largest i with i+1 left of i
+            largest = max((i for i in range(1, n) if perm.index(i + 1) < perm.index(i)), default=None)
+            assert word[-1:] == (() if largest is None else (largest,)), perm
 
 
 def test_all_reduced_words():

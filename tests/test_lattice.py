@@ -153,6 +153,22 @@ def test_weight_counts_match_enumerated_tally():
             spec = gt_spec(lam, faces=[f.cells for f in key_faces(5, sigma)])
             for k in range(4):
                 assert weight_counts(spec, k) == _tally_weights(spec, k), (lam, sigma, k)
+    # unions that are not key complexes, where weight_counts' row-end merge
+    # drops faces or lets one stand for another (enumerate_points merges
+    # nothing): the cells of {(2, 1)} lie inside another face's, and two
+    # faces agree on every cell below row 3; a third face keeps the cells
+    # common to all faces, which no step sweeps, empty
+    inside = [{(2, 1)}, {(2, 1), (1, 1), (3, 2)}, {(3, 1)}]
+    agree = [{(3, 1), (2, 1), (1, 1)}, {(3, 2), (2, 1), (1, 1)}, {(3, 3), (2, 2)}]
+    for faces in [inside, inside[::-1], agree, agree[::-1]]:
+        for lam in [(3, 2, 1, 0), (3, 1, 1, 0)]:
+            spec = gt_spec(lam, faces=faces)
+            for k in range(3):
+                assert weight_counts(spec, k) == _tally_weights(spec, k), (faces, lam, k)
+    # a key complex whose faces' cells ahead nest at a row end
+    spec = gt_spec((1, 1, 0, 0), faces=[f.cells for f in key_faces(4, (2, 3, 4, 1))])
+    for k in range(3):
+        assert weight_counts(spec, k) == _tally_weights(spec, k), k
 
 
 def test_empty_weight_filter():
