@@ -109,29 +109,56 @@ def skew_ssyt_fillings(outer, inner, n):
     return results
 
 
-def grid_filter_patterns(lam):
-    """Integral triangular patterns below lam by filtering the full box."""
-    n = len(lam)
-    hi = lam[0] if lam else 0
-    coords = [(i, j) for i in range(1, n) for j in range(1, i + 1)]
-    points = []
-    for values in itertools.product(range(hi + 1), repeat=len(coords)):
-        entry = dict(zip(coords, values))
-        for j in range(1, n + 1):
-            entry[(n, j)] = lam[j - 1]
-        valid = True
-        for i in range(1, n):
-            for j in range(1, i + 1):
-                if entry[(i + 1, j)] < entry[(i, j)]:
-                    valid = False
-                if entry[(i, j)] < entry[(i + 1, j + 1)]:
-                    valid = False
-        if valid:
-            rows = tuple(
-                tuple(entry[(i, j)] for j in range(1, i + 1)) for i in range(1, n + 1)
-            )
-            points.append(rows)
-    return sorted(points)
+def grid_filter_patterns(lam, mu=None, n=None, k=1, weight=None, interior=False):
+    """Integral patterns of the k-th dilate of GT(lam), or, given mu, of the
+    skew GT(lam/mu) with n rows above mu, by filtering the box, sorted.
+
+    A pattern is first an array of n+1 rows of len(lam) entries, each in
+    [0, k*lam_1], bottom-up: row 0 is k*mu (0...0 for GT(lam), whose n is
+    len(lam)) and row n is k*lam.  The box is filtered by the interlacing
+    x_{l+1,j} >= x_{l,j} >= x_{l+1,j+1}, a missing x_{l+1,j+1} being 0,
+    one coordinate at a time from the top row down, so a row is only
+    extended by values that interlace with it; row 0 is checked last.
+    With `weight` only the arrays whose row i sums to k*weight_i more than
+    row i-1 are kept.  With `interior` only those strictly inside every
+    interlacing inequality that some kept array satisfies strictly: an
+    inequality that holds with equality at every lattice point of the
+    k-th dilate, k >= 1, is an implicit equality of the polytope, since
+    its lowest entries, and those with an up-set raised to their highest,
+    are lattice points that span its affine hull; at k = 0 the one point
+    is its own interior.  A GT(lam) pattern is returned as its rows 1..n,
+    of lengths 1..n; a skew one as all n+1 rows."""
+    m = len(lam)
+    if mu is None:
+        n = m
+    bottom = tuple(k * x for x in mu or ()) + (0,) * (m - len(mu or ()))
+    top = tuple(k * x for x in lam)
+    box = range(top[0] + 1 if top else 1)
+    arrays = [(top,)]  # rows top-down
+    for _ in range(n - 1):
+        arrays = [
+            rows + (row,)
+            for rows in arrays
+            for row in itertools.product(*(
+                [v for v in box if rows[-1][j] >= v >= (rows[-1][j + 1] if j + 1 < m else 0)] for j in range(m)
+            ))
+        ]
+    arrays = [
+        rows[::-1] for rows in (rows + (bottom,) for rows in arrays)
+        if all(rows[-2][j] >= bottom[j] >= (rows[-2][j + 1] if j + 1 < m else 0) for j in range(m))
+    ]
+    if weight is not None:
+        arrays = [rows for rows in arrays if all(sum(rows[i]) - sum(rows[i - 1]) == k * weight[i - 1] for i in range(1, n + 1))]
+    if interior and arrays:
+        pairs = [((l + 1, j), (l, j)) for l in range(n) for j in range(m)]  # x_{l+1,j} >= x_{l,j}
+        pairs += [((l, j), (l + 1, j + 1)) for l in range(n) for j in range(m - 1)]  # x_{l,j} >= x_{l+1,j+1}
+        loose = [
+            (a, b) for a, b in pairs if any(rows[a[0]][a[1]] > rows[b[0]][b[1]] for rows in arrays)
+        ]
+        arrays = [rows for rows in arrays if all(rows[a[0]][a[1]] > rows[b[0]][b[1]] for a, b in loose)]
+    if mu is None:
+        arrays = [tuple(rows[level][:level] for level in range(1, n + 1)) for rows in arrays]
+    return sorted(arrays)
 
 
 def on_some_face(patterns, faces):
