@@ -5,8 +5,11 @@ Every polytope is swept as the skew GT(lambda/mu) with n rows above mu;
 GT(lambda) is the one over mu = 0...0 with n = len(lambda).
 Points are built from the top row down one entry at a time, by the
 transfer-matrix method with a broken profile (Stanley, EC1 4.7).  A state
-is a face mask and a profile s: the row above with its first j entries
-replaced by the row being chosen, so entry j ranges over [s[j+1], s[j]].
+is a profile s, the row above with its first j entries replaced by the row
+being chosen, so entry j ranges over [s[j+1], s[j]], and a face mask, both
+packed in one int: s[i] in the B-bit field [B*i, B*(i+1)), the mask in the
+bits above the profile's last field.  B is the bit length of k times the
+top row's sum, which holds every entry and the sum of them all.
 Every row obeys x_{l,j} >= mu_j, x_{l,j} <= mu_{j-l} and x_{l,j} <=
 lambda_j, so row l is 0 from entry min(l + l(mu), l(lambda)) on (l(.) the
 number of nonzero parts) and only the entries before are in the profile;
@@ -36,7 +39,10 @@ interior is the same rows with shifted bounds, each strict inequality
 x < y taken as x <= y - 1, and the same pass lays out those shifts: an
 object's counts and interior counts share one layout, read off the one
 list of entry intervals (`_intervals`) that `dimension` reads too.  The
-layouts are kept in a memo of a few entries.  One choice
+same pass lays out each entry's masks on the packed state, for fields wide
+enough for every k up to a bound; a larger k that needs wider fields lays
+them out again at its sweep.  The layouts are kept in a memo of a few
+entries.  One choice
 rule (`_choices`) gives the values an entry takes from a state, and three
 drivers expand it.  Counting expands each state's choices in a plain loop
 (`_tally`) into an integer tally per state of the next step, of the
@@ -58,7 +64,8 @@ set is empty.  Whether a completion lies in the union depends on the mask
 only through those sets, so states that differ in nothing else merge and
 their tallies are swept once (`weight_counts` has the proof).
 Enumeration chains a lazy generator per entry, a depth-first walk
-yielding each point once in canonical order (entries read top row first).
+yielding each point once in canonical order (entries read top row first);
+it unpacks a profile only at a row's end, where it records the row.
 """
 
 from __future__ import annotations
@@ -273,9 +280,10 @@ class _Layout(NamedTuple):
     as the starting profile, the bottom row mu, the mask of all the faces,
     whether the polytope is empty at every k >= 1, the width of each row
     between them, top-down, and for each of those rows its swept entries
-    left to right as `_choices` takes them, (j, lo, hi, 0, 0, cut, ceil,
-    drop, free, target).  At k each of lo, hi, ceil and target is k times
-    its value here.
+    left to right, (j, lo, hi, cut, ceil, drop, free, target, width,
+    fields), `fields` the entry's masks on the packed state (`_fields`)
+    and width the index of the profile's last field.  At k each of lo, hi,
+    ceil and target is k times its value here.
 
     `strict` turns the rows into those of the relative interior: for each
     entry the shifts (raise_lo, lower_hi, below, over, shift), the bounds
@@ -286,7 +294,11 @@ class _Layout(NamedTuple):
     `one_pass` holds when no bound depends on k but the start row: the
     polytope is not empty, every floor lo is 0, there is no row target,
     and every hi and ceil is at least lambda_1, which bounds every entry
-    (`count_dilations`).  GT(lambda) and its face unions are such."""
+    (`count_dilations`).  GT(lambda) and its face unions are such.
+
+    `bits` is the field width B of the states of every dilation
+    k <= _PACKED_K (`_bits`), which `fields` reads, and `packed` the start
+    row in B-bit fields."""
 
     start: tuple[int, ...]
     mu: tuple[int, ...]
@@ -296,6 +308,8 @@ class _Layout(NamedTuple):
     rows: tuple[tuple[tuple, ...], ...]
     strict: Optional[tuple[tuple[tuple[int, int, int, int, int], ...], ...]]
     one_pass: bool
+    bits: int
+    packed: int
 
 
 def _swept(spec: PolytopeSpec, widths: list[int], common: Cells) -> list[list[int]]:
@@ -372,6 +386,9 @@ def _layout(spec: PolytopeSpec) -> _Layout:
         empty |= targets.pop() != sum(spec.top)  # weight incompatible with the top row
 
     cap = max(spec.top)
+    start = (spec.top + (0,))[: widths[-1] + 1]
+    bits = _bits(sum(start), _PACKED_K)
+    size = bits * len(start)
     rows, strict, free = [], [], ends.get(-1, 0)
     above = None  # the row above's ceilings and their interior shifts
     up = (True,) * m  # which entries of the row above are constant: the top row is marked
@@ -404,31 +421,85 @@ def _layout(spec: PolytopeSpec) -> _Layout:
                 if ceil >= top and ceil + shift[j] >= top + top_shift:
                     ceil = None  # at no k >= 1 below what s[j+1] can be
             cut = (widths[level - 1] if last else width) + 1  # the row's last step trims the profile
-            entries.append((j, mu[j], his[j], 0, 0, cut, ceil, need[place], free, targets[level]))
+            fields = _fields(bits, size, j, cut, width, need[place], free)
+            entries.append((j, mu[j], his[j], cut, ceil, need[place], free, targets[level], width, fields))
         rows.append(tuple(entries))
         if has_interior:
             strict.append(tuple((raise_lo[j], lower_hi[j], below[j], over[j], shift[j]) for j in keep))
         above = list(zip(his, lower_hi))
-    start = (spec.top + (0,))[: widths[-1] + 1]
     one_pass = not empty and all(
         lo == 0 and hi >= cap and (ceil is None or ceil >= cap) and target is None
-        for row in rows for _, lo, hi, _, _, _, ceil, _, _, target in row
+        for row in rows for _, lo, hi, _, ceil, _, _, target, _, _ in row
     )
     return _Layout(
         start, mu, (1 << len(faces)) - 1, empty, tuple(widths[:0:-1]), tuple(rows),
-        tuple(strict) if has_interior else None, one_pass,
+        tuple(strict) if has_interior else None, one_pass, bits, _packed(start, bits),
     )
 
 
-def _sweep(
-    spec: PolytopeSpec, k: int, interior: bool = False
-) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...], Iterator[list[tuple]]]:
-    """The k-th dilate set up for the sweep: `_layout`'s start, mu, mask and
-    row widths, and lazily its rows of entries for `_choices`, every bound
-    rescaled to k.  With `interior` only the relative interior is kept
-    (count_points): at k >= 1 the layout's strict shifts are added to the
-    bounds.  Otherwise the shifts added are zero: a plain count has none,
-    and 0P is the zero point, where nothing is strict."""
+# a layout's fields hold every dilation up to this one; a larger one that
+# needs wider fields has its masks laid out again at its sweep
+_PACKED_K = 16
+
+
+def _bits(total: int, k: int) -> int:
+    """The field width B of the packed profiles of the k-th dilate, `total`
+    the sum of the start row at k = 1: the bit length of k * total, which
+    bounds every entry of a profile and the sum of them all (`_choices`)."""
+    return max(1, (k * total).bit_length())
+
+
+def _packed(row: tuple[int, ...], bits: int) -> int:
+    """The row in B-bit fields, row[i] in bits [B*i, B*(i+1))."""
+    packed = 0
+    for x in reversed(row):
+        packed = packed << bits | x
+    return packed
+
+
+@lru_cache(maxsize=1024)
+def _fields(bits: int, size: int, j: int, cut: int, width: int, drop: int, free: int) -> tuple:
+    """The masks `_choices` reads to choose entry j of a state packed in
+    B-bit fields, s[i] in bits [B*i, B*(i+1)) and the face mask from bit
+    `size` up: the shifts of s[j], s[j+1] and s[width] (the last entry of
+    the row's profile), the mask of the fields a choice keeps, s[:j] and
+    s[j+1:cut], and that mask with the face bits, `drop` and `free` on the
+    face bits, and the masks of a field, of the profile and of the face
+    bits, sum(2 ** (B*i)) over the profile's fields, and the shift of its
+    last field."""
+    field, profile = (1 << bits) - 1, (1 << size) - 1
+    keep = ((1 << bits * cut) - 1) ^ field << bits * j
+    return (
+        bits * j, bits * (j + 1), bits * width, keep, keep | ~profile, drop << size, free << size,
+        field, profile, ~profile, profile // field, size - bits,
+    )
+
+
+class _Dilate(NamedTuple):
+    """The k-th dilate set up for the sweep (`_sweep`): k, the mask, the
+    layout, the field width B of its packed states, the start row in those
+    fields, and lazily its rows of `_choices` entries."""
+
+    k: int
+    mask: int
+    lay: _Layout
+    bits: int
+    packed: int
+    rows: Iterator[list[tuple]]
+
+    def key(self, k: int) -> int:
+        """The start state of the k-th dilate, k <= self.k, packed."""
+        return k * self.packed | self.mask << self.bits * len(self.lay.start)
+
+
+def _sweep(spec: PolytopeSpec, k: int, interior: bool = False) -> _Dilate:
+    """The k-th dilate set up for the sweep: `_layout`'s mask, and lazily
+    its rows of entries for `_choices`, every bound rescaled to k.  The
+    layout's fields hold every k <= _PACKED_K; a larger k that needs wider
+    ones lays out their masks again.  With `interior` only the relative
+    interior is kept (count_points): at k >= 1 the layout's strict shifts
+    are added to the bounds.  Otherwise the shifts added are zero: a plain
+    count has none, and 0P is the zero point, where nothing is strict."""
     k = operator.index(k)
     if k < 0:
         raise ValueError("dilation factor must be >= 0")
@@ -437,79 +508,128 @@ def _sweep(
         raise ValueError("an interior count takes no faces and no weight")
     mask = 0 if lay.empty and k else lay.mask
     strict = lay.strict if interior and k else repeat(repeat((0,) * 5))
-    rows = (
+    bits, packed = lay.bits, lay.packed
+    if k > _PACKED_K and _bits(sum(lay.start), k) > bits:
+        bits = _bits(sum(lay.start), k)
+        size, packed = bits * len(lay.start), _packed(lay.start, bits)
+        rows = [
+            [(j, lo, hi, cut, ceil, drop, free, target, width, _fields(bits, size, j, cut, width, drop, free))
+             for j, lo, hi, cut, ceil, drop, free, target, width, _ in row]
+            for row in lay.rows
+        ]
+    else:
+        rows = lay.rows
+    dilated = (
         [
-            (j, k * lo + raise_lo, k * hi + lower_hi, below, over, cut,
-             None if ceil is None else k * ceil + shift, drop, free, None if target is None else k * target)
-            for (j, lo, hi, _, _, cut, ceil, drop, free, target), (raise_lo, lower_hi, below, over, shift)
+            (k * lo + raise_lo, k * hi + lower_hi, below, over,
+             None if ceil is None else k * ceil + shift, None if target is None else k * target, fields)
+            for (_, lo, hi, _, ceil, _, _, target, _, fields), (raise_lo, lower_hi, below, over, shift)
             in zip(row, shifts)
         ]
-        for row, shifts in zip(lay.rows, strict)
+        for row, shifts in zip(rows, strict)
     )
-    return tuple(k * x for x in lay.start), tuple(k * x for x in lay.mu), mask, lay.widths, rows
+    return _Dilate(k, mask, lay, bits, packed, dilated)
 
 
-def _choices(entry: tuple, s: tuple[int, ...], m: int):
-    """Choosing entry j from the state (profile s, mask m): the profile's
-    head s[:j] and rest, s[j], the masks `eq` and `off`, and the range
-    [a, b] of the values v.  v goes into s[j], giving the profile
-    head + (v,) + rest and the mask eq if v == s[j] else off.
+def _choices(entry: tuple, states: Iterable[tuple[int, object]]) -> Iterator[tuple[Iterable[int], object]]:
+    """Choosing entry j from each state, (key, value), a key packing the
+    profile s and the face mask m into one int (`_fields`).  For each state
+    this yields, with the state's value, its next keys, one per value v of
+    entry j in increasing order: v goes into s[j], and the mask becomes eq
+    if v == s[j] else off.
 
     v lies in [s[j+1] + below, s[j] - over] cut to [lo, hi] and, with a
-    row sum `target`, to what the entries after j can add.  s[j+1:cut] is
-    kept: a row's last entry keeps a trailing 0 only for a row below as
-    long, and `ceil`, if given, caps s[j+1], which now only bounds entry
-    j+1, to merge states.  A face in `drop` keeps its bit only if
-    v == s[j]; a live face with no cells left puts every completion in the
-    union, so the mask becomes `free`.  When no face survives v != s[j],
-    the range is cut to v = s[j]."""
-    j, lo, hi, below, over, cut, ceil, drop, free, target = entry
-    up, nxt = s[j], s[j + 1]
-    if target is None:
-        a, b = nxt + below, up - over
-    else:  # the entries after j add at most sum(s[j+1:-1]), at least sum(s[j+2:])
-        room = target - sum(s) + up
-        a, b = room + s[-1], room + nxt
-        if a < nxt:
-            a = nxt
-        if b > up:
-            b = up
-    if a < lo:
-        a = lo
-    if b > hi:
-        b = hi
-    off = m & ~drop
-    if not off and a < up:
-        a = up
-    rest = s[j + 1 : cut] if ceil is None else (nxt if nxt < ceil else ceil,) + s[j + 2 :]
-    return s[:j], rest, up, free if m & free else m, free if off & free else off, a, b
+    row sum `target`, to what the entries after j can add.  The fields
+    s[j+1:cut] are kept: a row's last entry keeps a trailing 0 only for a
+    row below as long, and `ceil`, if given, caps s[j+1], which now only
+    bounds entry j+1, to merge states.  A face in `drop` keeps its bit only
+    if v == s[j]; a live face with no cells left puts every completion in
+    the union, so the mask becomes `free`.  When no face survives
+    v != s[j], the range is cut to v = s[j].
+
+    A field of B bits holds every entry and no field is ever negative, so
+    no field borrows from or carries into the next.  At the K-th dilate, or
+    from any start k' <= K in one pass (count_dilations), each entry of a
+    profile lies in [0, s'[i]], s' the profile before the step, and so
+    sum(s) <= sum(s') <= ... <= K |start|, which B holds (`_bits`): a step
+    keeps v <= s[j], and v >= its floor k mu_j + raise_lo >= 0; a trim
+    zeroes fields; and a cap only lowers s[j+1], to k ceil + shift >= 0,
+    as shift is lower_hi + over on entry j+1, and lower_hi is -1 only on a
+    free entry, where over is 1.  So one multiply of the profile by
+    sum(2 ** (B*i)) leaves sum(s) in its last field, as the row target
+    reads it."""
+    lo, hi, below, over, ceil, target, fields = entry
+    sh, sh1, last, keep, kept, drop, free, field, profile, faces, ones, top = fields
+    step = 1 << sh
+    for key, value in states:
+        up = key >> sh & field
+        nxt = key >> sh1 & field
+        if target is None:
+            a = nxt + below
+            b = up - over
+        else:  # the entries after j add at most sum(s[j+1:-1]), at least sum(s[j+2:])
+            room = target - ((key & profile) * ones >> top & field) + up
+            a = room + (key >> last & field)
+            b = room + nxt
+            if a < nxt:
+                a = nxt
+            if b > up:
+                b = up
+        if a < lo:
+            a = lo
+        if b > hi:
+            b = hi
+        if a > b:
+            continue
+        if key & drop:  # v != s[j] drops a live face
+            base = key & keep
+            if ceil is not None and nxt > ceil:
+                base -= nxt - ceil << sh1
+            m = key & faces
+            off = m & ~drop
+            if off and a < up:
+                low = base | (free if off & free else off)
+                yield range(low + a * step, low + (b + 1 if b < up else up) * step, step), value
+            if b == up:
+                yield ((base | (free if m & free else m)) + up * step,), value
+            continue
+        base = (key & keep | free) if key & free else key & kept
+        if ceil is not None and nxt > ceil:
+            base -= nxt - ceil << sh1
+        yield range(base + a * step, base + (b + 1) * step, step), value
 
 
 def enumerate_points(spec: PolytopeSpec, k: int = 1) -> Iterator[Pattern]:
     """Yield each integral pattern of the k-th dilate exactly once, in
     canonical order."""
-    start, mu, mask, widths, rows = _sweep(spec, k)
+    dilate = _sweep(spec, k)
+    k, bits = dilate.k, dilate.bits
+    field = (1 << bits) - 1
 
     def chosen(states, entry):  # choosing one entry, lazily
-        for (s, m), value in states:
-            head, rest, up, eq, off, a, b = _choices(entry, s, m)
-            for v in range(a, b + 1):
-                yield (head + (v,) + rest, eq if v == up else off), value
+        return ((key, value) for keys, value in _choices(entry, states) for key in keys)
 
     def complete(states, width, tail):  # each profile is a whole row: record it, zeros after
-        return (((s, m), rows + (s[:width] + tail,)) for (s, m), rows in states)
+        whole, seen = (1 << bits * width) - 1, {}  # the rows met so far, by their fields
+        for key, rows in states:
+            row = seen.get(key & whole)
+            if row is None:
+                row = seen[key & whole] = tuple([key >> sh & field for sh in range(0, bits * width, bits)]) + tail
+            yield key, rows + (row,)
 
     # the steps chained lazily walk depth-first; values are the rows so far,
     # each as long as the pattern's: level l of a triangular one, else m
     sizes = range(spec.n - 1, 0, -1) if spec.kind == "triangular" else repeat(spec.m)
-    states: Iterable = [((start, mask), (pad(start, spec.m),))] if mask else []
-    for row, width, size in zip(rows, widths, sizes):
+    start = pad(tuple(k * x for x in dilate.lay.start), spec.m)
+    states: Iterable = [(dilate.key(k), (start,))] if dilate.mask else []
+    for row, width, size in zip(dilate.rows, dilate.lay.widths, sizes):
         for entry in row:
             states = chosen(states, entry)
         states = complete(states, width, (0,) * (size - width))
     if spec.kind == "triangular":
         yield from (GTPattern(rows[::-1]) for _, rows in states)
     else:  # a skew pattern's rows also hold mu
+        mu = tuple(k * x for x in dilate.lay.mu)
         yield from (SkewGTPattern((mu,) + rows[::-1]) for _, rows in states)
 
 
@@ -524,10 +644,11 @@ def count_points(spec: PolytopeSpec, k: int = 1, *, interior: bool = False) -> i
     of the polytope count, not the bounds the sweep adds: on row 1 the
     floors mu_j and ceilings mu_{j-1} are the interlacing with mu, but
     elsewhere they are implied, and the 0 after a full row bounds nothing."""
-    start, _, mask, _, rows = _sweep(spec, k, interior)
+    dilate = _sweep(spec, k, interior)
+    k = dilate.k
     if not k:  # 0P is the zero point, in the union when there is a face
-        return 1 if mask else 0
-    return _tally({(start, mask): 1} if mask else {}, rows)
+        return 1 if dilate.mask else 0
+    return _tally({dilate.key(k): 1} if dilate.mask else {}, dilate.rows)
 
 
 def count_dilations(spec: PolytopeSpec, ks: Iterable[int]) -> list[int]:
@@ -543,39 +664,40 @@ def count_dilations(spec: PolytopeSpec, ks: Iterable[int]) -> list[int]:
     k' lambda is at most k' lambda_1, as a step keeps v <= s[j] and a cap
     only lowers s[j+1].  So each step gives a state the same choices at
     the rows of K as at those of its own k', states may merge across
-    dilations, and slot i sums exactly the sweep of k_i.  A slot counts
-    the choices of v, each in [0, K lambda_1], at the N swept entries that
-    lead to a state, so it never exceeds (K lambda_1 + 1) ** N < 2 ** W,
-    and no slot carries into the next."""
+    dilations, and slot i sums exactly the sweep of k_i.  The fields of
+    the packed profiles are those of K, which hold every entry of every
+    start k' <= K (`_choices`).  A slot counts the choices of v, each in
+    [0, K lambda_1], at the N swept entries that lead to a state, so it
+    never exceeds (K lambda_1 + 1) ** N < 2 ** W, and no slot carries into
+    the next."""
     ks = [operator.index(k) for k in ks]
     lay = _layout(spec)
     if not lay.one_pass or not ks or min(ks) < 0:  # count_points raises on a negative k
         return [count_points(spec, k) for k in ks]
     top = max(ks)
-    _, _, mask, _, rows = _sweep(spec, top)
+    dilate = _sweep(spec, top)
     width = ((top * lay.start[0] + 1) ** sum(map(len, lay.rows))).bit_length()
     states: dict = {}
-    if mask:
+    if dilate.mask:
         for i, k in enumerate(ks):
-            state = tuple(k * x for x in lay.start), mask
+            state = dilate.key(k)
             states[state] = states.get(state, 0) + (1 << width * i)
-    total, slot = _tally(states, rows), (1 << width) - 1
+    total, slot = _tally(states, dilate.rows), (1 << width) - 1
     return [total >> width * i & slot for i in range(len(ks))]
 
 
 def _tally(states: dict, rows: Iterable[list[tuple]]) -> int:
-    """The counting loop: sweep `states`, each (profile, mask) with its
-    count, through the rows of entries, and sum the counts at the end.
-    Each state's choices are added into the counts of the states they
-    lead to, so states reached along several paths merge."""
+    """The counting loop: sweep `states`, each packed state with its count,
+    through the rows of entries, and sum the counts at the end.  Each
+    state's choices are added into the counts of the states they lead to,
+    so states reached along several paths merge."""
     for row in rows:
         for entry in row:
             swept: dict = {}
-            for (s, m), count in states.items():
-                head, rest, up, eq, off, a, b = _choices(entry, s, m)
-                for v in range(a, b + 1):
-                    state = (head + (v,) + rest, eq if v == up else off)
-                    swept[state] = swept.get(state, 0) + count
+            get = swept.get
+            for keys, count in _choices(entry, states.items()):
+                for key in keys:
+                    swept[key] = get(key, 0) + count
             states = swept
     return sum(states.values())
 
@@ -584,9 +706,13 @@ def weight_counts(spec: PolytopeSpec, k: int = 1) -> dict[tuple[int, ...], int]:
     """The number of integral patterns of the k-th dilate of each weight
     that occurs.
 
-    With two faces or more, each row end replaces a state's mask by a
-    canonical one (`_row_end_masks`), so states that differ only in faces
-    imposing the same conditions ahead merge, and each tally is swept once.
+    The states are packed as the counting drivers' are (`_choices`); their
+    tallies map weights, tuples, to counts.  At a row's end the row is the
+    profile's first `width` fields, whose sum one multiply reads, as
+    `_choices` reads sum(s).  With two faces or more, each row end also
+    replaces a state's mask by a canonical one (`_row_end_masks`), so
+    states that differ only in faces imposing the same conditions ahead
+    merge, and each tally is swept once.
     Let R(f) be the cells of face f at the sweep places after the row.  A
     completion of the state lies in the union iff it satisfies every cell
     of R(f) for some live face f: `_choices` drops f's bit exactly when an
@@ -600,38 +726,40 @@ def weight_counts(spec: PolytopeSpec, k: int = 1) -> dict[tuple[int, ...], int]:
     the rest of the sweep treats alike.  The counting drivers merge no
     masks: adding two int counts costs one addition, merging two weight
     tallies costs the whole tally."""
-    start, mu, mask, widths, rows = _sweep(spec, k)
-    rows = list(rows)
+    dilate = _sweep(spec, k)
+    k, bits, lay = dilate.k, dilate.bits, dilate.lay
+    size = bits * len(lay.start)
+    field, profile = (1 << bits) - 1, (1 << size) - 1
+    ones, top = profile // field, size - bits  # a row's sum, as `_choices` reads sum(s)
     # tally keys: (u, the weight components of the rows above the last row
     # chosen), u that row's sum less |mu|: a row ending at t adds u - t
-    base = sum(mu)
-    states = {(start, mask): {(sum(start) - base,): 1}} if mask else {}
-    for row, width, canonical in zip(rows, widths, _row_end_masks(rows, mask)):
+    base = k * sum(lay.mu)
+    states = {dilate.key(k): {(k * sum(lay.start) - base,): 1}} if dilate.mask else {}
+    for row, width, canonical in zip(dilate.rows, lay.widths, _row_end_masks(lay.rows, dilate.mask)):
         for entry in row:
             swept: dict = {}
-            for (s, m), tally in states.items():
-                head, rest, up, eq, off, a, b = _choices(entry, s, m)
-                for v in range(a, b + 1):
-                    state = head + (v,) + rest, eq if v == up else off
-                    into = swept.get(state)
+            for keys, tally in _choices(entry, states.items()):
+                for key in keys:
+                    into = swept.get(key)
                     if into is None:  # a copy: later tallies are added into it
-                        swept[state] = dict(tally)
+                        swept[key] = dict(tally)
                         continue
                     for w, count in tally.items():
                         into[w] = into.get(w, 0) + count
             states = swept
         ended: dict = {}
-        for (s, m), tally in states.items():
-            state = s, canonical(m)
-            into = ended.get(state)
+        for key, tally in states.items():
+            key = key & profile | canonical(key >> size) << size
+            into = ended.get(key)
             if into is None:
-                ended[state] = tally
+                ended[key] = tally
                 continue
             for w, count in tally.items():
                 into[w] = into.get(w, 0) + count
-        for (s, m), tally in ended.items():  # each profile is a whole row
-            t = sum(s[:width]) - base
-            ended[s, m] = {(t, w[0] - t) + w[1:]: count for w, count in tally.items()}
+        whole = (1 << bits * width) - 1  # each profile is a whole row
+        for key, tally in ended.items():
+            t = ((key & whole) * ones >> top & field) - base
+            ended[key] = {(t, w[0] - t) + w[1:]: count for w, count in tally.items()}
         states = ended
     total: dict = {}
     for tally in states.values():
@@ -640,8 +768,8 @@ def weight_counts(spec: PolytopeSpec, k: int = 1) -> dict[tuple[int, ...], int]:
     return total
 
 
-def _row_end_masks(rows: list[list[tuple]], mask: int) -> list:
-    """For each row of the sweep, the map of a mask at its end to the
+def _row_end_masks(rows: tuple[tuple[tuple, ...], ...], mask: int) -> list:
+    """For each row of the layout, the map of a mask at its end to the
     canonical mask of `weight_counts`: the faces' R, each the set of later
     sweep places whose entry's `drop` holds the face, as bits; for each
     minimal R among the live faces' the lowest face with that R; and the
@@ -659,7 +787,7 @@ def _row_end_masks(rows: list[list[tuple]], mask: int) -> list:
         maps.append(_canonical_mask(groups))
         for entry in reversed(row):
             place -= 1
-            drop = entry[7]
+            drop = entry[5]
             for f in range(len(ahead)):
                 if drop >> f & 1:
                     ahead[f] |= 1 << place

@@ -227,6 +227,7 @@ def _strips(f: MultiPoly, i: int, shift: int) -> MultiPoly:
     """
     _check_index(i, 1, f.nvars - 1, "operator")
     out: dict[tuple[int, ...], Scalar] = {}
+    get = out.get
     for exp, c in f.terms.items():
         a, b = exp[i - 1] + shift, exp[i]
         if a == b:
@@ -236,8 +237,13 @@ def _strips(f: MultiPoly, i: int, shift: int) -> MultiPoly:
         else:
             lo, hi, c = a, b, -c
         head, tail, d = exp[: i - 1], exp[i + 1 :], a + b - 1
-        for t in range(lo, hi):
-            _accumulate(out, head + (t, d - t) + tail, c)
+        for t in range(lo, hi):  # _accumulate, inlined: this runs once per strip term
+            term = head + (t, d - t) + tail
+            new = get(term, 0) + c
+            if new:
+                out[term] = new
+            else:
+                del out[term]
     return MultiPoly._of(f.nvars, out)
 
 

@@ -10,7 +10,8 @@ its face unions, one sweep per k for a weight or mu's floors."""
 
 import itertools
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtkey import lattice
@@ -62,6 +63,9 @@ def _oracle(args, k, interior=False):
 
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(polytopes())
+# rows shorter than the row above, under row targets: a row target reads the
+# sum of the whole packed profile, so the entries a row trims off must be gone
+@example(case=(gt_spec((1, 1, 1, 0), weight=(1, 1, 1, 0)), ((1, 1, 1, 0), None, 4, (1, 1, 1, 0), None), [1, 2]))
 def test_the_drivers_match_a_filter_of_the_box(case):
     spec, args, ks = case
     lattice._layout.cache_clear()
@@ -109,3 +113,34 @@ def test_the_fuzzed_polytopes_reach_both_paths_of_count_dilations():
     assert {key[:3] for key in seen} >= set(itertools.product(["triangular"], [False, True], [False, True])) | {
         ("skew", False, False), ("skew", True, False)
     }
+
+
+# Dilations at the edges of the packed fields: B is the bit length of
+# k |lambda| (the layout's fields serve every k <= _PACKED_K = 16, wider ones
+# are laid out at the sweep), so K = 15, 16 fill the laid-out field of
+# lambda = (1, 0, 0) and K = 31, 32 the last of it and a wider one; K |lambda|
+# also crosses a power of two at K = 7, 8 for lambda_1 = 1 and K = 5, 6 for
+# lambda_1 = 3.
+@pytest.mark.parametrize(
+    "lam, ks",
+    [((1, 0, 0), (7, 8, 15, 16, 31, 32)), ((1, 1, 0), (31, 32)), ((3, 0, 0), (5, 6, 21, 22)), ((2, 1, 0), (21, 22))],
+)
+def test_the_packed_fields_hold_every_state_at_the_edges_of_their_width(lam, ks):
+    lattice._layout.cache_clear()
+    spec, args = gt_spec(lam), (lam, None, len(lam), None, None)
+    bits = [lattice._sweep(spec, k).bits for k in ks]
+    assert bits[-2] < bits[-1] == (ks[-1] * sum(lam)).bit_length()  # the last K fills a wider field
+    points = {k: _oracle(args, k) for k in ks}
+    assert count_dilations(spec, [0, *ks]) == [1] + [len(points[k]) for k in ks]  # one pass at max(ks)
+    weighted = gt_spec(lam, weight=lam[::-1])
+    for k in ks:
+        expected = points[k]
+        assert [p.rows for p in enumerate_points(spec, k)] == expected, k
+        assert count_points(spec, k) == len(expected), k
+        tally = {}
+        for p in expected:
+            w = weight(GTPattern(p))
+            tally[w] = tally.get(w, 0) + 1
+        assert weight_counts(spec, k) == tally, k
+        assert count_points(weighted, k) == tally.get(tuple(k * x for x in lam[::-1]), 0), k
+        assert count_points(spec, k, interior=True) == len(_oracle(args, k, interior=True)), k
