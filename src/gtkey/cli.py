@@ -106,11 +106,12 @@ def _terms_text(poly) -> str:
     """The {"coeff", "exp"} dicts of poly.to_json(), [] for the zero
     polynomial, as a value one level deep in json.dumps(indent=2), written
     straight from the sorted terms: each term fills one % template, fixed
-    by the depth and by nvars."""
+    by the depth, with its coefficient and its exponents as
+    `MultiPoly.joined_terms` joins them."""
     inner, deep, deeper = " " * 4, " " * 6, " " * 8
-    exp = f"[\n{deeper}" + f",\n{deeper}".join(["%d"] * poly.nvars) + f"\n{deep}]" if poly.nvars else "[]"
+    exp = f"[\n{deeper}%s\n{deep}]" if poly.nvars else "[]%s"  # no variables: each text is ""
     term = f'{{\n{deep}"coeff": "%s",\n{deep}"exp": {exp}\n{inner}}}'
-    items = [term % (c, *e) for e, c in poly.sorted_terms()]
+    items = [term % ct for ct in poly.joined_terms(f",\n{deeper}")]
     return f"[\n{inner}" + f",\n{inner}".join(items) + "\n  ]" if items else "[]"
 
 
@@ -141,7 +142,7 @@ def _emit(args, payload, header, rows, lines) -> None:
 
 def _term_rows(poly) -> list:
     """CSV rows of a polynomial's sorted terms: coefficient, spaced exponents."""
-    return [[str(c), " ".join(map(str, e))] for e, c in poly.sorted_terms()]
+    return [[str(c), text] for c, text in poly.joined_terms(" ")]
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -171,7 +172,7 @@ def cmd_key(args) -> int:
         "sigma": list(sigma),
         "method": method,
         "terms": poly,
-        "term_count": len(poly.terms),
+        "term_count": len(poly.packed),
         "at_ones": str(polyops.eval_ones(poly)),
     }
     if method == "both":
@@ -180,7 +181,7 @@ def cmd_key(args) -> int:
         f"key polynomial, lambda={list(lam)} sigma={list(sigma)}",
         *([f"methods agree: {agree}"] if method == "both" else []),
         str(poly),
-        f"{len(poly.terms)} distinct monomials, value at ones {payload['at_ones']}",
+        f"{len(poly.packed)} distinct monomials, value at ones {payload['at_ones']}",
     ])
     return 0 if agree else VIOLATION
 

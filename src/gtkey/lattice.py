@@ -55,14 +55,17 @@ dilation K give each smaller k' its own count: one pass sweeps every start
 row, a state's tally holding a W-bit slot per dilation, W the bit length
 of (K lambda_1 + 1) ** (number of swept entries), which bounds every slot.
 Other polytopes are swept once per k.  Weight counting is the same loop
-with weight tallies: a row's pending component, the row above's sum less
-its own, is added at its end.  There, with two faces or more, it also
-gives each state a canonical mask: of the live faces it keeps only those
-whose cells at the places still to be swept hold no other live face's,
-one fixed face standing for each such set of cells, or `free` when that
-set is empty.  Whether a completion lies in the union depends on the mask
-only through those sets, so states that differ in nothing else merge and
-their tallies are swept once (`weight_counts` has the proof).
+with weight tallies, each weight one int in the monomial layout of
+`polyops.MultiPoly` (`weight_tally`): a row's end moves its sum out of the
+pending field into the next one up, one multiply-add on every key of a
+tally, and leaves the row above's sum less its own behind.  There, with
+two faces or more, it also gives each state a canonical mask: of the live
+faces it keeps only those whose cells at the places still to be swept
+hold no other live face's, one fixed face standing for each such set of
+cells, or `free` when that set is empty.  Whether a completion lies in the
+union depends on the mask only through those sets, so states that differ
+in nothing else merge and their tallies are swept once (`weight_tally`
+has the proofs).
 Enumeration chains a lazy generator per entry, a depth-first walk
 yielding each point once in canonical order (entries read top row first);
 it unpacks a profile only at a row's end, where it records the row.
@@ -704,15 +707,42 @@ def _tally(states: dict, rows: Iterable[list[tuple]]) -> int:
 
 def weight_counts(spec: PolytopeSpec, k: int = 1) -> dict[tuple[int, ...], int]:
     """The number of integral patterns of the k-th dilate of each weight
-    that occurs.
+    that occurs: `weight_tally`, each weight unpacked to a tuple of spec.n
+    ints."""
+    bits, tally = weight_tally(spec, k)
+    field, shifts = (1 << bits) - 1, range(bits * (spec.n - 1), -1, -bits)
+    return {tuple([w >> sh & field for sh in shifts]): count for w, count in tally.items()}
+
+
+def weight_tally(spec: PolytopeSpec, k: int = 1) -> tuple[int, dict[int, int]]:
+    """The number of integral patterns of the k-th dilate of each weight
+    that occurs, each weight w packed as the monomial z^w of
+    `polyops.MultiPoly`: with n = spec.n and d = sum(w), the int
+    d << B*n | w_1 << B*(n-1) | ... | w_n, B = max(1, d.bit_length()).
+    Returns B and the tally.
 
     The states are packed as the counting drivers' are (`_choices`); their
-    tallies map weights, tuples, to counts.  At a row's end the row is the
-    profile's first `width` fields, whose sum one multiply reads, as
-    `_choices` reads sum(s).  With two faces or more, each row end also
-    replaces a state's mask by a canonical one (`_row_end_masks`), so
-    states that differ only in faces imposing the same conditions ahead
-    merge, and each tally is swept once.
+    tallies map packed weights to counts.  Number the pattern's rows 0..n
+    bottom-up, row 0 the bottom mu (0 for GT(lambda)) and row n the top,
+    so w_l = |row l| - |row l-1|; the sweep's row r is row n-1-r.  Before
+    it, a tally key holds w_{n-r+1}..w_n in their fields and, in the field
+    of w_{n-r}, the pending sum u = |row n-r| - |mu|.  The row that ends
+    with t = |row n-1-r| - |mu| splits u into w_{n-r} = u - t and a new
+    pending t one field higher: the key gains t * (2 ** B(r+1) - 2 ** Br),
+    one multiply-add.  At the row end the row is the profile's first
+    `width` fields, whose sum one multiply reads, as `_choices` reads
+    sum(s).  The start key d << B*n | d holds the degree, above the fields,
+    and the top row's pending sum d = k(|lambda| - |mu|); after the n-1
+    row ends the pending sum is w_1, in the top field.
+    No field borrows from or carries into the next: every field holds a
+    weight component or a pending sum, each at most d < 2 ** B, the field
+    that gains t was 0, and u - t = w_{n-r} >= 0, since each entry of row
+    n-r is at least the entry below it in its column and row n-1-r has no
+    more entries.
+
+    With two faces or more, each row end also replaces a state's mask by a
+    canonical one (`_row_end_masks`), so states that differ only in faces
+    imposing the same conditions ahead merge, and each tally is swept once.
     Let R(f) be the cells of face f at the sweep places after the row.  A
     completion of the state lies in the union iff it satisfies every cell
     of R(f) for some live face f: `_choices` drops f's bit exactly when an
@@ -731,11 +761,11 @@ def weight_counts(spec: PolytopeSpec, k: int = 1) -> dict[tuple[int, ...], int]:
     size = bits * len(lay.start)
     field, profile = (1 << bits) - 1, (1 << size) - 1
     ones, top = profile // field, size - bits  # a row's sum, as `_choices` reads sum(s)
-    # tally keys: (u, the weight components of the rows above the last row
-    # chosen), u that row's sum less |mu|: a row ending at t adds u - t
     base = k * sum(lay.mu)
-    states = {dilate.key(k): {(k * sum(lay.start) - base,): 1}} if dilate.mask else {}
-    for row, width, canonical in zip(dilate.rows, lay.widths, _row_end_masks(lay.rows, dilate.mask)):
+    degree = k * sum(lay.start) - base
+    width = max(1, degree.bit_length())  # the weights' field width
+    states = {dilate.key(k): {degree << width * spec.n | degree: 1}} if dilate.mask else {}
+    for r, (row, cols, canonical) in enumerate(zip(dilate.rows, lay.widths, _row_end_masks(lay.rows, dilate.mask))):
         for entry in row:
             swept: dict = {}
             for keys, tally in _choices(entry, states.items()):
@@ -756,21 +786,22 @@ def weight_counts(spec: PolytopeSpec, k: int = 1) -> dict[tuple[int, ...], int]:
                 continue
             for w, count in tally.items():
                 into[w] = into.get(w, 0) + count
-        whole = (1 << bits * width) - 1  # each profile is a whole row
+        whole = (1 << bits * cols) - 1  # each profile is a whole row
+        step = (1 << width * (r + 1)) - (1 << width * r)
         for key, tally in ended.items():
-            t = ((key & whole) * ones >> top & field) - base
-            ended[key] = {(t, w[0] - t) + w[1:]: count for w, count in tally.items()}
+            moved = (((key & whole) * ones >> top & field) - base) * step
+            ended[key] = {w + moved: count for w, count in tally.items()}
         states = ended
     total: dict = {}
     for tally in states.values():
         for w, count in tally.items():
             total[w] = total.get(w, 0) + count
-    return total
+    return width, total
 
 
 def _row_end_masks(rows: tuple[tuple[tuple, ...], ...], mask: int) -> list:
     """For each row of the layout, the map of a mask at its end to the
-    canonical mask of `weight_counts`: the faces' R, each the set of later
+    canonical mask of `weight_tally`: the faces' R, each the set of later
     sweep places whose entry's `drop` holds the face, as bits; for each
     minimal R among the live faces' the lowest face with that R; and the
     faces whose R is empty, the row's `free`, when a live face has R empty.

@@ -316,3 +316,20 @@ def fraction_poly_text(coeffs):
         sign = "" if c > 0 else "-"
         terms.append(f"{sign}{term}" if not terms else f"{'+' if c > 0 else '-'} {term}")
     return [str(c) for c in cs], " ".join(terms) or "0"
+
+
+def graded_lex_terms(terms):
+    """The (exponent tuple, coefficient) pairs of a tuple-keyed polynomial,
+    largest first in graded lexicographic order, z_1 > ... > z_n."""
+    return sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+
+
+def tuple_product(f, g):
+    """The product of two polynomials given as {exponent tuple: coefficient}
+    dicts, without zero coefficients."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}

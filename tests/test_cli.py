@@ -123,6 +123,15 @@ def test_json_output_is_byte_for_byte_json_dumps_with_an_indent(capsys, name):
 PINNED_OUTPUT = {
     ("key", "--lambda", "4,3,2,1,0,0", "--sigma", "[3,6,1,5,2,4]", "--format", "json"):
         (29023, "463bf0be4fbda68a342acd51329e0881120c9117163dcddf166e47e454618cec"),
+    ("key", "--lambda", "4,3,2,1,0,0", "--sigma", "[3,6,1,5,2,4]", "--format", "text"):
+        (5505, "465062836b304d11bdaac7213c46fabf6653c0ea8cc3c15bef34ddaf2cf00652"),
+    ("key", "--lambda", "4,3,2,1,0,0", "--sigma", "[3,6,1,5,2,4]", "--format", "csv"):
+        (3581, "e84bed8bfd3576091c9baf67cce64a7dcd34b3d4b3f84e3e6d52e9fdff56c4ce"),
+    # degree 8, a power of two: the widest exponent fields for their degree
+    ("key", "--lambda", "4,2,1,1", "--sigma", "[3,4,2,1]", "--method", "both", "--format", "json"):
+        (3264, "0832152ea83be0125e911d40df76ebeee47ddd695b7f6e8ba31fabad32d6a659"),
+    ("schur", "--lambda", "4,2,1", "--mu", "2,1", "--n", "3", "--format", "text"):
+        (195, "f6b62dcd96e80983975d0137e198f26e163a88449d2fff91817061535c166fd5"),
     ("schur", "--lambda", "4,2,1", "--mu", "2,1", "--n", "3", "--format", "json"):
         (1436, "8e4065e770b206ad2feb8f02a57dadb2f64b62882b9b6754731dc38bb9e8873d"),
     ("schur", "--lambda", "4,2,1", "--mu", "2,1", "--n", "3", "--format", "csv"):

@@ -4,9 +4,11 @@ them (oracles.grid_filter_patterns and on_some_face).
 Each example is a small polytope: lambda with at most 4 parts, each at most
 3; GT(lambda), optionally cut to a union of random cell sets (not only
 Kogan faces), or a skew GT(lambda/mu) with n = 1..4 rows above mu; an
-optional weight, mostly of the right total; and dilations k <= 3.  Such
-examples reach both paths of count_dilations: one pass for GT(lambda) and
-its face unions, one sweep per k for a weight or mu's floors."""
+optional weight, mostly of the right total; and dilations k <= 3.  One
+example in four is a weighted GT(lambda) with four rows (k lambda_1 <= 4),
+where row targets meet rows shorter than the row above.  Such examples
+reach both paths of count_dilations: one pass for GT(lambda) and its face
+unions, one sweep per k for a weight or mu's floors."""
 
 import itertools
 
@@ -23,6 +25,8 @@ from oracles import affine_rank, grid_filter_patterns, on_some_face
 @st.composite
 def polytopes(draw):
     """(spec, the oracle's arguments, the dilations to count)."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(weighted_four_rows())
     lam = tuple(sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)), reverse=True))
     mu, faces = None, None
     if draw(st.booleans()):
@@ -51,6 +55,18 @@ def polytopes(draw):
         spec = skew_spec(lam, mu, weight=nu, n=n)
     ks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
     return spec, (lam, mu, n, nu, faces), ks
+
+
+@st.composite
+def weighted_four_rows(draw):
+    """A weighted GT(lambda) with four rows, the shape that the draws above
+    reach least though the most row targets and trimmed rows meet in it,
+    with k lambda_1 <= 4 to keep the box small."""
+    lam = tuple(sorted(draw(st.lists(st.integers(0, 3), min_size=4, max_size=4)), reverse=True))
+    cuts = sorted(draw(st.lists(st.integers(0, sum(lam)), min_size=3, max_size=3)))
+    nu = tuple(b - a for a, b in zip([0] + cuts, cuts + [sum(lam)]))
+    ks = draw(st.lists(st.integers(0, 4 // max(lam[0], 1)), min_size=1, max_size=3))
+    return gt_spec(lam, weight=nu), (lam, None, 4, nu, None), ks
 
 
 def _oracle(args, k, interior=False):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtkey import kogan, lattice, polyops
-from gtkey.combinat import all_reduced_words, longest_element, partitions_in_box
+from gtkey.combinat import all_reduced_words, canonical_reduced_word, longest_element, partitions_in_box, perm_length
 from gtkey.polyops import (
     MultiPoly,
     apply_pi_word,
@@ -20,7 +20,7 @@ from gtkey.polyops import (
     skew_schur,
     swap_vars,
 )
-from oracles import ssyt_fillings
+from oracles import graded_lex_terms, ssyt_fillings, tuple_product
 
 
 def mono(*exp):
@@ -383,3 +383,102 @@ def test_planted_non_natural_coefficient_raises(monkeypatch, scale):
     monkeypatch.setattr(polyops, "pi_op", lambda f, i: real(f, i) * scale)
     with pytest.raises(AssertionError, match="non-natural coefficient"):
         key_via_operators((2, 1, 0), (2, 1, 3))
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [(2, 2, 0, 0), (1, 1, 1, 0), (3, 1, 1, 0), (2, 2, 1, 1),
+     (2, 2, 2, 0, 0), (1, 1, 0, 0, 0), (3, 1, 1, 0, 0), (2, 2, 1, 1, 0)],
+)
+def test_the_shortest_equivalent_word_gives_the_key_of_the_full_word(lam):
+    start = MultiPoly.monomial(lam)
+    for sigma in itertools.permutations(range(1, len(lam) + 1)):
+        short = polyops._shortest_equivalent(lam, sigma)
+        assert sorted(short) == sorted(sigma) and perm_length(short) <= perm_length(sigma), sigma
+        assert key_via_operators(lam, sigma) == apply_pi_word(start, canonical_reduced_word(sigma)), sigma
+    # the zero tail and each repeated part are blocks: their values end in order
+    assert polyops._shortest_equivalent((2, 2, 1, 0, 0), (5, 2, 4, 1, 3)) == (4, 1, 5, 2, 3)
+
+
+def _homogeneous(nvars, degree):
+    """Every monomial of the degree, each with its own coefficient."""
+    exps = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+    return {e: i + 1 for i, e in enumerate(exps)}
+
+
+def _same_everywhere(f, terms):
+    """f holds exactly `terms`, in canonical fields, however it is rebuilt."""
+    rebuilt = MultiPoly(f.nvars, terms)
+    assert dict(f.terms) == terms
+    assert f.bits == max(1, max(map(sum, terms), default=0).bit_length())
+    assert f == rebuilt and hash(f) == hash(rebuilt) and f.packed == rebuilt.packed
+    assert f.sorted_terms() == graded_lex_terms(terms)
+    assert MultiPoly.from_json(f.nvars, f.to_json()) == f
+
+
+@pytest.mark.parametrize("degree", [7, 8, 15, 16])
+def test_the_packed_fields_hold_every_monomial_at_the_edges_of_their_width(degree):
+    # B is the bit length of the largest degree: 3, 4, 4, 5
+    terms = _homogeneous(3, degree) | {(0, 0, 0): -1, (0, 1, 0): Fraction(1, 3)}
+    f = MultiPoly(3, terms)
+    assert f.bits == degree.bit_length() and f.degree() == degree
+    _same_everywhere(f, terms)
+    for i in (1, 2):
+        assert swap_vars(swap_vars(f, i), i) == f
+        assert pi_op(pi_op(f, i), i) == pi_op(f, i)
+
+
+def test_the_fields_widen_and_narrow_with_the_degree():
+    z1, z2, z3 = (MultiPoly.variable(i, 3) for i in (1, 2, 3))
+    quartic = _homogeneous(3, 4)  # B = 3
+    product = MultiPoly(3, quartic) * MultiPoly(3, quartic)  # degree 8: B = 4
+    assert product.bits == 4
+    _same_everywhere(product, tuple_product(quartic, quartic))
+    seventh = MultiPoly(3, _homogeneous(3, 7))
+    _same_everywhere(seventh * z2, tuple_product(_homogeneous(3, 7), {(0, 1, 0): 1}))
+    assert (z1 ** 8).bits == 4 and z1 ** 8 == MultiPoly.monomial((8, 0, 0))
+    # d_1 z1^8 = sum of z1^t z2^(7-t): degree 8 -> 7 narrows B from 4 to 3
+    strip = divided_difference(z1 ** 8 + z3, 1)
+    assert strip.bits == 3
+    _same_everywhere(strip, {(t, 7 - t, 0): 1 for t in range(8)})
+    # the top terms cancel: degree 8 -> 3, B from 4 to 2
+    cancelled = (z1 ** 8 + z2 ** 3) + (z3 - z1 ** 8)
+    assert cancelled.bits == 2
+    _same_everywhere(cancelled, {(0, 3, 0): 1, (0, 0, 1): 1})
+    _same_everywhere(z1 ** 8 - z1 ** 8, {})
+    _same_everywhere(strip * Fraction(1, 2), {(t, 7 - t, 0): Fraction(1, 2) for t in range(8)})
+
+
+def test_no_variables_and_the_zero_polynomial():
+    for nvars in (0, 1, 3):
+        zero = MultiPoly.zero(nvars)
+        assert zero.is_zero() and zero.bits == 1 and zero.degree() == 0 and str(zero) == "0"
+        assert zero == MultiPoly(nvars, {}) == MultiPoly.constant(nvars, 2) * 0 and hash(zero) == hash(MultiPoly(nvars))
+        assert zero.to_json() == [] and zero.joined_terms(" ") == []
+    six = MultiPoly.constant(0, 2) * MultiPoly.constant(0, 3)
+    _same_everywhere(six, {(): 6})
+    assert str(six) == "6" and six.to_json() == [{"coeff": "6", "exp": []}] and six.joined_terms(",") == [(6, "")]
+    assert six + MultiPoly.constant(0, Fraction(-6)) == MultiPoly.zero(0)
+    assert eval_ones(six * Fraction(1, 4)) == Fraction(3, 2)
+
+
+def test_equal_polynomials_are_equal_by_every_route():
+    lam, sigma = (2, 1, 0, 0), (2, 4, 3, 1)
+    routes = [
+        key_via_operators(lam, sigma),
+        kogan.key_via_faces(lam, sigma),
+        polyops.weight_sum(kogan.complex_spec(lam, sigma)),
+        MultiPoly.from_json(4, key_via_operators(lam, sigma).to_json()),
+        MultiPoly(4, dict(key_via_operators(lam, sigma).terms)),
+    ]
+    assert len(set(routes)) == 1 and all(r.packed == routes[0].packed for r in routes)
+    assert len({schur((4, 2, 1, 1), 4), key_via_operators((4, 2, 1, 1), longest_element(4))}) == 1
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 5).flatmap(lambda n: polys(nvars=n, max_terms=8, max_exp=9)))
+def test_sorted_and_joined_terms_follow_the_tuple_order(f):
+    expected = graded_lex_terms(dict(f.terms))
+    assert f.sorted_terms() == expected
+    for sep in (" ", ",\n        "):
+        assert f.joined_terms(sep) == [(c, sep.join(map(str, e))) for e, c in expected]
