@@ -10,13 +10,7 @@ from .combinat import (
 )
 from .gtcore import (
     GTPattern,
-    SSYT,
     SkewGTPattern,
-    SkewSSYT,
-    pattern_to_tableau,
-    skew_pattern_to_tableau,
-    skew_tableau_to_pattern,
-    tableau_to_pattern,
     validate_pattern,
     weight,
 )
@@ -39,7 +33,6 @@ from .polyops import (
     pi_op,
     schur,
     skew_schur,
-    swap_vars,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -232,13 +232,7 @@ def cmd_faces(args) -> int:
         taus = itertools.permutations(range(1, n + 1))
     # every face the search yields is reduced, of the type it was searched for
     records = [
-        {
-            "n": f.n,
-            "cells": [list(c) for c in f.sorted_cells()],
-            "word": list(kogan.face_word(f)),
-            "reduced": True,
-            "type": list(tau),
-        }
+        dict(f.to_json(), word=list(kogan.face_word(f)), reduced=True, type=list(tau))
         for tau in taus
         for f in kogan.enumerate_reduced_faces(n, tau)
     ]
@@ -296,7 +290,7 @@ def cmd_points(args) -> int:
         return 0
     points = list_points()
     weights = [pattern_weight(p) for p in points]
-    records = [{"rows": [list(r) for r in p.rows], "weight": list(w)} for p, w in zip(points, weights)]
+    records = [dict(p.to_json(), weight=list(w)) for p, w in zip(points, weights)]
     payload = {"spec": desc, "k": k, "count": str(len(points)), "points": records}
     monomial = polyops.MultiPoly.monomial
     _emit(

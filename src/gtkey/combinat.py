@@ -37,10 +37,6 @@ def check_permutation(seq: Sequence[int]) -> tuple[int, ...]:
     return perm
 
 
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def longest_element(n: int) -> tuple[int, ...]:
     """The order-reversing permutation [n, n-1, ..., 1]."""
     if n < 1:
@@ -53,13 +49,6 @@ def multiply(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     if len(a) != len(b):
         raise ValueError("permutations must have equal size")
     return tuple(b[a[x] - 1] for x in range(len(a)))
-
-
-def inverse(perm: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for pos, val in enumerate(perm):
-        inv[val - 1] = pos + 1
-    return tuple(inv)
 
 
 def perm_length(perm: Sequence[int]) -> int:

@@ -4,7 +4,9 @@ A face is a set of cells (i, j) with 1 <= j <= i <= n-1; the cell imposes
 the equality x_{i,j} = x_{i+1,j} between consecutive rows (bottom-up
 numbering as in gtcore).  Cell (i, j) carries the letter n - i + j - 1, and
 the face's word reads the cells bottom row first, left to right.  A face is
-reduced when its word is reduced; its type is the word's permutation.
+reduced when its word is reduced, and its type is then the word's
+permutation: `face_type` gives the type, or None for a face that is not
+reduced.
 
 The key complex of (lambda, sigma) is the union of all reduced faces whose
 type is w_0 * sigma (w_0 acting first, i.e. the reverse of sigma's one-line
@@ -20,7 +22,6 @@ from functools import lru_cache
 from . import lattice
 from .combinat import (
     check_permutation,
-    is_reduced,
     longest_element,
     multiply,
     perm_length,
@@ -46,10 +47,6 @@ class KoganFace(Value):
     def to_json(self) -> dict:
         return {"n": self.n, "cells": [list(c) for c in self.sorted_cells()]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "KoganFace":
-        return cls(obj["n"], frozenset(tuple(c) for c in obj["cells"]))
-
 
 def cell_letter(n: int, i: int, j: int) -> int:
     """Simple-transposition letter attached to cell (i, j)."""
@@ -63,10 +60,6 @@ def all_cells(n: int) -> list[tuple[int, int]]:
 def face_word(face: KoganFace) -> tuple[int, ...]:
     """Letters of the face, bottom row of cells first, left to right."""
     return tuple(cell_letter(face.n, i, j) for i, j in face.sorted_cells())
-
-
-def face_is_reduced(face: KoganFace) -> bool:
-    return is_reduced(face_word(face), face.n)
 
 
 def face_type(face: KoganFace) -> tuple[int, ...] | None:

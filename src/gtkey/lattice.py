@@ -705,15 +705,6 @@ def _tally(states: dict, rows: Iterable[list[tuple]]) -> int:
     return sum(states.values())
 
 
-def weight_counts(spec: PolytopeSpec, k: int = 1) -> dict[tuple[int, ...], int]:
-    """The number of integral patterns of the k-th dilate of each weight
-    that occurs: `weight_tally`, each weight unpacked to a tuple of spec.n
-    ints."""
-    bits, tally = weight_tally(spec, k)
-    field, shifts = (1 << bits) - 1, range(bits * (spec.n - 1), -1, -bits)
-    return {tuple([w >> sh & field for sh in shifts]): count for w, count in tally.items()}
-
-
 def weight_tally(spec: PolytopeSpec, k: int = 1) -> tuple[int, dict[int, int]]:
     """The number of integral patterns of the k-th dilate of each weight
     that occurs, each weight w packed as the monomial z^w of

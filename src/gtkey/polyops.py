@@ -315,15 +315,6 @@ def _pair(f: MultiPoly, i: int) -> tuple[int, int, int]:
     return low, low + f.bits, (1 << low + f.bits) - (1 << low)
 
 
-def swap_vars(f: MultiPoly, i: int) -> MultiPoly:
-    """Exchange z_i and z_{i+1}."""
-    _check_index(i, 1, f.nvars - 1, "swap")
-    low, high, step = _pair(f, i)
-    field = (1 << f.bits) - 1
-    out = {key + ((key >> low & field) - (key >> high & field)) * step: c for key, c in f.packed.items()}
-    return MultiPoly._of(f.nvars, f.bits, out)
-
-
 def _strips(f: MultiPoly, i: int, shift: int) -> MultiPoly:
     """d_i(z_i^shift * f), summed monomial-wise.
 

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive and shares no code path with the
-library: tableaux are built cell by cell, permutations are composed as
-explicit maps, and lattice points are grid-filtered.
+library: tableaux are built cell by cell or by Kashiwara's operators,
+permutations are composed as explicit maps, and lattice points are
+grid-filtered.  The one reader of library output, `unpacked_tally`, reads
+`lattice.weight_tally`'s packed keys with its own arithmetic.
 """
 
 from __future__ import annotations
@@ -79,6 +81,111 @@ def ssyt_fillings(shape, n, content=None):
 
     rec(0, [0] * n)
     return results
+
+
+def content(rows, n):
+    """The number of entries equal to 1, ..., n among a filling's rows."""
+    return tuple(sum(v == value for row in rows for v in row) for value in range(1, n + 1))
+
+
+def bubble_word(sigma):
+    """A reduced word of sigma by bubble sort: the positions i, read in the
+    order the sort swaps them, at which sigma(i) > sigma(i+1).  Undoing the
+    swaps from the last rebuilds sigma from the identity, and each swap
+    removes one inversion."""
+    perm, word = list(sigma), []
+    unsorted = True
+    while unsorted:
+        unsorted = False
+        for i in range(len(perm) - 1):
+            if perm[i] > perm[i + 1]:
+                perm[i], perm[i + 1] = perm[i + 1], perm[i]
+                word.append(i + 1)
+                unsorted = True
+    return tuple(word)
+
+
+def kashiwara_f(tableau, i):
+    """Kashiwara's lowering operator f_i on a tableau (a tuple of rows,
+    longest first), or None where f_i gives 0.
+
+    The bracket rule on the row reading word, rows from the shortest to the
+    longest, each left to right: each i+1 pairs with the first unpaired i
+    after it, and the rightmost i left unpaired becomes i+1."""
+    opened, unpaired = 0, []
+    for r in reversed(range(len(tableau))):
+        for c, v in enumerate(tableau[r]):
+            if v == i + 1:
+                opened += 1
+            elif v == i:
+                if opened:
+                    opened -= 1
+                else:
+                    unpaired.append((r, c))
+    if not unpaired:
+        return None
+    r, c = unpaired[-1]
+    row = tableau[r]
+    return tableau[:r] + (row[:c] + (i + 1,) + row[c + 1:],) + tableau[r + 1:]
+
+
+def demazure_crystal(lam, word):
+    """The Demazure crystal B_w(lam) of the word's permutation w, as a set
+    of tableaux (tuples of rows, longest first, no empty rows).
+
+    It starts from the highest-weight tableau u_lam, row r filled with r,
+    and applies F_i, which adds every f_i^k b of each b in the set, for the
+    letters of the word, rightmost first.  For a reduced word its character
+    is the key polynomial of lam and w (Kashiwara, Duke Math. J. 1993)."""
+    crystal = {tuple((r,) * part for r, part in enumerate(lam, 1) if part)}
+    for i in reversed(word):
+        grown, frontier = set(crystal), crystal
+        while frontier:
+            frontier = {t for t in (kashiwara_f(b, i) for b in frontier) if t is not None} - grown
+            grown |= frontier
+        crystal = grown
+    return crystal
+
+
+def character(tableaux, n):
+    """The sum of z^content over the tableaux, as {exponent tuple: count}."""
+    out = {}
+    for t in tableaux:
+        w = content(t, n)
+        out[w] = out.get(w, 0) + 1
+    return out
+
+
+def swap(terms, i):
+    """A polynomial given as {exponent tuple: coefficient} with z_i and
+    z_{i+1} exchanged."""
+    return {e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:]: c for e, c in terms.items()}
+
+
+def unpacked_tally(spec, k=1):
+    """`lattice.weight_tally(spec, k)` keyed by weight tuples, read back
+    with this module's own arithmetic from the layout that function
+    documents: a key is d << B*n | w_1 << B*(n-1) | ... | w_n, n = spec.n.
+
+    Every key must hold in its degree field d the sum of its n exponent
+    fields, and B must be max(1, d.bit_length()); every count must be a
+    positive int."""
+    from gtkey import lattice
+
+    bits, tally = lattice.weight_tally(spec, k)
+    base = 2 ** bits
+    out = {}
+    for key, count in tally.items():
+        fields = []
+        for _ in range(spec.n):
+            key, field = divmod(key, base)
+            fields.append(field)
+        w = tuple(reversed(fields))
+        assert key == sum(w), (spec, k, key, w)
+        assert bits == max(1, key.bit_length()), (spec, k, bits, key)
+        assert type(count) is int and count > 0, (spec, k, w, count)
+        out[w] = count
+    return out
 
 
 def skew_ssyt_fillings(outer, inner, n):

@@ -18,7 +18,8 @@ from gtkey.combinat import (
     partitions_in_box,
 )
 from gtkey.ehrhart import ehrhart_of
-from gtkey.polyops import MultiPoly, apply_pi_word, key_via_operators, pi_op, swap_vars
+from gtkey.polyops import MultiPoly, apply_pi_word, key_via_operators, pi_op
+from oracles import swap
 
 
 def _ok(num, message):
@@ -164,7 +165,7 @@ def test_c11a_operator_laws_random(f):
         assert pi_op(fi, i) == fi  # idempotence
         assert fi.degree() <= f.degree()  # never raises degree
         d = polyops.divided_difference(f, i)
-        assert swap_vars(d, i) == d  # symmetric output
+        assert swap(d.terms, i) == d.terms  # symmetric output
     assert pi_op(pi_op(f, 1), 3) == pi_op(pi_op(f, 3), 1)  # commutation
     for i in (1, 2):
         lhs = pi_op(pi_op(pi_op(f, i), i + 1), i)

@@ -119,7 +119,8 @@ def test_json_output_is_byte_for_byte_json_dumps_with_an_indent(capsys, name):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-# (byte count, sha256) of the exact stdout of key and schur polynomials
+# (byte count, sha256) of the exact stdout of key and schur polynomials,
+# lattice points and faces
 PINNED_OUTPUT = {
     ("key", "--lambda", "4,3,2,1,0,0", "--sigma", "[3,6,1,5,2,4]", "--format", "json"):
         (29023, "463bf0be4fbda68a342acd51329e0881120c9117163dcddf166e47e454618cec"),
@@ -136,6 +137,13 @@ PINNED_OUTPUT = {
         (1436, "8e4065e770b206ad2feb8f02a57dadb2f64b62882b9b6754731dc38bb9e8873d"),
     ("schur", "--lambda", "4,2,1", "--mu", "2,1", "--n", "3", "--format", "csv"):
         (146, "b594a0aa501844dfddf419292a979c559432fb00faac00534dc41ba724b02a4d"),
+    # each record is its value's to_json() with the command's keys after it
+    ("points", "--lambda", "3,1", "--mu", "1", "--n", "2", "--format", "json"):
+        (1504, "07330bff389dc61daabf80c19d2f2f82dbcc94a45f4968e2a8033321addfccb3"),
+    ("points", "--lambda", "2,1,0", "--k", "2", "--format", "json"):
+        (6439, "36c199b0135a84de96b03fb36ba1a90261a9a723ed0dca431bc4ef2d4e286468"),
+    ("faces", "--n", "3", "--format", "json"):
+        (1368, "2f3b8a765c83dd0288a68e494fb34b52cd36cc945a3df44d6a9c8476d68c7a43"),
 }
 
 
@@ -265,6 +273,95 @@ def test_the_package_opens_only_the_out_file_and_its_own_data():
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         found += calls(ast.parse(path.read_text(), str(path)), path.stem)
     assert sorted(found) == [(".open()", "verify._load"), ("open()", "cli._emit")]
+
+
+# The definitions of the package that no command reaches, each with a test
+# that uses it as a reference or checks the paper claim it computes.
+UNREACHED = {
+    "combinat.all_reduced_words": "test_combinat.py::test_all_reduced_words, test_acceptance.py::test_c11b_word_independence_s4",
+    "combinat.descents": "all_reduced_words' recursion",
+    "ehrhart.UniPoly.coeffs": "test_acceptance.py::test_c08_faulhaber_counterexample, test_ehrhart.py::test_interpolate_matches_lagrange",
+    "ehrhart.UniPoly.is_zero": "test_ehrhart.py::test_unipoly_basics",
+    "ehrhart.faulhaber_face": "test_acceptance.py::test_c08_faulhaber_counterexample",
+    "ehrhart.faulhaber_sum": "test_acceptance.py::test_c08_faulhaber_counterexample",
+    "gtcore.Value.__reduce__": "test_gtcore.py::test_value_types_are_immutable_and_compare_by_class_and_fields",
+    "gtcore._Pattern.flat": "test_lattice.py::test_enumeration_canonical_order",
+    "gtcore.validate_pattern": "test_gtcore.py::test_validate_pattern, test_lattice.py::test_all_points_valid_and_counted",
+    "polyops.MultiPoly.coefficient": "test_polyops.py::test_kostka_values",
+    "polyops.MultiPoly.is_zero": "test_polyops.py::test_pi_preserves_degree_of_homogeneous",
+    "polyops.divided_difference": "test_acceptance.py::test_c11a_operator_laws_random",
+    "verify.kempf_fixture_faces": "test_acceptance.py::test_c06_kogan_census",
+}
+
+
+def test_every_definition_is_reached_from_a_command_or_named_as_a_reference():
+    """Every module-level definition and method of the package is reached
+    from a command, or is one of UNREACHED.
+
+    Names are followed from cli.main and from every module-level statement
+    (tables such as verify.SUITES) through the bodies of the definitions
+    they reach; an import is not a use, so gtkey/__init__'s exports reach
+    nothing.  A use matches by name: x.attr reaches every method and
+    module-level definition called attr, except that Class.attr reaches
+    only the attribute of that class or a base.  Matching by name
+    over-approximates: a same-named attribute counts as a use, so the walk
+    can miss dead code but never flags live code (the package reaches no
+    definition through a string, as getattr could).  A method is reached
+    with its class when Python calls it (__init__, __eq__, ...), but not
+    the copy and pickle hooks, which the package never calls."""
+    defs, classes, todo = {}, {}, []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                todo.append(node)
+                continue
+            defs[f"{path.stem}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append(f"{path.stem}.{node.name}")
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs[f"{path.stem}.{node.name}.{item.name}"] = item
+    hooks = {"__reduce__", "__reduce_ex__", "__getstate__", "__setstate__", "__copy__", "__deepcopy__"}
+    owner = lambda q: q.rsplit(".", 1)[0]
+    short = lambda q: q.rsplit(".", 1)[1]
+    named = {}  # each name with the definitions it can stand for
+    for q in defs:
+        named.setdefault(short(q), []).append(q)
+
+    def lineage(cls):  # the class and its bases in the package
+        yield cls
+        for base in defs[cls].bases:
+            for c in classes.get(getattr(base, "id", None), ()):
+                yield from lineage(c)
+
+    reached = set()
+
+    def reach(qs):
+        for q in qs:
+            if q not in reached:
+                reached.add(q)
+                todo.append(defs[q])
+                if isinstance(defs[q], ast.ClassDef):
+                    reach(m for m in defs if owner(m) == q and short(m).startswith("__") and short(m) not in hooks)
+
+    reach(["cli.main"])
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.ClassDef):  # its methods are followed on their own
+            parts = node.bases + node.keywords + node.decorator_list
+            parts += [s for s in node.body if not isinstance(s, ast.FunctionDef)]
+        else:
+            parts = [node]
+        for sub in (sub for part in parts for sub in ast.walk(part)):
+            if isinstance(sub, ast.Name):
+                reach(q for q in named.get(sub.id, ()) if q.count(".") == 1)
+            elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) in classes:
+                scope = {c for cls in classes[sub.value.id] for c in lineage(cls)}
+                reach(q for q in named.get(sub.attr, ()) if owner(q) in scope)
+            elif isinstance(sub, ast.Attribute):
+                reach(named.get(sub.attr, ()))
+    unreached = {q for q in defs if q not in reached and (q.count(".") == 1 or owner(q) in reached)}
+    assert unreached == set(UNREACHED)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

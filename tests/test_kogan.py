@@ -13,7 +13,6 @@ from gtkey.kogan import (
     complex_count,
     complex_points,
     enumerate_reduced_faces,
-    face_is_reduced,
     face_type,
     face_word,
     key_faces,
@@ -29,7 +28,7 @@ subsets_by_type = functools.lru_cache(maxsize=None)(reduced_cell_subsets)
 def test_face_word_examples():
     f = KoganFace(4, frozenset({(2, 2), (3, 1), (3, 2), (3, 3)}))
     assert face_word(f) == (3, 1, 2, 3)
-    assert face_is_reduced(f)
+    assert face_type(f) == (4, 1, 3, 2)  # reduced: four letters, four inversions
     assert face_word(KoganFace(4, frozenset())) == ()
     assert face_word(KoganFace(4, frozenset({(1, 1), (3, 2)}))) == (3, 2)
 
@@ -229,9 +228,8 @@ def test_key_type_uses_w0_flip():
     }
 
 
-def test_face_json_round_trip():
-    f = KoganFace(4, frozenset({(2, 2), (3, 1)}))
-    assert KoganFace.from_json(f.to_json()) == f
+def test_face_to_json():
+    f = KoganFace(4, frozenset({(3, 1), (2, 2)}))
     assert f.to_json() == {"n": 4, "cells": [[2, 2], [3, 1]]}
 
 

@@ -14,9 +14,8 @@ from gtkey.lattice import (
     enumerate_points,
     gt_spec,
     skew_spec,
-    weight_counts,
 )
-from oracles import affine_rank, grid_filter_patterns, reduced_cell_subsets, skew_ssyt_fillings, ssyt_fillings
+from oracles import affine_rank, grid_filter_patterns, reduced_cell_subsets, skew_ssyt_fillings, ssyt_fillings, unpacked_tally
 
 
 def test_full_polytope_counts():
@@ -97,7 +96,7 @@ def test_weight_counts_partition_the_polytope():
     for lam in [(2, 1, 0), (3, 2, 1), (2, 2, 1, 0)]:
         n = len(lam)
         total = count_points(gt_spec(lam))
-        swept = weight_counts(gt_spec(lam))
+        swept = unpacked_tally(gt_spec(lam))
         by_weight = 0
         for w in itertools.product(range(sum(lam) + 1), repeat=n):
             if sum(w) == sum(lam):
@@ -116,7 +115,7 @@ def _tally_weights(spec, k=1):
         w = weight(p)
         tally[w] = tally.get(w, 0) + 1
         points += 1
-    assert count_points(spec, k) == sum(weight_counts(spec, k).values()) == points
+    assert count_points(spec, k) == sum(unpacked_tally(spec, k).values()) == points
     return tally
 
 
@@ -139,21 +138,21 @@ def test_weight_counts_match_enumerated_tally():
     ]
     for spec in specs:
         for k in range(4):
-            assert weight_counts(spec, k) == _tally_weights(spec, k), (spec, k)
-    assert weight_counts(gt_spec((4,))) == {(4,): 1}
-    assert weight_counts(gt_spec((3, 1, 0)), 0) == {(0, 0, 0): 1}
-    assert weight_counts(gt_spec((2, 1, 0), weight=(1, 1, 2))) == {}
+            assert unpacked_tally(spec, k) == _tally_weights(spec, k), (spec, k)
+    assert unpacked_tally(gt_spec((4,))) == {(4,): 1}
+    assert unpacked_tally(gt_spec((3, 1, 0)), 0) == {(0, 0, 0): 1}
+    assert unpacked_tally(gt_spec((2, 1, 0), weight=(1, 1, 2))) == {}
     none = gt_spec((2, 1, 0), faces=[])
     for k in range(4):
-        assert weight_counts(none, k) == _tally_weights(none, k) == {}
+        assert unpacked_tally(none, k) == _tally_weights(none, k) == {}
     # the 14-face key-complex unions in S5
     sigmas = [(3, 4, 5, 2, 1), (3, 4, 5, 1, 2), (2, 3, 4, 5, 1)]
     for lam in [(1, 1, 0, 0, 0), (2, 1, 0, 0, 0)]:
         for sigma in sigmas:
             spec = gt_spec(lam, faces=[f.cells for f in key_faces(5, sigma)])
             for k in range(4):
-                assert weight_counts(spec, k) == _tally_weights(spec, k), (lam, sigma, k)
-    # unions that are not key complexes, where weight_counts' row-end merge
+                assert unpacked_tally(spec, k) == _tally_weights(spec, k), (lam, sigma, k)
+    # unions that are not key complexes, where weight_tally's row-end merge
     # drops faces or lets one stand for another (enumerate_points merges
     # nothing): the cells of {(2, 1)} lie inside another face's, and two
     # faces agree on every cell below row 3; a third face keeps the cells
@@ -164,11 +163,11 @@ def test_weight_counts_match_enumerated_tally():
         for lam in [(3, 2, 1, 0), (3, 1, 1, 0)]:
             spec = gt_spec(lam, faces=faces)
             for k in range(3):
-                assert weight_counts(spec, k) == _tally_weights(spec, k), (faces, lam, k)
+                assert unpacked_tally(spec, k) == _tally_weights(spec, k), (faces, lam, k)
     # a key complex whose faces' cells ahead nest at a row end
     spec = gt_spec((1, 1, 0, 0), faces=[f.cells for f in key_faces(4, (2, 3, 4, 1))])
     for k in range(3):
-        assert weight_counts(spec, k) == _tally_weights(spec, k), k
+        assert unpacked_tally(spec, k) == _tally_weights(spec, k), k
 
 
 def test_empty_weight_filter():
@@ -285,7 +284,7 @@ def test_skew_specs_match_skew_tableaux_oracle():
                 spec = skew_spec(lam, mu, n=n)
                 rows, tally = _skew_oracle(lam, mu, n)
                 assert count_points(spec) == len(rows), (lam, mu, n)
-                assert weight_counts(spec) == tally, (lam, mu, n)
+                assert unpacked_tally(spec) == tally, (lam, mu, n)
                 assert sorted(p.rows for p in enumerate_points(spec)) == rows, (lam, mu, n)
     assert count_points(skew_spec((1, 1, 1), (), n=2)) == 0
     # the second dilate is the doubled shape
@@ -294,7 +293,7 @@ def test_skew_specs_match_skew_tableaux_oracle():
         rows, tally = _skew_oracle(*doubled, n)
         spec = skew_spec(lam, mu, n=n)
         assert count_points(spec, 2) == len(rows), (lam, mu, n)
-        assert weight_counts(spec, 2) == tally, (lam, mu, n)
+        assert unpacked_tally(spec, 2) == tally, (lam, mu, n)
         assert sorted(p.rows for p in enumerate_points(spec, 2)) == rows, (lam, mu, n)
 
 
@@ -484,7 +483,7 @@ def test_the_three_drivers_agree_in_any_order():
             alone[spec, k, interior] = count_points(spec, k, interior=True)
             assert alone[spec, k, interior] == _interior_by_filter(spec, k), (spec, k)
             continue
-        assert weight_counts(spec, k) == _tally_weights(spec, k), (spec, k)
+        assert unpacked_tally(spec, k) == _tally_weights(spec, k), (spec, k)
         alone[spec, k, interior] = count_points(spec, k)
     for spec, k, interior in random.Random(14).sample(calls, len(calls)):
         assert count_points(spec, k, interior=interior) == alone[spec, k, interior], (spec, k)
@@ -542,7 +541,7 @@ def test_edge_answers_of_the_drivers():
     empty = skew_spec((2, 2), (0,), n=1)  # a column of 2 boxes with n = 1
     assert count_points(empty) == 0
     assert count_points(empty, 0) == count_points(empty, 0, interior=True) == 1
-    assert weight_counts(empty, 0) == {(0,): 1}
+    assert unpacked_tally(empty, 0) == {(0,): 1}
     assert [p.rows for p in enumerate_points(empty, 0)] == [((0, 0), (0, 0))]
     spec = gt_spec((2, 1, 0))
     for k in range(4):
@@ -557,6 +556,6 @@ def test_edge_answers_of_the_drivers():
         with pytest.raises(error):
             count_points(spec, k, interior=True)
         with pytest.raises(error):
-            weight_counts(spec, k)
+            unpacked_tally(spec, k)
         with pytest.raises(error):
             list(enumerate_points(spec, k))
