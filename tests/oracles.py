@@ -88,6 +88,25 @@ def content(rows, n):
     return tuple(sum(v == value for row in rows for v in row) for value in range(1, n + 1))
 
 
+def count_rows(rows, n, inner=()):
+    """The n+1 count rows of a filling of outer/inner, bottom-up: entry j of
+    row r is inner_j plus the number of entries at most r in the filling's
+    row j (one tuple per row of the outer shape, empty where inner covers
+    it).  For a semistandard filling with entries 1..n they are the rows of
+    its skew GT pattern; a filling with weakly increasing rows is the only
+    one with its count rows."""
+    inner = tuple(inner) + (0,) * (len(rows) - len(inner))
+    return tuple(
+        tuple(inner[j] + sum(v <= r for v in row) for j, row in enumerate(rows)) for r in range(n + 1)
+    )
+
+
+def triangle(count_rows_):
+    """The triangular GT pattern rows of the count rows of a straight
+    filling: row r cut to its first r entries, the bottom row 0 dropped."""
+    return tuple((row + (0,) * r)[:r] for r, row in enumerate(count_rows_) if r)
+
+
 def bubble_word(sigma):
     """A reduced word of sigma by bubble sort: the positions i, read in the
     order the sort swaps them, at which sigma(i) > sigma(i+1).  Undoing the

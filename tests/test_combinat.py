@@ -2,6 +2,8 @@ import doctest
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtkey import combinat
 from gtkey.combinat import (
@@ -129,6 +131,15 @@ def test_multiply_convention():
     assert multiply((2, 4, 5, 1, 3), (4, 1, 5, 2, 3)) == (1, 2, 3, 4, 5)
     assert multiply((4, 1, 5, 2, 3), (2, 4, 5, 1, 3)) == (1, 2, 3, 4, 5)
     assert multiply((3, 1, 2), (2, 3, 1)) == multiply((2, 3, 1), (3, 1, 2)) == (1, 2, 3)
+
+
+@settings(max_examples=50)
+@given(st.permutations(list(range(1, 6))))
+def test_inverse_round_trip(perm):
+    perm = tuple(perm)
+    inv = tuple(sorted(range(1, 6), key=lambda x: perm[x - 1]))  # inv(perm(x)) = x
+    assert multiply(perm, inv) == (1, 2, 3, 4, 5)
+    assert multiply(inv, perm) == (1, 2, 3, 4, 5)
 
 
 def test_parsing_round_trips():

@@ -228,9 +228,10 @@ def test_key_type_uses_w0_flip():
     }
 
 
-def test_face_to_json():
+def test_face_json_round_trip():
     f = KoganFace(4, frozenset({(3, 1), (2, 2)}))
     assert f.to_json() == {"n": 4, "cells": [[2, 2], [3, 1]]}
+    assert KoganFace(**f.to_json()) == f
 
 
 def test_reduced_face_word_length_is_inversion_count():

@@ -49,6 +49,17 @@ def polys(draw, nvars=4, max_terms=5, max_exp=4):
     return MultiPoly(nvars, terms)
 
 
+def test_swap_vars():
+    # s_i f = f - (z_i - z_{i+1}) d_i f, by the library's divided difference
+    def swapped(f, i):
+        return f - (MultiPoly.variable(i, 4) - MultiPoly.variable(i + 1, 4)) * divided_difference(f, i)
+
+    assert swapped(mono(2, 1, 0, 0), 1) == mono(1, 2, 0, 0)
+    sym = mono(1, 1, 0, 0) + mono(2, 2, 0, 0)
+    assert swapped(sym, 1) == sym
+    assert swapped(mono(0, 5, 3, 0), 2) == mono(0, 3, 5, 0) == MultiPoly(4, swap(mono(0, 5, 3, 0).terms, 2))
+
+
 def test_divided_difference_worked_example():
     # d_2 (z1^2 z2^5 z3^3 z4) = z1^2 z2^3 z3^3 z4 (z2 + z3)
     got = divided_difference(mono(2, 5, 3, 1), 2)
